@@ -11,7 +11,9 @@ optionally extended with a fixed per-essay embedding vector.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -504,7 +506,9 @@ def save_model(model: GatModel, path):
         "n_layers": model.n_layers,
         "embed_dim": model.embed_dim,
     }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **model.params)
+    buf = io.BytesIO()
+    np.savez(buf, __meta__=np.array(json.dumps(meta)), **model.params)
+    _write_atomically(path, buf.getvalue())
 
 
 def load_model(path) -> GatModel:
@@ -523,4 +527,16 @@ def write_history(history, path):
     lines = ["epoch,train_loss,val_loss,val_accuracy"]
     for epoch, tr, vl, va in history:
         lines.append(f"{epoch},{tr:.6f},{vl:.6f},{va:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _write_atomically(path, data: bytes) -> None:
+    """Write through a temp file next to `path` and rename it into place, so
+    an interrupted write never leaves a partial file that looks finished."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -372,14 +372,38 @@ def _check_config_paths(cfg: PipelineConfig) -> None:
             raise ConfigError(f"{name} file not found: {p}")
 
 
-def _run_jobs(fn, items, jobs: int) -> None:
+def _run_jobs(fn, items, jobs: int, processes: bool = False,
+              initializer=None, initargs: tuple = ()) -> None:
+    """Apply fn to every item; the first exception re-raises here.
+
+    Runs inline when jobs <= 1 or at most one item is left, otherwise in a
+    pool of up to `jobs` threads, or forked processes when `processes` is
+    set: GIL-bound work needs those, and fn must then be module-level.
+    Each worker, or the inline run, first calls initializer(*initargs);
+    fork hands the arguments over without pickling them.
+    """
     if jobs <= 1 or len(items) <= 1:
+        if initializer is not None:
+            initializer(*initargs)
         for item in items:
             fn(item)
         return
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        # consume to re-raise the first worker exception
-        list(ex.map(fn, items))
+    if processes:
+        # imported here so that runs with nothing left to do skip the cost;
+        # a fork pool forks every worker on the first submit, before it
+        # starts its own manager thread, so no other thread is forked
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                                   mp_context=multiprocessing.get_context("fork"),
+                                   initializer=initializer, initargs=initargs)
+    else:
+        pool = ThreadPoolExecutor(max_workers=jobs, initializer=initializer,
+                                  initargs=initargs)
+    with pool:
+        # consume to re-raise the first worker exception; map cancels the
+        # items not yet started
+        list(pool.map(fn, items))
 
 
 def read_concept_file(path: Path | str) -> frozenset[str]:
@@ -516,27 +540,49 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
     return agg, tensors, X, labels, essay_vecs
 
 
+# what every (fold, trait) training reads: set in each forked worker by the
+# pool initializer, or in this process for an inline run
+_train_inputs: tuple | None = None
+
+
+def _set_train_inputs(inputs: tuple | None) -> None:
+    global _train_inputs
+    _train_inputs = inputs
+
+
+def _train_one(task: tuple[int, int]) -> None:
+    """Fit the classifier of one (fold, trait index) and write its history
+    and checkpoint; the checkpoint comes last because it marks the pair done."""
+    fold, j = task
+    cfg, tensors, X, labels, essay_vecs, folds = _train_inputs
+    art = Artifacts(cfg.output_dir)
+    train_idx = np.setdiff1d(np.arange(len(labels)), folds[fold])
+    model, history = train_trait(
+        tensors, X, labels[:, j], cfg.train,
+        train_idx=train_idx, embeddings=essay_vecs,
+        seed=[cfg.seed, fold, j],
+    )
+    write_history(history, art.history_path(fold, TRAITS[j]))
+    save_model(model, art.model_path(fold, TRAITS[j]))
+
+
 def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
     art = Artifacts(cfg.output_dir)
     agg, tensors, X, labels, essay_vecs = _load_graph_inputs(cfg, art)
     folds = _make_folds(len(agg.essay_nodes), cfg)
     art.models_dir.mkdir(parents=True, exist_ok=True)
 
-    trained = 0
-    for i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(len(agg.essay_nodes)), test_idx)
-        for j, trait in enumerate(TRAITS):
-            model_path = art.model_path(i, trait)
-            if not force and model_path.exists():
-                continue
-            model, history = train_trait(
-                tensors, X, labels[:, j], cfg.train,
-                train_idx=train_idx, embeddings=essay_vecs,
-                seed=[cfg.seed, i, j],
-            )
-            save_model(model, model_path)
-            write_history(history, art.history_path(i, trait))
-            trained += 1
+    # every training seeds its own generator with [seed, fold, trait], so
+    # the outputs do not depend on how the pool schedules them
+    todo = [(i, j) for i in range(len(folds)) for j, trait in enumerate(TRAITS)
+            if force or not art.model_path(i, trait).exists()]
+    try:
+        _run_jobs(_train_one, todo, jobs, processes=True,
+                  initializer=_set_train_inputs,
+                  initargs=((cfg, tensors, X, labels, essay_vecs, folds),))
+    finally:
+        _set_train_inputs(None)
+
     splits = {
         "protocol": cfg.protocol,
         "enriched": cfg.enriched,
@@ -544,10 +590,12 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
         "doc_ids": list(agg.essay_nodes),
         "folds": [f.tolist() for f in folds],
     }
-    art.splits.write_text(json.dumps(splits, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(splits, indent=2) + "\n"
+    if not art.splits.exists() or art.splits.read_text(encoding="utf-8") != text:
+        art.splits.write_text(text, encoding="utf-8")
     log.info("train: %d models fitted, %d already present",
-             trained, len(folds) * len(TRAITS) - trained)
-    return {"folds": len(folds), "trained": trained}
+             len(todo), len(folds) * len(TRAITS) - len(todo))
+    return {"folds": len(folds), "trained": len(todo)}
 
 
 def _write_correlations(matrix: np.ndarray, path: Path) -> None:
@@ -653,7 +701,9 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False, jobs: int = 
     """Run one named stage (or 'run-all'), then refresh the manifest."""
     if stage == "run-all":
         for name in STAGES:
-            run_stage(name, cfg, force=force, jobs=jobs)
+            # only enriched runs read the embeddings
+            if name != "embed" or cfg.enriched:
+                run_stage(name, cfg, force=force, jobs=jobs)
         return
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}")

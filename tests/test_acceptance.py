@@ -286,7 +286,7 @@ def accuracy_row(work: Path) -> list[float]:
 def test_criterion_8_fixture_run_all_accuracy(tmp_path):
     t0 = time.monotonic()
     work = fixture_workdir(tmp_path, "full")
-    rc = main(["run-all", "--config", str(work / "run.cfg")])
+    rc = main(["run-all", "--config", str(work / "run.cfg"), "--jobs", "2"])
     elapsed = time.monotonic() - t0
     assert rc == 0
     accs = accuracy_row(work)[:5]
@@ -305,12 +305,12 @@ def test_criterion_9_enrichment_never_costs_more_than_two_points(tmp_path):
                  ("seed = 42", f"seed = {seed}")]
         plain = fixture_workdir(tmp_path, f"plain{seed}", *edits)
         (plain / "run.cfg").open("a").write("test_fraction = 0.4\n")
-        assert main(["run-all", "--config", str(plain / "run.cfg")]) == 0
+        assert main(["run-all", "--config", str(plain / "run.cfg"), "--jobs", "2"]) == 0
 
         enriched = fixture_workdir(tmp_path, f"enr{seed}", *edits)
         (enriched / "run.cfg").open("a").write("test_fraction = 0.4\n")
         assert main(["run-all", "--config", str(enriched / "run.cfg"),
-                     "--enriched"]) == 0
+                     "--enriched", "--jobs", "2"]) == 0
         deltas[seed] = accuracy_row(enriched)[5] - accuracy_row(plain)[5]
 
     worst = min(deltas.values())
@@ -329,11 +329,12 @@ def test_criterion_10_identical_runs_byte_identical_metrics(tmp_path):
     first = fixture_workdir(tmp_path, "det1", *edits)
     second = fixture_workdir(tmp_path, "det2", *edits)
     assert main(["run-all", "--config", str(first / "run.cfg")]) == 0
-    assert main(["run-all", "--config", str(second / "run.cfg")]) == 0
+    # serial, then with training processes: the schedule must not matter
+    assert main(["run-all", "--config", str(second / "run.cfg"), "--jobs", "2"]) == 0
     a = (first / "out" / "reports" / "metrics.csv").read_bytes()
     b = (second / "out" / "reports" / "metrics.csv").read_bytes()
     ok = a == b and len(a) > 0
-    assert report(10, ok, f"two run-all invocations, identical config + seed: "
+    assert report(10, ok, f"serial and --jobs 2 run-all, identical config + seed: "
                           f"metrics.csv byte-identical ({len(a)} bytes)")
 
 

@@ -1,6 +1,7 @@
 """Attention network: forward/backward math, Adam, training loop, persistence."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,6 +572,23 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     np.savez(path, __meta__=np.array(json.dumps({"version": 99})))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_interrupted_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
+    tensors, X, _ = tiny_instance()
+    model = new_model(X.shape[1], small_config(seed=41))
+    path = tmp_path / "model.npz"
+
+    real_write_bytes = Path.write_bytes
+
+    def crash(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_bytes", crash)
+    with pytest.raises(KeyboardInterrupt):
+        save_model(model, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_history_csv_format(tmp_path):

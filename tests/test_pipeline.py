@@ -298,6 +298,56 @@ def test_jobs_parallel_matches_serial(workdir):
     assert serial_dir.exists()
 
 
+def _output_copy(workdir, name):
+    return parse_config(
+        (workdir / "run.cfg").read_text() + f"output_dir = {name}\n", workdir
+    )
+
+
+def test_train_jobs_processes_match_serial_bytes(workdir):
+    serial, parallel = _output_copy(workdir, "serial"), _output_copy(workdir, "parallel")
+    run_stage("run-all", serial, jobs=1)
+    run_stage("run-all", parallel, jobs=2)
+    a, b = Artifacts(serial.output_dir), Artifacts(parallel.output_dir)
+    files = sorted(p.name for p in a.models_dir.iterdir())
+    assert len(files) == 11  # five checkpoints, five histories, splits.json
+    assert sorted(p.name for p in b.models_dir.iterdir()) == files
+    for name in files:
+        assert (a.models_dir / name).read_bytes() == (b.models_dir / name).read_bytes(), name
+    assert a.metrics.read_bytes() == b.metrics.read_bytes()
+
+
+def test_cli_divergence_in_a_worker_exits_five(workdir):
+    cfg_path = workdir / "run.cfg"
+    # the first Adam step moves every weight by about the learning rate,
+    # so the next forward pass overflows
+    cfg_path.write_text(cfg_path.read_text() + "learning_rate = 1e300\n")
+    cfg = load_config(cfg_path)
+    for stage in ("preprocess", "build", "aggregate"):
+        run_stage(stage, cfg)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg_path), "--jobs", "2"]) == 5
+    assert not list(Artifacts(cfg.output_dir).models_dir.glob("fold*_*.npz"))
+
+
+def test_plain_run_all_skips_embed(workdir):
+    cfg = load_config(workdir / "run.cfg")
+    run_stage("run-all", cfg)
+    art = Artifacts(cfg.output_dir)
+    assert art.metrics.exists()
+    assert not art.embeddings.exists()
+    assert "embed" not in json.loads(art.manifest.read_text())["stages"]
+
+
+def test_rerun_leaves_splits_untouched(workdir):
+    cfg = load_config(workdir / "run.cfg")
+    run_stage("run-all", cfg, jobs=2)
+    splits = Artifacts(cfg.output_dir).splits
+    before = splits.stat().st_mtime_ns
+    run_stage("run-all", cfg, jobs=2)
+    assert splits.stat().st_mtime_ns == before
+
+
 # --- determinism ------------------------------------------------------------
 
 def test_two_runs_byte_identical_metrics(workdir):
