@@ -16,10 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DuplicateDocumentId, MissingLabel
+from .evaluation import TRAITS
 from .kg_builder import KnowledgeGraph, norm_edge
 from .preprocess import Document
-
-TRAITS = ("O", "C", "E", "A", "N")
 
 
 @dataclass(frozen=True)

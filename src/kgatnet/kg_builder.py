@@ -3,7 +3,9 @@
 Looks up an RDF description for every concept in a document (remote SPARQL
 endpoint or offline N-Triples dump), drops predicates, unifies parallel edges
 into a simple undirected graph, and prunes it down to edges whose endpoints
-both occur in the document's concept set.
+both occur in the document's concept set.  A dump is indexed in memory when
+it is loaded; only endpoint lookups, which are network round trips, go
+through the per-concept disk cache.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol
-
-import requests
 
 from .errors import CacheMiss, NetworkError
 
@@ -138,17 +138,18 @@ class NTriplesSource:
     def __init__(self, path: Path | str, predicate_prefixes: tuple[str, ...] = ()):
         self.path = Path(path)
         self.source_id = "dump-" + hashlib.sha256(str(self.path).encode()).hexdigest()[:12]
-        self._by_name: dict[str, set[RdfTriple]] = {}
+        by_name: dict[str, set[RdfTriple]] = {}
         with open(self.path, encoding="utf-8") as fh:
             for t in parse_ntriples(fh, predicate_prefixes):
-                self._by_name.setdefault(t.subject, set()).add(t)
-                self._by_name.setdefault(t.obj, set()).add(t)
+                by_name.setdefault(t.subject, set()).add(t)
+                by_name.setdefault(t.obj, set()).add(t)
+        # frozen once here, so a lookup hands out the stored set uncopied
+        self._by_name: dict[str, frozenset[RdfTriple]] = {
+            name: frozenset(triples) for name, triples in by_name.items()
+        }
 
     def lookup(self, name: str) -> frozenset[RdfTriple]:
-        return frozenset(self._by_name.get(name, ()))
-
-    def entity_names(self) -> frozenset[str]:
-        return frozenset(self._by_name)
+        return self._by_name.get(name, frozenset())
 
 
 class SparqlEndpointSource:
@@ -195,6 +196,10 @@ class SparqlEndpointSource:
         )
 
     def lookup(self, name: str) -> frozenset[RdfTriple]:
+        # imported here: only endpoint runs need it, and it slows every
+        # start of the command line by tens of milliseconds
+        import requests
+
         params = {"query": self._query_for(name), "format": "application/sparql-results+json"}
         headers = {"Accept": "application/sparql-results+json", "User-Agent": "kgatnet/0.1"}
         last_error: Exception | None = None
@@ -258,6 +263,9 @@ def safe_filename(name: str) -> str:
 
 class TripleCache:
     """One N-Triples file per concept under <root>/<source_id>/.
+
+    Holds SPARQL endpoint lookups, each a network round trip; an N-Triples
+    dump is already indexed in memory and is not cached.
 
     Writes go through an adjacent temp file and os.replace, so concurrent
     puts for the same key are last-write-wins and readers never see a
@@ -387,10 +395,6 @@ def graph_from_text(text: str) -> KnowledgeGraph:
     if len(nodes) != n_nodes or len(edges) != n_edges:
         raise ValueError("graph text counts disagree with payload")
     return KnowledgeGraph(nodes, frozenset(edges))
-
-
-def write_graph(graph: KnowledgeGraph, path: Path | str) -> None:
-    Path(path).write_text(graph_to_text(graph), encoding="utf-8")
 
 
 def read_graph(path: Path | str) -> KnowledgeGraph:

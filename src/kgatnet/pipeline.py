@@ -27,7 +27,6 @@ import scipy.sparse as sp
 
 from . import __version__
 from .aggregator import (
-    TRAITS,
     aggregate_graphs,
     attach_essay_nodes,
     build_feature_matrix,
@@ -39,6 +38,7 @@ from .aggregator import (
 )
 from .errors import ConfigError, DuplicateDocumentId, MissingStageInput
 from .evaluation import (
+    TRAITS,
     aggregate_fold_rows,
     confusion_counts,
     k_fold_split,
@@ -49,6 +49,7 @@ from .evaluation import (
 )
 from .gat import (
     TrainConfig,
+    _write_atomically,
     load_model,
     predict,
     save_model,
@@ -62,10 +63,10 @@ from .kg_builder import (
     SparqlEndpointSource,
     TripleCache,
     build_document_graph,
+    graph_to_text,
     prune_graph,
     read_graph,
     resolve_concepts,
-    write_graph,
 )
 from .preprocess import (
     Document,
@@ -412,10 +413,11 @@ def read_concept_file(path: Path | str) -> frozenset[str]:
 
 
 def make_source(cfg: PipelineConfig):
+    """The dump, indexed in memory and re-read on every build, or the SPARQL
+    endpoint behind a disk cache, since its lookups are network round trips."""
     if cfg.dump is not None:
-        inner = NTriplesSource(cfg.dump, cfg.predicate_prefixes)
-    else:
-        inner = SparqlEndpointSource(cfg.endpoint, predicate_prefixes=cfg.predicate_prefixes)
+        return NTriplesSource(cfg.dump, cfg.predicate_prefixes)
+    inner = SparqlEndpointSource(cfg.endpoint, predicate_prefixes=cfg.predicate_prefixes)
     return CachingSource(inner, TripleCache(cfg.cache_dir, inner.source_id))
 
 
@@ -439,7 +441,7 @@ def stage_preprocess(cfg: PipelineConfig, force: bool = False, jobs: int = 1) ->
         if not concepts:
             log.warning("document %s produced an empty concept set", doc.id)
         body = "\n".join(sorted(concepts))
-        art.concept_path(doc.id).write_text(body + "\n" if body else "", encoding="utf-8")
+        _write_atomically(art.concept_path(doc.id), (body + "\n" if body else "").encode("utf-8"))
 
     _run_jobs(work, todo, jobs)
     log.info("preprocess: %d concept sets written, %d already present",
@@ -459,7 +461,7 @@ def stage_build(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     def work(doc: Document) -> None:
         concepts = resolve_concepts(read_concept_file(art.concept_path(doc.id)), source)
         graph = prune_graph(build_document_graph(concepts, source), concepts)
-        write_graph(graph, art.graph_path(doc.id))
+        _write_atomically(art.graph_path(doc.id), graph_to_text(graph).encode("utf-8"))
 
     _run_jobs(work, todo, jobs)
     log.info("build: %d graphs written, %d already present",
@@ -572,6 +574,26 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     folds = _make_folds(len(agg.essay_nodes), cfg)
     art.models_dir.mkdir(parents=True, exist_ok=True)
 
+    splits = {
+        "protocol": cfg.protocol,
+        "enriched": cfg.enriched,
+        "seed": cfg.seed,
+        "doc_ids": list(agg.essay_nodes),
+        "folds": [f.tolist() for f in folds],
+    }
+    text = json.dumps(splits, indent=2) + "\n"
+    recorded = art.splits.read_text(encoding="utf-8") if art.splits.exists() else None
+    if recorded is not None and recorded != text:
+        # models fitted on other folds would be scored on essays they were
+        # trained on; they go before the new splits are recorded, so an
+        # interrupted refit leaves only models of the recorded splits
+        log.info("train: splits changed, refitting every model")
+        for p in [*art.models_dir.glob("fold*_*.npz"),
+                  *art.models_dir.glob("history_fold*_*.csv")]:
+            p.unlink()
+    if recorded != text:
+        _write_atomically(art.splits, text.encode("utf-8"))
+
     # every training seeds its own generator with [seed, fold, trait], so
     # the outputs do not depend on how the pool schedules them
     todo = [(i, j) for i in range(len(folds)) for j, trait in enumerate(TRAITS)
@@ -583,16 +605,6 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     finally:
         _set_train_inputs(None)
 
-    splits = {
-        "protocol": cfg.protocol,
-        "enriched": cfg.enriched,
-        "seed": cfg.seed,
-        "doc_ids": list(agg.essay_nodes),
-        "folds": [f.tolist() for f in folds],
-    }
-    text = json.dumps(splits, indent=2) + "\n"
-    if not art.splits.exists() or art.splits.read_text(encoding="utf-8") != text:
-        art.splits.write_text(text, encoding="utf-8")
     log.info("train: %d models fitted, %d already present",
              len(todo), len(folds) * len(TRAITS) - len(todo))
     return {"folds": len(folds), "trained": len(todo)}

@@ -121,6 +121,12 @@ def test_lookup_by_object_position(dump_source):
     assert got == frozenset({RdfTriple("Dog", "relatedTo", "Wolf")})
 
 
+def test_dump_lookup_serves_the_stored_set(dump_source):
+    # frozen when the dump is loaded, so repeated lookups copy nothing
+    assert dump_source.lookup("Dog") is dump_source.lookup("Dog")
+    assert dump_source.lookup("Zzzz_unknown") == frozenset()
+
+
 def test_resolve_concepts_spellings(dump_source):
     got = resolve_concepts({"Dog", "New_york", "Zzzz_unknown"}, dump_source)
     assert got == frozenset({"Dog", "New_York", "Zzzz_unknown"})

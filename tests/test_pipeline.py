@@ -1,7 +1,10 @@
 """Config parsing, corpus loading, stage caching, and CLI behavior."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +12,13 @@ import pytest
 
 from kgatnet.cli import main
 from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput
+from kgatnet.kg_builder import CachingSource, NTriplesSource, SparqlEndpointSource, read_graph
 from kgatnet.pipeline import (
     Artifacts,
+    _make_folds,
     load_config,
     load_corpus,
+    make_source,
     parse_config,
     run_stage,
     with_overrides,
@@ -346,6 +352,81 @@ def test_rerun_leaves_splits_untouched(workdir):
     before = splits.stat().st_mtime_ns
     run_stage("run-all", cfg, jobs=2)
     assert splits.stat().st_mtime_ns == before
+
+
+def test_build_force_follows_edited_dump(workdir):
+    cfg = load_config(workdir / "run.cfg")
+    run_stage("preprocess", cfg)
+    run_stage("build", cfg)
+    art = Artifacts(cfg.output_dir)
+    graphs = sorted(art.graphs_dir.glob("*.txt"))
+    assert sum(len(read_graph(p).edges) for p in graphs) > 0
+    (workdir / "dump.nt").write_text("", encoding="utf-8")
+    run_stage("build", cfg, force=True)
+    assert len(graphs) == 30
+    assert all(not read_graph(p).edges for p in graphs)
+
+
+def test_dump_build_writes_no_triple_cache(workdir):
+    cfg = load_config(workdir / "run.cfg")
+    run_stage("preprocess", cfg)
+    run_stage("build", cfg, jobs=2)
+    assert len(list(Artifacts(cfg.output_dir).graphs_dir.glob("*.txt"))) == 30
+    assert not cfg.cache_dir.exists()
+
+
+def test_make_source_caches_only_endpoint_lookups(workdir):
+    assert isinstance(make_source(load_config(workdir / "run.cfg")), NTriplesSource)
+    cfg = parse_config("corpus = corpus.csv\nendpoint = http://127.0.0.1:1/sparql\n", workdir)
+    source = make_source(cfg)
+    assert isinstance(source, CachingSource)
+    assert isinstance(source.inner, SparqlEndpointSource)
+    assert source.cache.dir.parent == cfg.cache_dir
+
+
+def test_interrupted_graph_write_leaves_no_file(workdir, monkeypatch):
+    cfg = load_config(workdir / "run.cfg")
+    run_stage("preprocess", cfg)
+    art = Artifacts(cfg.output_dir)
+    victim = art.graph_path("doc05")
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == victim:
+            raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space"):
+        run_stage("build", cfg)
+    assert not victim.exists()
+    assert not list(art.graphs_dir.glob("*.tmp*"))
+    monkeypatch.undo()
+    run_stage("build", cfg)
+    assert read_graph(victim).nodes
+
+
+def test_train_new_seed_refits_every_model(workdir):
+    cfg_path = str(workdir / "run.cfg")
+    for stage in ("preprocess", "build", "aggregate", "train"):
+        assert main([stage, "--config", cfg_path]) == 0
+    art = Artifacts(workdir / "out")
+    # without --force: the recorded splits no longer match, so every model
+    # of the old folds is refitted rather than evaluated on its own essays
+    assert main(["train", "--config", cfg_path, "--seed", "7"]) == 0
+    assert json.loads(art.manifest.read_text())["stages"]["train"]["trained"] == 5
+    splits = json.loads(art.splits.read_text())
+    seven = with_overrides(load_config(cfg_path), seed=7)
+    assert splits["seed"] == 7
+    assert splits["folds"] == [f.tolist() for f in _make_folds(30, seven)]
+
+
+def test_importing_cli_leaves_requests_unloaded():
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, kgatnet.cli; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 # --- determinism ------------------------------------------------------------
