@@ -7,6 +7,7 @@ first-seen order, then essay nodes in corpus order.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 
 from .errors import DuplicateDocumentId, MissingLabel
 from .evaluation import TRAITS
+from .gat import _write_atomically
 from .kg_builder import KnowledgeGraph, norm_edge
 from .preprocess import Document
 
@@ -170,7 +172,7 @@ def aggregated_from_text(text: str) -> AggregatedGraph:
 
 
 def write_aggregated(agg: AggregatedGraph, path: Path | str) -> None:
-    Path(path).write_text(aggregated_to_text(agg), encoding="utf-8")
+    _write_atomically(path, aggregated_to_text(agg).encode("utf-8"))
 
 
 def read_aggregated(path: Path | str) -> AggregatedGraph:
@@ -178,11 +180,12 @@ def read_aggregated(path: Path | str) -> AggregatedGraph:
 
 
 def write_labels_csv(doc_ids: Sequence[str], labels: np.ndarray, path: Path | str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["doc_id", *TRAITS])
-        for doc_id, row in zip(doc_ids, labels):
-            w.writerow([doc_id, *(int(x) for x in row)])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["doc_id", *TRAITS])
+    for doc_id, row in zip(doc_ids, labels):
+        w.writerow([doc_id, *(int(x) for x in row)])
+    _write_atomically(path, buf.getvalue().encode("utf-8"))
 
 
 def read_labels_csv(path: Path | str) -> tuple[list[str], np.ndarray]:

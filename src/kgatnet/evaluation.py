@@ -7,6 +7,7 @@ report writers render those cells as empty and averages skip them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidK, LengthMismatch, UndefinedMetric
+from .gat import _write_atomically
 
 TRAITS = ("O", "C", "E", "A", "N")
 METRICS = ("precision", "recall", "f_measure", "accuracy")
@@ -152,21 +154,22 @@ def write_metric_report(per_trait: dict[str, dict[str, float | None]],
         defined = [c for c in cells if c is not None]
         avg = sum(defined) / len(defined) if defined else None
         lines.append(",".join([name, *(_fmt(c) for c in cells), _fmt(avg)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_long_report(fold_rows: dict[str, list[dict[str, float | None]]],
                       path: Path | str) -> None:
     """Plot-ready long format `trait,metric,value,fold`; undefined cells are
     skipped entirely."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trait", "metric", "value", "fold"])
-        for trait in TRAITS:
-            for fold_i, row in enumerate(fold_rows[trait]):
-                for name in METRICS:
-                    if row.get(name) is not None:
-                        w.writerow([trait, name, f"{row[name]:.6f}", fold_i])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["trait", "metric", "value", "fold"])
+    for trait in TRAITS:
+        for fold_i, row in enumerate(fold_rows[trait]):
+            for name in METRICS:
+                if row.get(name) is not None:
+                    w.writerow([trait, name, f"{row[name]:.6f}", fold_i])
+    _write_atomically(path, buf.getvalue().encode("utf-8"))
 
 
 def read_metric_report(path: Path | str) -> dict[str, dict[str, float | None]]:

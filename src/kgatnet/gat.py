@@ -4,9 +4,27 @@ with hand-rolled Adam and early stopping on validation accuracy.
 Everything is numpy float64.  The graph lives in edge-list form sorted by
 destination, so per-node softmax and aggregation reduce to `np.*.reduceat`
 over contiguous segments; self-loops guarantee every segment is non-empty.
-Heads are combined by averaging (not concatenation), and the per-essay
+`GraphTensors` also keeps the src-major order of the same edges (a stable
+argsort of `src` and its CSR row pointer), so the backward pass scatters
+into source nodes as one CSR SpMM and one `np.bincount` instead of
+`np.add.at`.
+
+The heads of a layer run batched along a leading head axis where that
+needs only (L, N, F) or (L, E) arrays it keeps anyway: the projection, the
+attention scores, the segment softmax and its backward, the two scatters
+and the gradients of W.  The rest runs one head at a time: the (E, F)
+products over edges and features (the forward aggregation and the
+attention-weight gradient), since all heads at once would hold L of them,
+and the gradients of the attention vectors, the projected input and the
+layer input, since batched they would need (L, N, F) temporaries.  Heads
+are combined by averaging (not concatenation), and the per-essay
 classifier input is the concatenation of every attention layer's output,
 optionally extended with a fixed per-essay embedding vector.
+
+Every kernel adds in the same order as the per-head layer that
+`tests/oracles.py` keeps as a reference (one head at a time, scattering
+with `np.add.at`), and the tests hold the two bit-equal, so results do not
+depend on how the heads are batched.
 """
 
 from __future__ import annotations
@@ -19,6 +37,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     ConfigError,
@@ -96,35 +115,51 @@ def log_softmax_rows(logits):
 class GraphTensors:
     """Directed edge list (both directions of every undirected edge plus one
     self-loop per node), sorted by (dst, src).  seg_starts[i] is the offset
-    of node i's incoming-edge segment."""
+    of node i's incoming-edge segment.  src_order is the stable argsort of
+    src, so edges[src_order] is the same list in src-major order, and
+    src_indptr[i] is the offset of node i's outgoing edges in it."""
 
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
     seg_starts: np.ndarray
     essay_idx: np.ndarray
+    src_order: np.ndarray
+    src_indptr: np.ndarray
+    _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n_nodes, index_pairs, essay_idx):
-        src, dst = [], []
-        for i, j in index_pairs:
-            if i == j:
-                continue
-            src += [i, j]
-            dst += [j, i]
-        src += list(range(n_nodes))
-        dst += list(range(n_nodes))
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        pairs = np.asarray(index_pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        loops = np.arange(n_nodes, dtype=np.int64)
+        src = np.concatenate([pairs[:, 0], pairs[:, 1], loops])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0], loops])
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
-        seg_starts = np.searchsorted(dst, np.arange(n_nodes))
+        seg_starts = np.searchsorted(dst, loops)
+        src_order = np.argsort(src, kind="stable")
+        src_indptr = np.searchsorted(src[src_order], np.arange(n_nodes + 1))
         return cls(n_nodes, src, dst, seg_starts,
-                   np.asarray(essay_idx, dtype=np.int64))
+                   np.asarray(essay_idx, dtype=np.int64), src_order, src_indptr)
 
     @property
     def n_essays(self) -> int:
         return len(self.essay_idx)
+
+    def _stacked_src_major(self, heads):
+        """(indices, indptr) of `heads` transposed adjacency matrices stacked
+        as one (heads*N, N) CSR matrix: row h*N + j lists node j's outgoing
+        edges in src-major order.  Built once per head count, in the index
+        dtype scipy picks, so a matrix over them is cheap to construct."""
+        if heads not in self._stacked:
+            E = len(self.src)
+            m = sp.csr_matrix(
+                (np.empty(heads * E), np.tile(self.dst[self.src_order], heads),
+                 np.append(self.src_indptr[:-1] + E * np.arange(heads)[:, None], heads * E)),
+                shape=(heads * self.n_nodes, self.n_nodes))
+            self._stacked[heads] = (m.indices, m.indptr)
+        return self._stacked[heads]
 
 
 def tensors_from_aggregated(agg) -> GraphTensors:
@@ -134,36 +169,12 @@ def tensors_from_aggregated(agg) -> GraphTensors:
 
 
 def segment_softmax(scores, dst, seg_starts):
-    """Softmax of `scores` within each destination segment, max-stabilized."""
-    seg_max = np.maximum.reduceat(scores, seg_starts)
-    ez = np.exp(scores - seg_max[dst])
-    denom = np.add.reduceat(ez, seg_starts)
-    return ez / denom[dst]
-
-
-# --- single-mechanism operations (also the unit-test surface) -----------
-
-def raw_attention_score(h_i, h_j, W, a):
-    """e_ij = LeakyReLU(a . [W h_i || W h_j]) for one destination/neighbor pair."""
-    fh = W.shape[0]
-    if a.shape != (2 * fh,):
-        raise ShapeMismatch(f"attention vector must have length {2 * fh}")
-    if h_i.shape != (W.shape[1],) or h_j.shape != (W.shape[1],):
-        raise ShapeMismatch("node feature width does not match W")
-    pre = a[:fh] @ (W @ h_i) + a[fh:] @ (W @ h_j)
-    return float(leaky_relu(pre))
-
-
-def normalize_scores(scores):
-    """1-D softmax over one neighborhood."""
-    scores = np.asarray(scores, dtype=np.float64)
-    ez = np.exp(scores - scores.max())
-    return ez / ez.sum()
-
-
-def aggregate_head(alpha, wh_neighbors, activation=elu):
-    """sigma( sum_j alpha_j (W h_j) ) for one node and one head."""
-    return activation(alpha @ wh_neighbors)
+    """Softmax of `scores` within each destination segment of the last axis,
+    max-stabilized; leading axes (one per head) are independent."""
+    seg_max = np.maximum.reduceat(scores, seg_starts, axis=-1)
+    ez = np.exp(scores - np.take(seg_max, dst, axis=-1))
+    denom = np.add.reduceat(ez, seg_starts, axis=-1)
+    return ez / np.take(denom, dst, axis=-1)
 
 
 def _tree_sum(arrays):
@@ -179,51 +190,63 @@ def _tree_sum(arrays):
 
 
 def attention_layer_forward(H, tensors, W_list, a_list):
-    """One multi-head layer: per-head attention sums averaged, then ELU."""
+    """One multi-head layer: per-head attention sums averaged, then ELU.
+
+    The cache keeps, for each head, views (Wh, pre, alpha) into the
+    batched (L, N, F) projection and (L, E) scores and weights."""
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    head_sums, head_caches = [], []
-    for W, a in zip(W_list, a_list):
-        fh = W.shape[0]
-        Wh = H @ W.T
-        pre = (Wh @ a[:fh])[dst] + (Wh @ a[fh:])[src]
-        alpha = segment_softmax(leaky_relu(pre), dst, seg)
-        head_sums.append(np.add.reduceat(alpha[:, None] * Wh[src], seg, axis=0))
-        head_caches.append((Wh, pre, alpha))
+    W, a = np.array(W_list), np.array(a_list)
+    fh = W.shape[1]
+    Wh = np.matmul(H, W.transpose(0, 2, 1))                       # (L, N, F)
+    # against an (L, F, 1) column, matmul runs the per-head `Wh @ a` GEMV
+    pre = (np.take(np.matmul(Wh, a[:, :fh, None])[..., 0], dst, axis=1)
+           + np.take(np.matmul(Wh, a[:, fh:, None])[..., 0], src, axis=1))  # (L, E)
+    alpha = segment_softmax(leaky_relu(pre), dst, seg)
+    # one (E, F) product per head: all heads at once would hold L of them
+    head_sums = []
+    for Wh_l, alpha_l in zip(Wh, alpha):
+        msg = np.take(Wh_l, src, axis=0)
+        msg *= alpha_l[:, None]
+        head_sums.append(np.add.reduceat(msg, seg, axis=0))
     avg = _tree_sum(head_sums) / len(W_list)
     out = elu(avg)
-    return out, (H, avg, out, head_caches)
+    return out, (H, avg, out, list(zip(Wh, pre, alpha)))
 
 
 def attention_layer_backward(dOut, cache, tensors, W_list, a_list):
     """Returns gradient wrt the layer input plus per-head (dW, da) lists."""
     H, avg, out, head_caches = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    dHeadSum = (dOut * _elu_grad(avg, out)) / len(W_list)
+    n, L, fh = H.shape[0], len(W_list), W_list[0].shape[0]
+    pre = np.array([c[1] for c in head_caches])
+    alpha = np.array([c[2] for c in head_caches])
+    dHeadSum = (dOut * _elu_grad(avg, out)) / L
+    m = np.take(dHeadSum, dst, axis=0)                              # (E, F')
+    dalpha = np.array([np.einsum("ef,ef->e", m, np.take(Wh, src, axis=0))
+                       for Wh, _, _ in head_caches])
+    # dWh[l, j] = sum over edges (i <- j) of alpha[l, e] * dHeadSum[i]: the
+    # heads' transposed attention matrices stacked as one CSR matrix, whose
+    # rows add their edges in the same order as a scatter over src would
+    A_T = sp.csr_matrix(
+        (np.take(alpha, tensors.src_order, axis=1).ravel(), *tensors._stacked_src_major(L)),
+        shape=(L * n, n))
+    dWh = (A_T @ dHeadSum).reshape(L, n, fh)
+    # softmax backward within each destination segment
+    t = alpha * dalpha
+    de = alpha * (dalpha - np.take(np.add.reduceat(t, seg, axis=1), dst, axis=1))
+    dpre = de * np.where(pre > 0, 1.0, LEAKY_SLOPE)
+    dd = np.add.reduceat(dpre, seg, axis=1)                         # per-destination term
+    ds = np.bincount((src + n * np.arange(L)[:, None]).ravel(), weights=dpre.ravel(),
+                     minlength=L * n).reshape(L, n)
+    # the rest one head at a time, so no (L, N, F) temporary is made
     dH = np.zeros_like(H)
-    dWs, das = [], []
-    for (W, a, (Wh, pre, alpha)) in zip(W_list, a_list, head_caches):
-        fh = W.shape[0]
-        m = dHeadSum[dst]                                   # (E, F')
-        dalpha = np.einsum("ef,ef->e", m, Wh[src])
-        dWh = np.zeros_like(Wh)
-        np.add.at(dWh, src, alpha[:, None] * m)
-        # softmax backward within each destination segment
-        t = alpha * dalpha
-        de = alpha * (dalpha - np.add.reduceat(t, seg)[dst])
-        dpre = de * np.where(pre > 0, 1.0, LEAKY_SLOPE)
-        dd = np.add.reduceat(dpre, seg)                     # per-destination term
-        ds = np.zeros(H.shape[0])
-        np.add.at(ds, src, dpre)
-        das.append(np.concatenate([Wh.T @ dd, Wh.T @ ds]))
-        dWh += dd[:, None] * a[:fh] + ds[:, None] * a[fh:]
-        dWs.append(dWh.T @ H)
-        dH += dWh @ W
+    das = []
+    for l, (W, a, (Wh, _, _)) in enumerate(zip(W_list, a_list, head_caches)):
+        das.append(np.concatenate([Wh.T @ dd[l], Wh.T @ ds[l]]))
+        dWh[l] += dd[l][:, None] * a[:fh] + ds[l][:, None] * a[fh:]
+        dH += dWh[l] @ W
+    dWs = list(np.matmul(dWh.transpose(0, 2, 1), H))
     return dH, dWs, das
-
-
-def multi_head_layer(H, tensors, W_list, a_list):
-    out, _ = attention_layer_forward(H, tensors, W_list, a_list)
-    return out
 
 
 # --- full model ----------------------------------------------------------
@@ -315,11 +338,12 @@ def forward(model, tensors, X, embeddings=None):
 
 
 def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=None,
-                       weight_decay=0.0):
+                       weight_decay=0.0, X_T=None):
     """Mean binary cross-entropy over the batch (positions index the essay
     axis) and the gradient for every parameter.  `weight_decay` adds an L2
     penalty on every non-bias parameter (the corpora are small enough that
-    unregularized training memorizes the batch)."""
+    unregularized training memorizes the batch).  `X_T`, when given, is
+    `X.T` built once by a caller that takes many steps over the same X."""
     batch = np.asarray(batch_positions, dtype=np.int64)
     y = np.asarray(targets, dtype=np.int64)
     if len(np.unique(batch)) != len(batch):
@@ -360,7 +384,9 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
             grads[f"att{k}.h{l}.a"] = das[l]
 
     dpre0 = dH_next * _elu_grad(pre0, H0)
-    grads["proj.W"] = np.asarray((X.T @ dpre0)).T
+    if X_T is None:
+        X_T = X.T
+    grads["proj.W"] = np.asarray(X_T @ dpre0).T
     grads["proj.b"] = dpre0.sum(axis=0)
 
     if weight_decay:
@@ -382,33 +408,49 @@ def predict(model, tensors, X, positions=None, embeddings=None):
 
 # --- Adam ---------------------------------------------------------------
 
+def _split(flat, like):
+    """Views into `flat`, one per entry of `like`, with its shape."""
+    out, start = {}, 0
+    for key, arr in like.items():
+        out[key] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return out
+
+
 @dataclass
 class AdamState:
+    """First and second moments of every parameter, each held in one flat
+    buffer; `m` and `v` map parameter names to views into them."""
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        size = sum(p.size for p in params.values())
+        m_flat, v_flat = np.zeros(size), np.zeros(size)
+        return cls(m_flat, v_flat, _split(m_flat, params), _split(v_flat, params))
 
 
 def adam_step(params, grads, state: AdamState, lr,
               beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction, over every parameter of
+    `state` at once; `grads` must hold a gradient for each of them."""
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for key, g in grads.items():
-        m, v = state.m[key], state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        params[key] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g = np.concatenate([grads[key].ravel() for key in state.m])
+    m, v = state.m_flat, state.v_flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    for key, delta in _split(step, state.m).items():
+        params[key] -= delta
     return params, state
 
 
@@ -456,6 +498,7 @@ def train_trait(tensors, X, y, config: TrainConfig,
     embed_dim = embeddings.shape[1] if config.enriched else 0
     model = new_model(X.shape[1], config, embed_dim=embed_dim, rng=rng)
     state = AdamState.for_params(model.params)
+    X_T = X.T
 
     best_acc = -np.inf
     best_loss = np.inf
@@ -469,7 +512,7 @@ def train_trait(tensors, X, y, config: TrainConfig,
             batch = order[start : start + config.batch_size]
             loss, grads = loss_and_gradients(
                 model, tensors, X, batch, y[batch], embeddings,
-                weight_decay=config.weight_decay,
+                weight_decay=config.weight_decay, X_T=X_T,
             )
             adam_step(model.params, grads, state, config.learning_rate)
             batch_losses.append(loss)
@@ -488,10 +531,6 @@ def train_trait(tensors, X, y, config: TrainConfig,
                 break
     model.params = best_params
     return model, history
-
-
-def predict_trait(model, tensors, X, positions, embeddings=None):
-    return predict(model, tensors, X, positions, embeddings)
 
 
 # --- persistence ---------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import platform
@@ -490,7 +491,9 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> 
     art.aggregate_dir.mkdir(parents=True, exist_ok=True)
     write_aggregated(agg, art.aggregated)
     X = build_feature_matrix(agg, node_sets, cfg.entity_features)
-    sp.save_npz(art.features, X)
+    buf = io.BytesIO()
+    sp.save_npz(buf, X)
+    _write_atomically(art.features, buf.getvalue())
     labels = build_label_matrix(corpus)
     write_labels_csv([d.id for d in corpus], labels, art.labels)
     log.info("aggregate: %d entities, %d essays, %d features",
@@ -615,7 +618,7 @@ def _write_correlations(matrix: np.ndarray, path: Path) -> None:
     for trait, row in zip(TRAITS, matrix):
         cells = ("" if np.isnan(v) else f"{v:.6f}" for v in row)
         lines.append(trait + "," + ",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def stage_evaluate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
@@ -695,8 +698,8 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
     entry["completed"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     data.setdefault("stages", {})[stage] = entry
     art.root.mkdir(parents=True, exist_ok=True)
-    art.manifest.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    _write_atomically(art.manifest,
+                      (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 _STAGE_FUNCS = {

@@ -16,6 +16,7 @@ import numpy as np
 
 from .aggregator import AggregatedGraph
 from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, UnknownNode
+from .gat import _write_atomically
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def write_embeddings(matrix: EmbeddingMatrix, path: Path | str) -> None:
     lines = [f"{len(matrix.node_ids)} {matrix.dim}"]
     for node_id, row in zip(matrix.node_ids, matrix.vectors):
         lines.append(node_id + " " + " ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_embeddings(path: Path | str) -> EmbeddingMatrix:

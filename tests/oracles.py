@@ -1,14 +1,27 @@
 """Independent reference implementations used by several test modules.
 
-Everything here is deliberately written with per-node python loops and plain
-math, so a shared bug with the vectorized production code is unlikely.
+The naive oracles are deliberately written with per-node python loops and
+plain math, so a shared bug with the vectorized production code is unlikely.
+The per-head attention layer, the pairwise edge-list loop and the per-key
+Adam step at the end are the straightforward formulations the vectorized
+kernels must reproduce bit for bit.  The single-mechanism operations are
+small helpers only tests use.
 """
 
 import math
 
 import numpy as np
 
-from kgatnet.gat import loss_and_gradients
+from kgatnet.errors import ShapeMismatch
+from kgatnet.gat import (
+    LEAKY_SLOPE,
+    _elu_grad,
+    _tree_sum,
+    attention_layer_forward,
+    elu,
+    leaky_relu,
+    loss_and_gradients,
+)
 
 
 def neighbors_from_pairs(n_nodes, pairs):
@@ -87,8 +100,6 @@ def min_leaky_margin(model, tensors, X):
     Central finite differences are only trustworthy when no kink lies within
     the probe radius; callers should demand a margin well above eps.
     """
-    from kgatnet.gat import attention_layer_forward, elu
-
     p = model.params
     H = elu(np.asarray(X @ p["proj.W"].T) + p["proj.b"])
     margin = np.inf
@@ -120,3 +131,114 @@ def fd_gradient_max_error(model, tensors, X, batch, y, embeddings=None, eps=1e-4
             denom = max(abs(fd), abs(gflat[idx]), 1e-6)
             worst = max(worst, abs(fd - gflat[idx]) / denom)
     return worst
+
+
+# --- single-mechanism operations ------------------------------------------
+
+def raw_attention_score(h_i, h_j, W, a):
+    """e_ij = LeakyReLU(a . [W h_i || W h_j]) for one destination/neighbor pair."""
+    fh = W.shape[0]
+    if a.shape != (2 * fh,):
+        raise ShapeMismatch(f"attention vector must have length {2 * fh}")
+    if h_i.shape != (W.shape[1],) or h_j.shape != (W.shape[1],):
+        raise ShapeMismatch("node feature width does not match W")
+    pre = a[:fh] @ (W @ h_i) + a[fh:] @ (W @ h_j)
+    return float(leaky_relu(pre))
+
+
+def normalize_scores(scores):
+    """1-D softmax over one neighborhood."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ez = np.exp(scores - scores.max())
+    return ez / ez.sum()
+
+
+def aggregate_head(alpha, wh_neighbors, activation=elu):
+    """sigma( sum_j alpha_j (W h_j) ) for one node and one head."""
+    return activation(alpha @ wh_neighbors)
+
+
+def multi_head_layer(H, tensors, W_list, a_list):
+    out, _ = attention_layer_forward(H, tensors, W_list, a_list)
+    return out
+
+
+# --- bitwise references for the vectorized kernels -------------------------
+
+def loop_edge_list(n_nodes, index_pairs):
+    """(src, dst) of GraphTensors.from_edges, built one pair at a time."""
+    src, dst = [], []
+    for i, j in index_pairs:
+        if i == j:
+            continue
+        src += [i, j]
+        dst += [j, i]
+    src += list(range(n_nodes))
+    dst += list(range(n_nodes))
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.lexsort((src, dst))
+    return src[order], dst[order]
+
+
+def per_head_segment_softmax(scores, dst, seg_starts):
+    seg_max = np.maximum.reduceat(scores, seg_starts)
+    ez = np.exp(scores - seg_max[dst])
+    denom = np.add.reduceat(ez, seg_starts)
+    return ez / denom[dst]
+
+
+def per_head_layer_forward(H, tensors, W_list, a_list):
+    """The attention layer one head at a time, scattering with np.add.at in
+    the backward: the production layer must match it bit for bit."""
+    src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
+    head_sums, head_caches = [], []
+    for W, a in zip(W_list, a_list):
+        fh = W.shape[0]
+        Wh = H @ W.T
+        pre = (Wh @ a[:fh])[dst] + (Wh @ a[fh:])[src]
+        alpha = per_head_segment_softmax(leaky_relu(pre), dst, seg)
+        head_sums.append(np.add.reduceat(alpha[:, None] * Wh[src], seg, axis=0))
+        head_caches.append((Wh, pre, alpha))
+    avg = _tree_sum(head_sums) / len(W_list)
+    out = elu(avg)
+    return out, (H, avg, out, head_caches)
+
+
+def per_head_layer_backward(dOut, cache, tensors, W_list, a_list):
+    H, avg, out, head_caches = cache
+    src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
+    dHeadSum = (dOut * _elu_grad(avg, out)) / len(W_list)
+    dH = np.zeros_like(H)
+    dWs, das = [], []
+    for (W, a, (Wh, pre, alpha)) in zip(W_list, a_list, head_caches):
+        fh = W.shape[0]
+        m = dHeadSum[dst]                                   # (E, F')
+        dalpha = np.einsum("ef,ef->e", m, Wh[src])
+        dWh = np.zeros_like(Wh)
+        np.add.at(dWh, src, alpha[:, None] * m)
+        # softmax backward within each destination segment
+        t = alpha * dalpha
+        de = alpha * (dalpha - np.add.reduceat(t, seg)[dst])
+        dpre = de * np.where(pre > 0, 1.0, LEAKY_SLOPE)
+        dd = np.add.reduceat(dpre, seg)                     # per-destination term
+        ds = np.zeros(H.shape[0])
+        np.add.at(ds, src, dpre)
+        das.append(np.concatenate([Wh.T @ dd, Wh.T @ ds]))
+        dWh += dd[:, None] * a[:fh] + ds[:, None] * a[fh:]
+        dWs.append(dWh.T @ H)
+        dH += dWh @ W
+    return dH, dWs, das
+
+
+def per_key_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one parameter at a time over dict moments `m`, `v`; `t` is the
+    step number after this update."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for key, g in grads.items():
+        m[key] *= beta1
+        m[key] += (1.0 - beta1) * g
+        v[key] *= beta2
+        v[key] += (1.0 - beta2) * (g * g)
+        params[key] -= lr * (m[key] / c1) / (np.sqrt(v[key] / c2) + eps)

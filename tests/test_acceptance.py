@@ -31,12 +31,11 @@ from kgatnet.gat import (
     GraphTensors,
     TrainConfig,
     attention_layer_forward,
-    multi_head_layer,
     new_model,
 )
 from kgatnet.kg_builder import KnowledgeGraph, norm_edge, prune_graph
 from kgatnet.rdf2vec import EmbedConfig, generate_walks, train_embeddings
-from oracles import fd_gradient_max_error, min_leaky_margin
+from oracles import fd_gradient_max_error, min_leaky_margin, multi_head_layer
 
 ROOT = Path(__file__).parent.parent
 FIXTURE = ROOT / "src" / "kgatnet" / "data" / "fixture"

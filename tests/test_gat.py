@@ -18,29 +18,33 @@ from kgatnet.gat import (
     GraphTensors,
     TrainConfig,
     adam_step,
-    aggregate_head,
+    attention_layer_backward,
     attention_layer_forward,
     elu,
     evaluate_split,
     forward,
     load_model,
     loss_and_gradients,
-    multi_head_layer,
     new_model,
-    normalize_scores,
     predict,
-    predict_trait,
-    raw_attention_score,
     save_model,
     train_trait,
     write_history,
 )
 from oracles import (
+    aggregate_head,
     fd_gradient_max_error,
+    loop_edge_list,
     min_leaky_margin,
+    multi_head_layer,
     naive_layer,
     naive_probabilities,
     neighbors_from_pairs,
+    normalize_scores,
+    per_head_layer_backward,
+    per_head_layer_forward,
+    per_key_adam_step,
+    raw_attention_score,
 )
 
 
@@ -230,6 +234,58 @@ def test_attention_rows_sum_to_one():
     assert np.allclose(sums, 1.0, atol=1e-6)
 
 
+def random_pairs(rng, n_nodes, n_pairs):
+    """Random index pairs with self-pairs and repeats; the upper nodes get
+    none, so they keep only their self-loop."""
+    linked = max(1, n_nodes - 2)
+    return [tuple(int(v) for v in rng.integers(0, linked, size=2)) for _ in range(n_pairs)]
+
+
+def test_from_edges_matches_pairwise_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(1, 15))
+        pairs = random_pairs(rng, n, int(rng.integers(0, 30)))
+        tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+        src, dst = loop_edge_list(n, pairs)
+        assert np.array_equal(tensors.src, src)
+        assert np.array_equal(tensors.dst, dst)
+        assert tensors.src.dtype == tensors.dst.dtype == np.int64
+        assert np.array_equal(tensors.seg_starts, np.searchsorted(dst, np.arange(n)))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 8])
+def test_layer_matches_per_head_reference_bitwise(heads):
+    rng = np.random.default_rng(heads)
+    for _ in range(10):
+        n = int(rng.integers(3, 25))
+        pairs = random_pairs(rng, n, int(rng.integers(1, 3 * n)))
+        tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+        f_in, f_out = int(rng.integers(2, 9)), int(rng.integers(9, 14))
+        H = rng.normal(size=(n, f_in))
+        W_list = [rng.normal(size=(f_out, f_in)) for _ in range(heads)]
+        a_list = [rng.normal(size=2 * f_out) for _ in range(heads)]
+        out, cache = attention_layer_forward(H, tensors, W_list, a_list)
+        ref_out, ref_cache = per_head_layer_forward(H, tensors, W_list, a_list)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(cache[:3], ref_cache[:3]):
+            assert np.array_equal(got, want)
+        assert len(cache[3]) == heads
+        for got, want in zip(cache[3], ref_cache[3]):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+        dOut = rng.normal(size=out.shape)
+        dH, dWs, das = attention_layer_backward(dOut, cache, tensors, W_list, a_list)
+        ref_dH, ref_dWs, ref_das = per_head_layer_backward(
+            dOut, ref_cache, tensors, W_list, a_list)
+        assert np.array_equal(dH, ref_dH)
+        assert len(dWs) == len(das) == heads
+        for l in range(heads):
+            assert np.array_equal(dWs[l], ref_dWs[l])
+            assert np.array_equal(das[l], ref_das[l])
+
+
 # --- forward -------------------------------------------------------------
 
 def test_forward_zero_classifier_gives_half():
@@ -350,6 +406,19 @@ def test_loss_rejects_duplicate_batch():
         loss_and_gradients(model, tensors, X, [0, 0], [0, 1])
 
 
+def test_cached_feature_transpose_gives_same_gradients():
+    tensors, X, _ = tiny_instance(seed=6)
+    model = new_model(X.shape[1], small_config(seed=9))
+    for features in (X, sp.csr_matrix(X)):
+        plain = loss_and_gradients(model, tensors, features, [0, 1], [1, 0])
+        cached = loss_and_gradients(model, tensors, features, [0, 1], [1, 0],
+                                    X_T=features.T)
+        assert plain[0] == cached[0]
+        assert plain[1].keys() == cached[1].keys()
+        for key in plain[1]:
+            assert np.array_equal(plain[1][key], cached[1][key])
+
+
 def test_gradients_match_finite_differences():
     tensors, X, _ = tiny_instance(seed=17)
     model = new_model(X.shape[1], small_config(seed=23, heads_per_layer=1,
@@ -431,6 +500,26 @@ def test_adam_matches_reference_trace():
         g = params["p"] - 3.0
         adam_step(params, {"p": g}, state, lr=lr)
         assert params["p"][0] == pytest.approx(trace[t], abs=1e-15)
+
+
+def test_adam_flat_buffer_matches_per_key_reference():
+    rng = np.random.default_rng(4)
+    shapes = {"a.W": (3, 4), "a.b": (3,), "c.W": (2, 5, 1)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = AdamState.for_params(params)
+    for t in range(1, 11):
+        # keys in another order than the parameters, as loss_and_gradients returns them
+        grads = {k: rng.normal(size=shapes[k]) for k in reversed(shapes)}
+        adam_step(params, grads, state, lr=0.03)
+        per_key_adam_step(ref, grads, m, v, t, lr=0.03)
+        assert state.t == t
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v[k])
 
 
 # --- training ---------------------------------------------------------------

@@ -406,6 +406,28 @@ def test_interrupted_graph_write_leaves_no_file(workdir, monkeypatch):
     assert read_graph(victim).nodes
 
 
+def test_interrupted_report_write_leaves_no_file(workdir, monkeypatch):
+    cfg = load_config(workdir / "run.cfg")
+    for stage in ("preprocess", "build", "aggregate", "train"):
+        run_stage(stage, cfg)
+    art = Artifacts(cfg.output_dir)
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == art.metrics:
+            raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space"):
+        run_stage("evaluate", cfg)
+    assert not art.metrics.exists()
+    assert not list(art.reports_dir.glob("*.tmp*"))
+    monkeypatch.undo()
+    run_stage("evaluate", cfg)
+    assert art.metrics.read_text().startswith("metric,O,C,E,A,N,avg\n")
+
+
 def test_train_new_seed_refits_every_model(workdir):
     cfg_path = str(workdir / "run.cfg")
     for stage in ("preprocess", "build", "aggregate", "train"):
