@@ -389,13 +389,27 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
     grads["proj.W"] = np.asarray(X_T @ dpre0).T
     grads["proj.b"] = dpre0.sum(axis=0)
 
+    loss = float(loss)
     if weight_decay:
+        loss = l2_penalty(loss, model.params, weight_decay)
         for name, value in model.params.items():
-            if name.endswith(".b"):
-                continue
+            if _decays(name):
+                grads[name] += 2.0 * weight_decay * value
+    return loss, grads
+
+
+def _decays(name):
+    """Whether weight decay applies to the parameter `name` (biases are exempt)."""
+    return not name.endswith(".b")
+
+
+def l2_penalty(loss, params, weight_decay):
+    """`loss` plus `weight_decay` times the squared norm of every non-bias
+    parameter, added one parameter at a time in `params` order."""
+    for name, value in params.items():
+        if _decays(name):
             loss = loss + weight_decay * float(np.sum(value * value))
-            grads[name] += 2.0 * weight_decay * value
-    return float(loss), grads
+    return loss
 
 
 def predict(model, tensors, X, positions=None, embeddings=None):
@@ -420,29 +434,41 @@ def _split(flat, like):
 @dataclass
 class AdamState:
     """First and second moments of every parameter, each held in one flat
-    buffer; `m` and `v` map parameter names to views into them."""
+    buffer; `m` and `v` map parameter names to views into them.  The
+    parameters that weight decay applies to, `decayed`, come first in the
+    buffers, so their entries form one leading slice."""
 
     m_flat: np.ndarray
     v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    decayed: tuple[str, ...] = ()
 
     @classmethod
     def for_params(cls, params):
+        decayed = tuple(k for k in params if _decays(k))
+        layout = {k: params[k] for k in decayed}
+        layout.update((k, v) for k, v in params.items() if not _decays(k))
         size = sum(p.size for p in params.values())
         m_flat, v_flat = np.zeros(size), np.zeros(size)
-        return cls(m_flat, v_flat, _split(m_flat, params), _split(v_flat, params))
+        return cls(m_flat, v_flat, _split(m_flat, layout), _split(v_flat, layout),
+                   decayed=decayed)
 
 
 def adam_step(params, grads, state: AdamState, lr,
-              beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+              beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS, weight_decay=0.0):
     """In-place Adam update with bias correction, over every parameter of
-    `state` at once; `grads` must hold a gradient for each of them."""
+    `state` at once; `grads` must hold a gradient for each of them.  A
+    `weight_decay` first adds the gradient of `l2_penalty`,
+    `2 * weight_decay * value`, to every non-bias gradient."""
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
     g = np.concatenate([grads[key].ravel() for key in state.m])
+    if weight_decay:
+        decayed = np.concatenate([params[key].ravel() for key in state.decayed])
+        g[: decayed.size] += 2.0 * weight_decay * decayed
     m, v = state.m_flat, state.v_flat
     m *= beta1
     m += (1.0 - beta1) * g
@@ -511,10 +537,11 @@ def train_trait(tensors, X, y, config: TrainConfig,
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grads = loss_and_gradients(
-                model, tensors, X, batch, y[batch], embeddings,
-                weight_decay=config.weight_decay, X_T=X_T,
-            )
-            adam_step(model.params, grads, state, config.learning_rate)
+                model, tensors, X, batch, y[batch], embeddings, X_T=X_T)
+            if config.weight_decay:
+                loss = l2_penalty(loss, model.params, config.weight_decay)
+            adam_step(model.params, grads, state, config.learning_rate,
+                      weight_decay=config.weight_decay)
             batch_losses.append(loss)
         val_loss, val_acc = evaluate_split(model, tensors, X, val_idx, y[val_idx], embeddings)
         history.append((epoch, float(np.mean(batch_losses)), val_loss, val_acc))

@@ -507,11 +507,14 @@ def stage_embed(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
         log.info("embed: output present, skipping")
         return {"skipped": True}
     agg = read_aggregated(_require(art.aggregated, "aggregate"))
-    matrix = train_embeddings(agg, cfg.embed)
+    stats: dict = {}
+    matrix = train_embeddings(agg, cfg.embed, stats)
     art.embeddings.parent.mkdir(parents=True, exist_ok=True)
     write_embeddings(matrix, art.embeddings)
-    log.info("embed: %d vectors of dim %d", len(matrix.node_ids), matrix.dim)
-    return {"nodes": len(matrix.node_ids), "dim": matrix.dim}
+    info = {"nodes": len(matrix.node_ids), "dim": matrix.dim, **stats}
+    log.info("embed: %(nodes)d vectors of dim %(dim)d from %(walks)d walks, "
+             "%(centers)d centers, %(pairs)d pairs, last epoch loss %(loss).6f", info)
+    return info
 
 
 def _make_folds(n_essays: int, cfg: PipelineConfig) -> list[np.ndarray]:

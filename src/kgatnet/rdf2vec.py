@@ -2,8 +2,10 @@
 
 Walks are node-only sequences (predicates are gone by this phase) with
 uniform neighbor choice and no backtracking prohibition.  The skip-gram
-trainer is plain negative sampling with sequential updates, so a fixed seed
-reproduces the matrix bit for bit.
+trainer is negative sampling with one batched update per center word: the
+center's contexts and noise draws are scored together and applied at once,
+while centers stay sequential in corpus order, so a fixed seed reproduces
+the matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -103,8 +105,70 @@ class EmbeddingMatrix:
         return np.stack([self.vector_for(n) for n in node_ids])
 
 
+# walks per block of skip-gram index arrays: a block's arrays are a few the
+# length of its (center, target) rows, so small blocks keep them to tens of
+# kB however long the corpus is, and the per-block numpy calls, a few dozen,
+# still cost well under a microsecond per center
+_CHUNK_WALKS = 32
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def count_pairs(walks: Sequence[Sequence[str]], window: int) -> int:
+    """(center, context) pairs in one epoch over `walks`: the positions
+    within `window` of each center in its walk, the center's own excluded."""
+    return sum(min(len(w), p + window + 1) - max(0, p - window) - 1
+               for w in walks for p in range(len(w)))
+
+
+def _chunk_targets(block, vocab, window, negatives, cum_noise, rng):
+    """Index arrays of one block of walks, whose nodes, as `vocab` ids, are
+    the block's centers in corpus order.
+
+    Every center's targets are its contexts in walk order, each followed by
+    its `negatives` noise draws; a draw equal to its own context is dropped.
+    The draws are one `rng.random` call in pair order.  Returns the centers,
+    the targets, their labels (1 context, 0 noise), the bounds of each
+    center's run of targets, each center's distinct targets with their
+    bounds, and every target's index among its center's distinct targets.
+    """
+    lengths = np.array([len(w) for w in block])
+    tokens = np.array([vocab[node] for w in block for node in w], dtype=np.int64)
+    n = len(tokens)
+    positions = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    span = min(window, int(lengths.max()) - 1)
+    offsets = np.concatenate([np.arange(-span, 0), np.arange(1, span + 1)])
+    ctx_pos = positions[:, None] + offsets
+    valid = (ctx_pos >= 0) & (ctx_pos < np.repeat(lengths, lengths)[:, None])
+    center_of_pair, col = np.nonzero(valid)  # center-major, context ascending
+    contexts = tokens[center_of_pair + offsets[col]]
+    n_pairs = len(contexts)
+
+    draws = np.searchsorted(cum_noise, rng.random(n_pairs * negatives), side="right")
+    per_pair = np.concatenate([contexts[:, None], draws.reshape(n_pairs, negatives)], axis=1)
+    keep = per_pair != contexts[:, None]
+    keep[:, 0] = True
+    targets = per_pair[keep]
+    labels = np.zeros(per_pair.shape)
+    labels[:, 0] = 1.0
+    labels = labels[keep]
+    owner = np.broadcast_to(center_of_pair[:, None], per_pair.shape)[keep]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n))])
+
+    # distinct targets per center: sort by (owner, target), mark first copies
+    order = np.lexsort((targets, owner))
+    sorted_owner, sorted_targets = owner[order], targets[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (sorted_owner[1:] != sorted_owner[:-1]) | (sorted_targets[1:] != sorted_targets[:-1])
+    distinct = sorted_targets[first]
+    distinct_bounds = np.concatenate(
+        [[0], np.cumsum(np.bincount(sorted_owner[first], minlength=n))])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    inverse -= distinct_bounds[owner]
+    return tokens, targets, labels, bounds, distinct, distinct_bounds, inverse
 
 
 def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
@@ -113,9 +177,12 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
     """Skip-gram with negative sampling over walks-as-sentences.
 
     Unigram^0.75 noise distribution, fixed (non-shrinking) context window,
-    learning rate decayed linearly per center word down to min_lr.  Negative
-    draws equal to the positive context are skipped rather than redrawn.
-    Returns the input-vector matrix and per-epoch mean pair losses.
+    learning rate decayed linearly per center word down to min_lr.  Each
+    center takes one step: every context and noise draw is scored against
+    the center's vector as it was before the step, duplicate targets sum
+    their updates, and the center's vector moves once.  Negative draws equal
+    to their own context are dropped rather than redrawn.  Returns the
+    input-vector matrix and per-epoch mean pair losses.
     """
     if not walks:
         raise EmptyCorpus("no walks to train on")
@@ -130,49 +197,44 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
     n = len(vocab)
     noise = np.asarray(counts, dtype=np.float64) ** 0.75
     cum_noise = np.cumsum(noise / noise.sum())
+    cum_noise[-1] = 1.0  # a uniform draw just below 1 must not fall off the end
 
     rng = np.random.default_rng([seed])
     w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n, dim))
     w_out = np.zeros((n, dim))
 
-    indexed = [[vocab[node] for node in walk] for walk in walks]
-    total_centers = epochs * sum(len(w) for w in indexed)
+    total_centers = epochs * sum(map(len, walks))
     processed = 0
     epoch_losses = []
     for _ in range(epochs):
         loss_sum = 0.0
         n_pairs = 0
-        for walk in indexed:
-            for pos, center in enumerate(walk):
-                step_lr = max(min_lr, lr * (1.0 - processed / total_centers))
-                processed += 1
-                lo = max(0, pos - window)
-                hi = min(len(walk), pos + window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    context = walk[ctx_pos]
-                    v = w_in[center]
-                    u = w_out[context]
-                    score = _sigmoid(v @ u)
-                    loss_sum -= np.log(max(score, 1e-12))
-                    g_pos = score - 1.0
-                    dv = g_pos * u
-                    w_out[context] = u - step_lr * g_pos * v
-                    if negatives:
-                        draws = np.searchsorted(
-                            cum_noise, rng.random(negatives), side="right"
-                        )
-                        for neg in draws:
-                            if neg == context:
-                                continue
-                            u_n = w_out[neg]
-                            s_n = _sigmoid(v @ u_n)
-                            loss_sum -= np.log(max(1.0 - s_n, 1e-12))
-                            dv = dv + s_n * u_n
-                            w_out[neg] = u_n - step_lr * s_n * v
-                    w_in[center] = v - step_lr * dv
-                    n_pairs += 1
+        for start in range(0, len(walks), _CHUNK_WALKS):
+            tokens, targets, labels, bounds, distinct, distinct_bounds, inverse = _chunk_targets(
+                walks[start : start + _CHUNK_WALKS], vocab, window, negatives, cum_noise, rng)
+            step = np.arange(processed, processed + len(tokens))
+            step_lrs = np.maximum(min_lr, lr * (1.0 - step / total_centers)).tolist()
+            processed += len(tokens)
+            scores = np.empty(len(targets))
+            b = bounds.tolist()
+            db = distinct_bounds.tolist()
+            for c, center in enumerate(tokens.tolist()):
+                lo, hi = b[c], b[c + 1]
+                if lo == hi:
+                    continue
+                rows = distinct[db[c] : db[c + 1]]
+                back = inverse[lo:hi]
+                v = w_in[center]
+                u = w_out.take(rows, axis=0)  # the rows as they were before this step
+                s = _sigmoid(u @ v)[back]
+                scores[lo:hi] = s
+                g = step_lrs[c] * np.bincount(back, weights=s - labels[lo:hi],
+                                              minlength=len(rows))
+                w_out[rows] = u - g[:, None] * v
+                v -= g @ u
+            hit = np.where(labels == 1.0, scores, 1.0 - scores)
+            loss_sum -= float(np.sum(np.log(np.maximum(hit, 1e-12))))
+            n_pairs += int(np.sum(labels))
         epoch_loss = loss_sum / max(n_pairs, 1)
         if not (np.isfinite(epoch_loss) and np.all(np.isfinite(w_in))
                 and np.all(np.isfinite(w_out))):
@@ -183,13 +245,23 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
     return EmbeddingMatrix(order, w_in), epoch_losses
 
 
-def train_embeddings(agg: AggregatedGraph, config: EmbedConfig) -> EmbeddingMatrix:
+def train_embeddings(agg: AggregatedGraph, config: EmbedConfig,
+                     stats: dict | None = None) -> EmbeddingMatrix:
+    """Walks over `agg` and their skip-gram vectors.  A `stats` dict, when
+    given, receives the run's counters: the number of walks, the centers and
+    pairs trained summed over the epochs, and the last epoch's mean pair
+    loss."""
     walks = generate_walks(agg, config.max_depth, config.walks_per_node, config.seed)
-    matrix, _ = train_skip_gram(
+    matrix, losses = train_skip_gram(
         walks, dim=config.dim, window=config.window, negatives=config.negatives,
         epochs=config.epochs, lr=config.learning_rate,
         min_lr=config.min_learning_rate, seed=config.seed,
     )
+    if stats is not None:
+        stats["walks"] = len(walks)
+        stats["centers"] = config.epochs * sum(map(len, walks))
+        stats["pairs"] = config.epochs * count_pairs(walks, config.window)
+        stats["loss"] = losses[-1]
     return matrix
 
 

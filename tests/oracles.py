@@ -3,11 +3,13 @@
 The naive oracles are deliberately written with per-node python loops and
 plain math, so a shared bug with the vectorized production code is unlikely.
 The per-head attention layer, the pairwise edge-list loop and the per-key
-Adam step at the end are the straightforward formulations the vectorized
-kernels must reproduce bit for bit.  The single-mechanism operations are
-small helpers only tests use.
+Adam step are the straightforward formulations the vectorized kernels must
+reproduce bit for bit.  The skip-gram trainer at the end makes each center's
+step one target at a time; the batched kernel must match it to rounding.
+The single-mechanism operations are small helpers only tests use.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -242,3 +244,75 @@ def per_key_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e
         v[key] *= beta2
         v[key] += (1.0 - beta2) * (g * g)
         params[key] -= lr * (m[key] / c1) / (np.sqrt(v[key] / c2) + eps)
+
+
+# --- skip-gram, one target at a time ---------------------------------------
+
+def skip_gram_center_step(w_in, w_out, center, targets, labels, lr):
+    """One center word's step, in place: each target (label 1 for a context,
+    0 for a noise draw) is scored against the center's vector as it was
+    before the step, and every update lands after all are scored.  Returns
+    the summed pair loss."""
+    v = w_in[center].copy()
+    dv = np.zeros_like(v)
+    d_out = {}
+    loss = 0.0
+    for t, label in zip(targets, labels):
+        s = 1.0 / (1.0 + math.exp(-float(v @ w_out[t])))
+        loss -= math.log(max(s if label else 1.0 - s, 1e-12))
+        dv += (s - label) * w_out[t]
+        d_out[t] = d_out.get(t, 0.0) + (s - label) * v
+    for t, d in d_out.items():
+        w_out[t] -= lr * d
+    w_in[center] -= lr * dv
+    return loss
+
+
+def reference_skip_gram(walks, dim, window, negatives, epochs, lr, min_lr, seed):
+    """train_skip_gram with plain loops: the same vocabulary, initialisation
+    and uniform draws (`negatives` per pair, in pair order), each center's
+    step made by skip_gram_center_step.  Returns the node ids, the vectors,
+    the per-epoch mean pair losses, and how many noise draws equalled their
+    context and how many centers met some target twice (coverage counters)."""
+    vocab, counts = {}, []
+    for walk in walks:
+        for node in walk:
+            if node not in vocab:
+                vocab[node] = len(vocab)
+                counts.append(0)
+            counts[vocab[node]] += 1
+    noise = np.asarray(counts, dtype=np.float64) ** 0.75
+    cum_noise = list(np.cumsum(noise / noise.sum()))
+    rng = np.random.default_rng([seed])
+    w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
+    w_out = np.zeros((len(vocab), dim))
+
+    indexed = [[vocab[node] for node in walk] for walk in walks]
+    total = epochs * sum(len(w) for w in indexed)
+    processed = dropped = repeated = 0
+    losses = []
+    for _ in range(epochs):
+        loss, pairs = 0.0, 0
+        for walk in indexed:
+            for pos, center in enumerate(walk):
+                step_lr = max(min_lr, lr * (1.0 - processed / total))
+                processed += 1
+                targets, labels = [], []
+                for ctx_pos in range(max(0, pos - window), min(len(walk), pos + window + 1)):
+                    if ctx_pos == pos:
+                        continue
+                    context = walk[ctx_pos]
+                    targets.append(context)
+                    labels.append(1.0)
+                    pairs += 1
+                    for u in rng.random(negatives):
+                        neg = min(bisect.bisect_right(cum_noise, u), len(vocab) - 1)
+                        if neg == context:
+                            dropped += 1
+                        else:
+                            targets.append(neg)
+                            labels.append(0.0)
+                repeated += len(set(targets)) < len(targets)
+                loss += skip_gram_center_step(w_in, w_out, center, targets, labels, step_lr)
+        losses.append(loss / max(pairs, 1))
+    return tuple(vocab), w_in, losses, dropped, repeated

@@ -23,6 +23,7 @@ from kgatnet.gat import (
     elu,
     evaluate_split,
     forward,
+    l2_penalty,
     load_model,
     loss_and_gradients,
     new_model,
@@ -389,6 +390,26 @@ def test_weight_decay_adds_exact_l2_term():
             assert np.all(extra == 0.0)  # biases are not penalized
         else:
             assert np.allclose(extra, 2 * wd * model.params[name], rtol=1e-12, atol=0)
+
+
+def test_weight_decay_in_adam_matches_per_parameter_term():
+    # train_trait adds the penalty to the loss and leaves its gradient to
+    # Adam's flat buffer; both must give the bits of loss_and_gradients'
+    tensors, X, _ = tiny_instance()
+    model = new_model(X.shape[1], small_config())
+    wd = 0.02
+    plain_loss, plain_grads = loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
+    reg_loss, reg_grads = loss_and_gradients(
+        model, tensors, X, [0, 1], [0, 1], weight_decay=wd)
+    assert l2_penalty(plain_loss, model.params, wd) == reg_loss
+    flat = {k: v.copy() for k, v in model.params.items()}
+    state = AdamState.for_params(flat)
+    adam_step(flat, plain_grads, state, lr=0.01, weight_decay=wd)
+    per_key = {k: v.copy() for k, v in model.params.items()}
+    adam_step(per_key, reg_grads, AdamState.for_params(per_key), lr=0.01)
+    for name in model.params:
+        assert np.array_equal(flat[name], per_key[name])
+    assert state.decayed == tuple(k for k in model.params if not k.endswith(".b"))
 
 
 def test_loss_nonfinite_raises():

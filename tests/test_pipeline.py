@@ -12,6 +12,7 @@ import pytest
 
 from kgatnet.cli import main
 from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput
+from kgatnet.aggregator import read_aggregated
 from kgatnet.kg_builder import CachingSource, NTriplesSource, SparqlEndpointSource, read_graph
 from kgatnet.pipeline import (
     Artifacts,
@@ -23,6 +24,7 @@ from kgatnet.pipeline import (
     run_stage,
     with_overrides,
 )
+from kgatnet.rdf2vec import count_pairs, generate_walks
 
 FIXTURE = Path(__file__).parent.parent / "src" / "kgatnet" / "data" / "fixture"
 
@@ -232,6 +234,26 @@ def test_stages_chain_and_cache(workdir, caplog):
     }
     assert manifest["inputs"]["corpus"].startswith("sha256:")
     assert manifest["config"]["seed"] == 42
+
+
+def test_embed_manifest_entry_counts_the_run(workdir, caplog):
+    cfg = load_config(workdir / "run.cfg")
+    for stage in ("preprocess", "build", "aggregate"):
+        run_stage(stage, cfg)
+    with caplog.at_level("INFO"):
+        run_stage("embed", cfg)
+    art = Artifacts(cfg.output_dir)
+    entry = json.loads(art.manifest.read_text())["stages"]["embed"]
+    walks = generate_walks(read_aggregated(art.aggregated), 3, 2, 42)
+    assert entry["walks"] == len(walks)
+    assert entry["centers"] == sum(map(len, walks))  # one epoch
+    assert entry["pairs"] == count_pairs(walks, 2)
+    assert entry["nodes"] == len({n for w in walks for n in w}) and entry["dim"] == 6
+    assert 0.0 < entry["loss"] < 10.0
+    line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("embed:"))
+    assert line == (f"embed: {entry['nodes']} vectors of dim 6 from {entry['walks']} walks, "
+                    f"{entry['centers']} centers, {entry['pairs']} pairs, "
+                    f"last epoch loss {entry['loss']:.6f}")
 
 
 def test_stage_purity_deleted_artifact_reproduced(workdir):

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgatnet import rdf2vec
 from kgatnet.aggregator import AggregatedGraph
-from kgatnet.errors import ConfigError, EmptyCorpus, UnknownNode
+from kgatnet.errors import ConfigError, EmptyCorpus, NonFiniteLoss, UnknownNode
 from kgatnet.rdf2vec import (
     EmbedConfig,
     EmbeddingMatrix,
+    count_pairs,
     generate_walks,
     read_embeddings,
     train_embeddings,
     train_skip_gram,
     write_embeddings,
 )
+from oracles import reference_skip_gram
 
 
 def graph_from_pairs(n_entities, pairs, essays=()):
@@ -25,6 +28,12 @@ def graph_from_pairs(n_entities, pairs, essays=()):
     )
     ese = frozenset((d, names[e]) for d, e in essays)
     return AggregatedGraph(tuple(names), tuple(d for d, _ in essays), ee, ese)
+
+
+def two_cliques():
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    pairs += [(i, j) for i in range(5, 10) for j in range(i + 1, 10)]
+    return graph_from_pairs(10, pairs)
 
 
 def edge_name_set(agg):
@@ -123,6 +132,93 @@ def test_skip_gram_deterministic():
     assert np.array_equal(m1.vectors, m2.vectors)
     m3, _ = train_skip_gram(walks, dim=8, epochs=3, seed=6)
     assert not np.array_equal(m3.vectors, m1.vectors)
+
+
+# corpora for the per-center reference: revisiting walks over a tiny
+# vocabulary (a center meets a target twice, a noise draw hits its own
+# context), no noise at all, and one-node walks, which train no pair but
+# still count toward the learning-rate decay
+REFERENCE_CASES = {
+    "repeats": ([["A", "B", "A", "B", "C"], ["C", "A", "C", "A"], ["B", "B", "A"],
+                 ["A", "C", "B", "C", "A", "B"]] * 3, dict(window=3, negatives=4)),
+    "no-negatives": ([["A", "B", "C", "D"], ["D", "C", "A"], ["B", "D"]] * 4,
+                     dict(window=2, negatives=0)),
+    "one-node-walks": ([["A"], ["A", "B", "C"], ["D"], ["C", "B", "E", "A"], ["E"]] * 4,
+                       dict(window=2, negatives=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_skip_gram_matches_per_center_reference(case):
+    walks, geometry = REFERENCE_CASES[case]
+    kw = dict(dim=6, epochs=3, lr=0.2, min_lr=1e-4, seed=7, **geometry)
+    matrix, losses = train_skip_gram(walks, **kw)
+    ids, vectors, ref_losses, dropped, repeated = reference_skip_gram(walks, **kw)
+    assert matrix.node_ids == ids
+    assert np.allclose(matrix.vectors, vectors, rtol=1e-10, atol=1e-13)
+    assert np.allclose(losses, ref_losses, rtol=1e-10, atol=0)
+    if case == "repeats":
+        assert dropped > 0 and repeated > 0  # the corpus exercises both
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10_000])
+def test_skip_gram_vectors_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    walks = generate_walks(two_cliques(), max_depth=4, walks_per_node=30, seed=3)
+    assert len(walks) > rdf2vec._CHUNK_WALKS
+    kw = dict(dim=8, window=3, negatives=4, epochs=2, seed=2)
+    base, base_losses = train_skip_gram(walks, **kw)
+    monkeypatch.setattr(rdf2vec, "_CHUNK_WALKS", chunk)
+    other, losses = train_skip_gram(walks, **kw)
+    assert np.array_equal(other.vectors, base.vectors)
+    assert losses == pytest.approx(base_losses, rel=1e-12)
+
+
+def test_each_epoch_draws_pairs_times_negatives_uniforms(monkeypatch):
+    walks = [["A", "B", "C", "D", "E"], ["C", "A"], ["B"], ["E", "D", "C", "B"]] * 5
+    dim, window, negatives, epochs, seed = 4, 2, 3, 2, 11
+    made = []
+    real = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    train_skip_gram(walks, dim=dim, window=window, negatives=negatives,
+                    epochs=epochs, seed=seed)
+    (used,) = made
+    by_hand = real([seed])
+    by_hand.uniform(-0.5 / dim, 0.5 / dim, size=(5, dim))  # the w_in draw
+    pairs = sum(1 for w in walks for p in range(len(w)) for q in range(len(w))
+                if q != p and abs(q - p) <= window)
+    assert count_pairs(walks, window) == pairs
+    by_hand.random(epochs * pairs * negatives)
+    assert used.bit_generator.state == by_hand.bit_generator.state
+
+
+def test_skip_gram_divergence_raises():
+    walks = [["A", "B", "C"], ["C", "A", "B"]] * 5
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
+        train_skip_gram(walks, dim=4, window=2, negatives=2, epochs=3,
+                        lr=1e200, min_lr=1e200, seed=0)
+
+
+def test_embedding_stats_describe_the_run():
+    agg = two_cliques()
+    cfg = EmbedConfig(dim=4, max_depth=3, walks_per_node=4, window=2,
+                      negatives=2, epochs=2, seed=5)
+    stats = {}
+    matrix = train_embeddings(agg, cfg, stats)
+    walks = generate_walks(agg, cfg.max_depth, cfg.walks_per_node, cfg.seed)
+    _, losses = train_skip_gram(walks, dim=4, window=2, negatives=2, epochs=2,
+                                lr=cfg.learning_rate, min_lr=cfg.min_learning_rate, seed=5)
+    assert np.array_equal(matrix.vectors, train_embeddings(agg, cfg).vectors)
+    assert stats == {
+        "walks": len(walks),
+        "centers": 2 * sum(map(len, walks)),
+        "pairs": 2 * count_pairs(walks, 2),
+        "loss": losses[-1],
+    }
 
 
 def cosine(a, b):
