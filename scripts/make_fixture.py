@@ -11,8 +11,8 @@ a triangle and anchors it to the background web, which gives random walks
 some trait-cluster structure to pick up.
 
 The script verifies its own output: every document is pushed through the
-real preprocessing chain and the planted entities must come out resolvable
-against the dump.
+real preprocessing chain and the graph build, and the planted entities must
+come out as nodes of the document's graph.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kgatnet.kg_builder import NTriplesSource, resolve_concepts
+from kgatnet.kg_builder import NTriplesSource, build_document_graph
 from kgatnet.preprocess import (
     GazetteerRecognizer,
     extract_concepts,
@@ -313,10 +313,12 @@ def main() -> int:
     recognizer = GazetteerRecognizer.from_file(out / "gazetteer.txt")
     source = NTriplesSource(out / "dump.nt")
     for doc_id, text, sig_words in docs:
-        concepts = resolve_concepts(extract_concepts(text, stop, lemmas, recognizer), source)
+        concepts = build_document_graph(
+            extract_concepts(text, stop, lemmas, recognizer), source).nodes
         missing = set(sig_words) - concepts
         if missing:
-            raise SystemExit(f"{doc_id}: planted entities lost in preprocessing: {missing}")
+            raise SystemExit(f"{doc_id}: planted entities lost in preprocessing "
+                             f"or missing from the dump: {missing}")
         if "New York" in text and "New_York" not in concepts:
             raise SystemExit(f"{doc_id}: gazetteer entity did not resolve")
 

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true",
                         help="recompute outputs that already exist")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for per-document stages and training")
+                        help="parallel processes for training the (fold, trait) classifiers")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed everywhere")
     return parser

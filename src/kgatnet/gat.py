@@ -338,12 +338,12 @@ def forward(model, tensors, X, embeddings=None):
 
 
 def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=None,
-                       weight_decay=0.0, X_T=None):
+                       X_T=None):
     """Mean binary cross-entropy over the batch (positions index the essay
-    axis) and the gradient for every parameter.  `weight_decay` adds an L2
-    penalty on every non-bias parameter (the corpora are small enough that
-    unregularized training memorizes the batch).  `X_T`, when given, is
-    `X.T` built once by a caller that takes many steps over the same X."""
+    axis) and the gradient for every parameter.  `X_T`, when given, is
+    `X.T` built once by a caller that takes many steps over the same X.
+    Weight decay is left to the caller: `l2_penalty` for the loss and
+    `adam_step` for its gradient."""
     batch = np.asarray(batch_positions, dtype=np.int64)
     y = np.asarray(targets, dtype=np.int64)
     if len(np.unique(batch)) != len(batch):
@@ -389,13 +389,7 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
     grads["proj.W"] = np.asarray(X_T @ dpre0).T
     grads["proj.b"] = dpre0.sum(axis=0)
 
-    loss = float(loss)
-    if weight_decay:
-        loss = l2_penalty(loss, model.params, weight_decay)
-        for name, value in model.params.items():
-            if _decays(name):
-                grads[name] += 2.0 * weight_decay * value
-    return loss, grads
+    return float(loss), grads
 
 
 def _decays(name):

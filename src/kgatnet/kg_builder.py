@@ -1,11 +1,13 @@
 """Per-document knowledge graph construction.
 
-Looks up an RDF description for every concept in a document (remote SPARQL
-endpoint or offline N-Triples dump), drops predicates, unifies parallel edges
-into a simple undirected graph, and prunes it down to edges whose endpoints
-both occur in the document's concept set.  A dump is indexed in memory when
-it is loaded; only endpoint lookups, which are network round trips, go
-through the per-concept disk cache.
+Builds each document's graph in one pass over its concepts: every concept
+is looked up once in a remote SPARQL endpoint or an offline N-Triples dump
+(a miss retries its title-cased spelling, which then replaces it), and of
+the triples fetched only the edges between two of the document's concepts
+are kept, with predicates dropped and parallel edges merged into a simple
+undirected graph.  A dump is indexed in memory when it is loaded; only
+endpoint lookups, which are network round trips, go through the per-concept
+disk cache.
 """
 
 from __future__ import annotations
@@ -312,60 +314,41 @@ class CachingSource:
 
 # --- graph construction ------------------------------------------------
 
-def describe_resource(concept: str, source: TripleSource) -> frozenset[RdfTriple]:
-    """Triples mentioning the concept; retries with a title-cased variant
-    ("New_york" -> "New_York") before recording a miss."""
-    triples = source.lookup(concept)
-    if not triples:
-        alt = title_case(concept)
-        if alt != concept:
-            triples = source.lookup(alt)
-        if not triples:
-            log.debug("no description for %r", concept)
-    return triples
-
-
-def resolve_concepts(concepts: Iterable[str], source: TripleSource) -> frozenset[str]:
-    """Map each concept to the spelling the source describes.
+def build_document_graph(concepts: Iterable[str], source: TripleSource) -> KnowledgeGraph:
+    """The document's graph over its concepts, from one lookup per concept.
 
     A concept the source knows nothing about under its own name but does know
-    title-cased ("New_york" -> "New_York") is replaced by that variant, so
-    later pruning and lookups agree on one canonical spelling.  Undescribed
-    concepts pass through unchanged.
+    title-cased ("New_york" -> "New_York") is replaced by that variant.  Of
+    the fetched triples, with predicates dropped, only edges between two
+    distinct resolved concepts are kept; a resolved concept is a node when
+    some fetched triple mentions it.
     """
-    out = set()
-    for concept in concepts:
-        if source.lookup(concept):
-            out.add(concept)
-            continue
-        alt = title_case(concept)
-        if alt != concept and source.lookup(alt):
-            out.add(alt)
-        else:
-            out.add(concept)
-    return frozenset(out)
+    resolved: set[str] = set()
+    fetched: list[frozenset[RdfTriple]] = []
+    for concept in sorted(set(concepts)):
+        triples = source.lookup(concept)
+        if not triples:
+            alt = title_case(concept)
+            alt_triples = source.lookup(alt) if alt != concept else frozenset()
+            if alt_triples:
+                concept, triples = alt, alt_triples
+            else:
+                log.debug("no description for %r", concept)
+        resolved.add(concept)
+        fetched.append(triples)
 
-
-def build_document_graph(concepts: Iterable[str], source: TripleSource) -> KnowledgeGraph:
-    """Union of all concept descriptions with predicates dropped, parallel
-    edges merged, and self-referential triples removed."""
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
-    for concept in sorted(set(concepts)):
-        for t in describe_resource(concept, source):
-            nodes.add(t.subject)
-            nodes.add(t.obj)
-            if t.subject != t.obj:
-                edges.add(norm_edge(t.subject, t.obj))
+    for triples in fetched:
+        for s, _, o in triples:
+            s_in, o_in = s in resolved, o in resolved
+            if s_in:
+                nodes.add(s)
+            if o_in:
+                nodes.add(o)
+            if s_in and o_in and s != o:
+                edges.add(norm_edge(s, o))
     return KnowledgeGraph(frozenset(nodes), frozenset(edges))
-
-
-def prune_graph(graph: KnowledgeGraph, concepts: Iterable[str]) -> KnowledgeGraph:
-    """Keep only edges with BOTH endpoints in the document's concept set."""
-    keep = set(concepts)
-    edges = frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep)
-    nodes = {u for e in edges for u in e} | (keep & graph.nodes)
-    return KnowledgeGraph(frozenset(nodes), edges)
 
 
 # --- serialization -----------------------------------------------------

@@ -17,7 +17,6 @@ import json
 import logging
 import platform
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,9 +64,7 @@ from .kg_builder import (
     TripleCache,
     build_document_graph,
     graph_to_text,
-    prune_graph,
     read_graph,
-    resolve_concepts,
 )
 from .preprocess import (
     Document,
@@ -374,40 +371,6 @@ def _check_config_paths(cfg: PipelineConfig) -> None:
             raise ConfigError(f"{name} file not found: {p}")
 
 
-def _run_jobs(fn, items, jobs: int, processes: bool = False,
-              initializer=None, initargs: tuple = ()) -> None:
-    """Apply fn to every item; the first exception re-raises here.
-
-    Runs inline when jobs <= 1 or at most one item is left, otherwise in a
-    pool of up to `jobs` threads, or forked processes when `processes` is
-    set: GIL-bound work needs those, and fn must then be module-level.
-    Each worker, or the inline run, first calls initializer(*initargs);
-    fork hands the arguments over without pickling them.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        for item in items:
-            fn(item)
-        return
-    if processes:
-        # imported here so that runs with nothing left to do skip the cost;
-        # a fork pool forks every worker on the first submit, before it
-        # starts its own manager thread, so no other thread is forked
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)),
-                                   mp_context=multiprocessing.get_context("fork"),
-                                   initializer=initializer, initargs=initargs)
-    else:
-        pool = ThreadPoolExecutor(max_workers=jobs, initializer=initializer,
-                                  initargs=initargs)
-    with pool:
-        # consume to re-raise the first worker exception; map cancels the
-        # items not yet started
-        list(pool.map(fn, items))
-
-
 def read_concept_file(path: Path | str) -> frozenset[str]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     return frozenset(line.strip() for line in lines if line.strip())
@@ -436,15 +399,12 @@ def stage_preprocess(cfg: PipelineConfig, force: bool = False, jobs: int = 1) ->
         else GazetteerRecognizer(())
     )
     todo = [d for d in corpus if force or not art.concept_path(d.id).exists()]
-
-    def work(doc: Document) -> None:
+    for doc in todo:
         concepts = extract_concepts(doc.text, stop, lemmas, recognizer)
         if not concepts:
             log.warning("document %s produced an empty concept set", doc.id)
         body = "\n".join(sorted(concepts))
         _write_atomically(art.concept_path(doc.id), (body + "\n" if body else "").encode("utf-8"))
-
-    _run_jobs(work, todo, jobs)
     log.info("preprocess: %d concept sets written, %d already present",
              len(todo), len(corpus) - len(todo))
     return {"documents": len(corpus), "written": len(todo)}
@@ -458,13 +418,9 @@ def stage_build(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     for doc in todo:
         _require(art.concept_path(doc.id), "preprocess")
     source = make_source(cfg) if todo else None
-
-    def work(doc: Document) -> None:
-        concepts = resolve_concepts(read_concept_file(art.concept_path(doc.id)), source)
-        graph = prune_graph(build_document_graph(concepts, source), concepts)
+    for doc in todo:
+        graph = build_document_graph(read_concept_file(art.concept_path(doc.id)), source)
         _write_atomically(art.graph_path(doc.id), graph_to_text(graph).encode("utf-8"))
-
-    _run_jobs(work, todo, jobs)
     log.info("build: %d graphs written, %d already present",
              len(todo), len(corpus) - len(todo))
     return {"documents": len(corpus), "written": len(todo)}
@@ -548,14 +504,9 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
     return agg, tensors, X, labels, essay_vecs
 
 
-# what every (fold, trait) training reads: set in each forked worker by the
-# pool initializer, or in this process for an inline run
+# what every (fold, trait) training reads: set in this process before the
+# trainings run, and inherited by forked workers without pickling
 _train_inputs: tuple | None = None
-
-
-def _set_train_inputs(inputs: tuple | None) -> None:
-    global _train_inputs
-    _train_inputs = inputs
 
 
 def _train_one(task: tuple[int, int]) -> None:
@@ -572,6 +523,31 @@ def _train_one(task: tuple[int, int]) -> None:
     )
     write_history(history, art.history_path(fold, TRAITS[j]))
     save_model(model, art.model_path(fold, TRAITS[j]))
+
+
+def _run_trainings(inputs: tuple, todo: list[tuple[int, int]], jobs: int) -> None:
+    """Run `_train_one` on every task over `inputs`: inline when jobs <= 1 or
+    at most one task is left, otherwise in up to `jobs` forked processes,
+    since training is GIL-bound.  The first worker exception re-raises here."""
+    global _train_inputs
+    _train_inputs = inputs
+    try:
+        if jobs <= 1 or len(todo) <= 1:
+            for task in todo:
+                _train_one(task)
+            return
+        # imported here so that runs with nothing left to do skip the cost;
+        # a fork pool forks every worker on the first submit, before it
+        # starts its own manager thread, so no other thread is forked
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            # consume to re-raise the first worker exception; map cancels
+            # the tasks not yet started
+            list(pool.map(_train_one, todo))
+    finally:
+        _train_inputs = None
 
 
 def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
@@ -604,12 +580,7 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     # the outputs do not depend on how the pool schedules them
     todo = [(i, j) for i in range(len(folds)) for j, trait in enumerate(TRAITS)
             if force or not art.model_path(i, trait).exists()]
-    try:
-        _run_jobs(_train_one, todo, jobs, processes=True,
-                  initializer=_set_train_inputs,
-                  initargs=((cfg, tensors, X, labels, essay_vecs, folds),))
-    finally:
-        _set_train_inputs(None)
+    _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), todo, jobs)
 
     log.info("train: %d models fitted, %d already present",
              len(todo), len(folds) * len(TRAITS) - len(todo))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -52,12 +52,6 @@ def normalize(tokens: Iterable[str], lemma_table: dict[str, str]) -> list[str]:
     """Lowercase each token, then map it through the lemma table (identity on miss)."""
     lowered = (t.lower() for t in tokens)
     return [lemma_table.get(t, t) for t in lowered]
-
-
-class EntityRecognizer(Protocol):
-    """Interface for swapping in a statistical NER model later on."""
-
-    def recognize(self, tokens: list[str]) -> list[str]: ...
 
 
 class GazetteerRecognizer:
@@ -123,7 +117,7 @@ def extract_concepts(
     text: str,
     stopwords: frozenset[str],
     lemma_table: dict[str, str],
-    recognizer: EntityRecognizer,
+    recognizer: GazetteerRecognizer,
 ) -> frozenset[str]:
     """Run the full Phase-1 chain on one document."""
     tokens = normalize(remove_noise(tokenize(text), stopwords), lemma_table)

@@ -6,7 +6,11 @@ The per-head attention layer, the pairwise edge-list loop and the per-key
 Adam step are the straightforward formulations the vectorized kernels must
 reproduce bit for bit.  The skip-gram trainer at the end makes each center's
 step one target at a time; the batched kernel must match it to rounding.
-The single-mechanism operations are small helpers only tests use.
+The document graph is built the long way: every concept's description
+unioned into one graph, then filtered down to the concepts.  The
+weight-decayed loss adds the L2 term's gradient per parameter, the
+reference for Adam's flat-buffer decay.  The single-mechanism operations are
+small helpers only tests use.
 """
 
 import bisect
@@ -17,13 +21,16 @@ import numpy as np
 from kgatnet.errors import ShapeMismatch
 from kgatnet.gat import (
     LEAKY_SLOPE,
+    _decays,
     _elu_grad,
     _tree_sum,
     attention_layer_forward,
     elu,
+    l2_penalty,
     leaky_relu,
     loss_and_gradients,
 )
+from kgatnet.kg_builder import KnowledgeGraph, norm_edge, title_case
 
 
 def neighbors_from_pairs(n_nodes, pairs):
@@ -233,6 +240,18 @@ def per_head_layer_backward(dOut, cache, tensors, W_list, a_list):
     return dH, dWs, das
 
 
+def weight_decayed_loss_and_gradients(model, tensors, X, batch, targets, weight_decay,
+                                      embeddings=None):
+    """`loss_and_gradients` with an L2 penalty of `weight_decay` on every
+    non-bias parameter, its gradient added one parameter at a time."""
+    loss, grads = loss_and_gradients(model, tensors, X, batch, targets, embeddings)
+    loss = l2_penalty(loss, model.params, weight_decay)
+    for name, value in model.params.items():
+        if _decays(name):
+            grads[name] += 2.0 * weight_decay * value
+    return loss, grads
+
+
 def per_key_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam one parameter at a time over dict moments `m`, `v`; `t` is the
     step number after this update."""
@@ -316,3 +335,25 @@ def reference_skip_gram(walks, dim, window, negatives, epochs, lr, min_lr, seed)
                 loss += skip_gram_center_step(w_in, w_out, center, targets, labels, step_lr)
         losses.append(loss / max(pairs, 1))
     return tuple(vocab), w_in, losses, dropped, repeated
+
+
+def union_then_filter(triples, concepts):
+    """Document graph over (subject, predicate, object) `triples`, built the
+    long way: resolve each concept (its own name if some triple mentions it,
+    else its title case if that is mentioned), union the triples mentioning
+    any resolved concept into one graph, then keep the edges with both ends
+    resolved and the resolved nodes of the union."""
+    mentioned = {u for s, _, o in triples for u in (s, o)}
+    resolved = set()
+    for c in concepts:
+        alt = title_case(c)
+        resolved.add(alt if c not in mentioned and alt in mentioned else c)
+    union_nodes, union_edges = set(), set()
+    for s, _, o in triples:
+        if s in resolved or o in resolved:
+            union_nodes |= {s, o}
+            if s != o:
+                union_edges.add(norm_edge(s, o))
+    edges = {e for e in union_edges if e[0] in resolved and e[1] in resolved}
+    nodes = {u for e in edges for u in e} | (resolved & union_nodes)
+    return KnowledgeGraph(frozenset(nodes), frozenset(edges))

@@ -33,9 +33,14 @@ from kgatnet.gat import (
     attention_layer_forward,
     new_model,
 )
-from kgatnet.kg_builder import KnowledgeGraph, norm_edge, prune_graph
+from kgatnet.kg_builder import NTriplesSource, build_document_graph
 from kgatnet.rdf2vec import EmbedConfig, generate_walks, train_embeddings
-from oracles import fd_gradient_max_error, min_leaky_margin, multi_head_layer
+from oracles import (
+    fd_gradient_max_error,
+    min_leaky_margin,
+    multi_head_layer,
+    union_then_filter,
+)
 
 ROOT = Path(__file__).parent.parent
 FIXTURE = ROOT / "src" / "kgatnet" / "data" / "fixture"
@@ -124,27 +129,25 @@ def test_criterion_3_identical_heads_reduce_to_single_head():
 
 # --- 4: pruning oracle --------------------------------------------------------
 
-def test_criterion_4_prune_matches_brute_force():
+def test_criterion_4_prune_matches_brute_force(tmp_path):
     rng = np.random.default_rng(404)
     checked = 0
     ok = True
     for _ in range(200):
         names = [f"n{i:02d}" for i in range(20)]
         k = int(rng.integers(0, 40))
-        edges = set()
+        triples = []
         for _ in range(k):
             i, j = rng.choice(20, size=2, replace=False)
-            edges.add(norm_edge(names[i], names[j]))
-        graph = KnowledgeGraph(frozenset(names), frozenset(edges))
+            triples.append((names[i], "p", names[j]))
+        dump = tmp_path / "dump.nt"
+        dump.write_text("".join(f"<http://x/{s}> <http://x/{p}> <http://x/{o}> .\n"
+                                for s, p, o in triples), encoding="utf-8")
         concepts = frozenset(
             names[i] for i in np.flatnonzero(rng.random(20) < rng.random())
         )
-        got = prune_graph(graph, concepts)
-        want_edges = frozenset(
-            e for e in edges if e[0] in concepts and e[1] in concepts
-        )
-        want_nodes = {u for e in want_edges for u in e} | (concepts & graph.nodes)
-        if got.edges != want_edges or got.nodes != frozenset(want_nodes):
+        got = build_document_graph(concepts, NTriplesSource(dump))
+        if got != union_then_filter(triples, concepts):
             ok = False
         checked += 1
     assert report(4, ok, f"{checked} random 20-node graphs: pruned graph equals "

@@ -46,6 +46,7 @@ from oracles import (
     per_head_layer_forward,
     per_key_adam_step,
     raw_attention_score,
+    weight_decayed_loss_and_gradients,
 )
 
 
@@ -379,8 +380,8 @@ def test_weight_decay_adds_exact_l2_term():
     model = new_model(X.shape[1], small_config())
     wd = 0.01
     plain_loss, plain_grads = loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
-    reg_loss, reg_grads = loss_and_gradients(
-        model, tensors, X, [0, 1], [0, 1], weight_decay=wd)
+    reg_loss, reg_grads = weight_decayed_loss_and_gradients(
+        model, tensors, X, [0, 1], [0, 1], wd)
     penalty = sum(
         float(np.sum(v * v)) for k, v in model.params.items() if not k.endswith(".b"))
     assert reg_loss == pytest.approx(plain_loss + wd * penalty, rel=1e-12)
@@ -394,13 +395,14 @@ def test_weight_decay_adds_exact_l2_term():
 
 def test_weight_decay_in_adam_matches_per_parameter_term():
     # train_trait adds the penalty to the loss and leaves its gradient to
-    # Adam's flat buffer; both must give the bits of loss_and_gradients'
+    # Adam's flat buffer; both must give the bits of the per-parameter
+    # reference
     tensors, X, _ = tiny_instance()
     model = new_model(X.shape[1], small_config())
     wd = 0.02
     plain_loss, plain_grads = loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
-    reg_loss, reg_grads = loss_and_gradients(
-        model, tensors, X, [0, 1], [0, 1], weight_decay=wd)
+    reg_loss, reg_grads = weight_decayed_loss_and_gradients(
+        model, tensors, X, [0, 1], [0, 1], wd)
     assert l2_penalty(plain_loss, model.params, wd) == reg_loss
     flat = {k: v.copy() for k, v in model.params.items()}
     state = AdamState.for_params(flat)

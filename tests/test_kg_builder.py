@@ -1,9 +1,11 @@
-"""Triple sources, graph building, pruning, caching, serialization."""
+"""Triple sources, graph building, caching, serialization."""
 
 import json
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,18 +19,16 @@ from kgatnet.kg_builder import (
     SparqlEndpointSource,
     TripleCache,
     build_document_graph,
-    describe_resource,
     graph_from_text,
     graph_to_text,
     local_name,
     norm_edge,
     parse_ntriples,
-    prune_graph,
     render_ntriples,
-    resolve_concepts,
     safe_filename,
     title_case,
 )
+from oracles import union_then_filter
 
 DUMP = """\
 <http://x/Dog> <http://x/relatedTo> <http://x/Wolf> .
@@ -51,10 +51,12 @@ class CountingSource:
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.names = []
         self.source_id = inner.source_id
 
     def lookup(self, name):
         self.calls += 1
+        self.names.append(name)
         return self.inner.lookup(name)
 
 
@@ -99,26 +101,30 @@ def test_title_case():
     assert title_case("a_b_c") == "A_B_C"
 
 
-# --- describeResource ----------------------------------------------------
+# --- buildDocumentGraph: lookups and spellings ---------------------------
 
 def test_describe_fixture_lookup(dump_source):
-    got = describe_resource("Dog", dump_source)
-    assert got == frozenset({RdfTriple("Dog", "relatedTo", "Wolf")})
+    # Dog's description is its one resource triple, predicate dropped
+    g = build_document_graph({"Dog", "Wolf"}, dump_source)
+    assert g == KnowledgeGraph(frozenset({"Dog", "Wolf"}), frozenset({("Dog", "Wolf")}))
 
 
 def test_describe_miss(dump_source):
-    assert describe_resource("Zzzz_unknown", dump_source) == frozenset()
+    assert build_document_graph({"Zzzz_unknown"}, dump_source) == KnowledgeGraph(
+        frozenset(), frozenset())
 
 
 def test_describe_title_case_retry(dump_source):
-    got = describe_resource("New_york", dump_source)
-    assert got == frozenset({RdfTriple("New_York", "locatedIn", "Usa")})
+    g = build_document_graph({"New_york", "Usa"}, dump_source)
+    assert g == KnowledgeGraph(frozenset({"New_York", "Usa"}),
+                               frozenset({("New_York", "Usa")}))
 
 
 def test_lookup_by_object_position(dump_source):
     # a concept appearing only as an object still gets its triples
-    got = describe_resource("Wolf", dump_source)
+    got = dump_source.lookup("Wolf")
     assert got == frozenset({RdfTriple("Dog", "relatedTo", "Wolf")})
+    assert build_document_graph({"Wolf"}, dump_source).nodes == frozenset({"Wolf"})
 
 
 def test_dump_lookup_serves_the_stored_set(dump_source):
@@ -128,16 +134,27 @@ def test_dump_lookup_serves_the_stored_set(dump_source):
 
 
 def test_resolve_concepts_spellings(dump_source):
-    got = resolve_concepts({"Dog", "New_york", "Zzzz_unknown"}, dump_source)
-    assert got == frozenset({"Dog", "New_York", "Zzzz_unknown"})
+    # a direct hit keeps its name, a title-cased hit replaces the concept,
+    # an undescribed concept adds no node
+    got = build_document_graph({"Dog", "New_york", "Zzzz_unknown"}, dump_source)
+    assert got.nodes == frozenset({"Dog", "New_York"})
 
 
 def test_resolve_concepts_keeps_direct_hit(dump_source):
     # a name the source knows as-is is never title-cased away
-    assert resolve_concepts({"New_York"}, dump_source) == frozenset({"New_York"})
+    assert build_document_graph({"New_York"}, dump_source).nodes == frozenset({"New_York"})
 
 
-# --- buildDocumentGraph ----------------------------------------------------
+def test_build_looks_up_each_concept_once(dump_source):
+    # one lookup per described concept; an undescribed one also tries its
+    # title case, when that differs from the name
+    counting = CountingSource(dump_source)
+    build_document_graph({"Dog", "Wolf", "New_york", "Zzzz_unknown", "Q"}, counting)
+    assert sorted(counting.names) == sorted(
+        ["Dog", "Wolf", "New_york", "New_York", "Zzzz_unknown", "Zzzz_Unknown", "Q"])
+
+
+# --- buildDocumentGraph: edges ----------------------------------------------
 
 def make_source(tmp_path, triples):
     p = tmp_path / "src.nt"
@@ -150,7 +167,7 @@ def make_source(tmp_path, triples):
 
 def test_build_multi_edge_unification(tmp_path):
     src = make_source(tmp_path, [("A", "p", "B"), ("A", "q", "B"), ("B", "r", "A")])
-    g = build_document_graph({"A"}, src)
+    g = build_document_graph({"A", "B"}, src)
     assert g.nodes == frozenset({"A", "B"})
     assert g.edges == frozenset({("A", "B")})
 
@@ -163,7 +180,7 @@ def test_build_empty_concepts(tmp_path):
 
 def test_build_union_over_concepts(tmp_path):
     src = make_source(tmp_path, [("A", "p", "C"), ("B", "q", "C")])
-    g = build_document_graph({"A", "B"}, src)
+    g = build_document_graph({"A", "B", "C"}, src)
     # brute-force union over the fixture triples
     want_nodes, want_edges = set(), set()
     for s, _, o in [("A", "p", "C"), ("B", "q", "C")]:
@@ -174,57 +191,50 @@ def test_build_union_over_concepts(tmp_path):
 
 def test_build_drops_self_loops(tmp_path):
     src = make_source(tmp_path, [("A", "p", "A"), ("A", "q", "B")])
-    g = build_document_graph({"A"}, src)
+    g = build_document_graph({"A", "B"}, src)
     assert ("A", "A") not in g.edges
     assert g.edges == frozenset({("A", "B")})
 
 
-# --- pruneGraph -----------------------------------------------------------
-
-def test_prune_basic():
-    g = KnowledgeGraph(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")}))
-    out = prune_graph(g, {"A", "B"})
+def test_prune_basic(tmp_path):
+    src = make_source(tmp_path, [("A", "p", "B"), ("A", "q", "C")])
+    out = build_document_graph({"A", "B"}, src)
     assert out.edges == frozenset({("A", "B")})
     assert out.nodes == frozenset({"A", "B"})
 
 
-def test_prune_identity_when_concepts_cover():
+def test_prune_identity_when_concepts_cover(tmp_path):
+    src = make_source(tmp_path, [("A", "p", "B"), ("B", "q", "C")])
     g = KnowledgeGraph(frozenset("ABC"), frozenset({("A", "B"), ("B", "C")}))
-    assert prune_graph(g, {"A", "B", "C"}) == g
+    assert build_document_graph({"A", "B", "C"}, src) == g
 
 
-node_ids = st.sampled_from([f"n{i:02d}" for i in range(20)])
-graph_strategy = st.builds(
-    lambda pairs, extra: KnowledgeGraph(
-        frozenset(extra) | {u for p in pairs for u in p},
-        frozenset(norm_edge(*p) for p in pairs if p[0] != p[1]),
-    ),
-    st.lists(st.tuples(node_ids, node_ids), max_size=40),
-    st.sets(node_ids, max_size=5),
-)
+# lowercase concepts; a few are described only title-cased, so the rescue
+# runs, and the dump carries self-loops and parallel predicates
+concept_ids = st.sampled_from([f"n{i:02d}" for i in range(20)])
+resource_ids = st.one_of(concept_ids, st.sampled_from([f"N{i:02d}" for i in range(5)]))
+triples_strategy = st.lists(
+    st.tuples(resource_ids, st.sampled_from(["p", "q"]), resource_ids), max_size=40)
 
 
-@given(graph_strategy, st.sets(node_ids, max_size=15))
-def test_prune_matches_brute_force(graph, concepts):
-    out = prune_graph(graph, concepts)
-    kept_edges = set()
-    for u, v in graph.edges:  # exhaustive filter
-        if u in concepts and v in concepts:
-            kept_edges.add((u, v))
-    kept_nodes = {u for e in kept_edges for u in e}
-    for c in concepts:
-        if c in graph.nodes:
-            kept_nodes.add(c)
-    assert out.edges == kept_edges
-    assert out.nodes == kept_nodes
+def build_over_dump(triples, concepts):
+    with tempfile.TemporaryDirectory() as tmp:
+        return build_document_graph(concepts, make_source(Path(tmp), triples))
 
 
-@given(graph_strategy, st.sets(node_ids, max_size=15))
-def test_prune_idempotent_and_shrinking(graph, concepts):
-    once = prune_graph(graph, concepts)
-    assert prune_graph(once, concepts) == once
-    assert once.edges <= graph.edges
-    assert once.nodes <= graph.nodes | set(concepts)
+@given(triples_strategy, st.sets(concept_ids, max_size=15))
+def test_prune_matches_brute_force(triples, concepts):
+    assert build_over_dump(triples, concepts) == union_then_filter(triples, concepts)
+
+
+@given(triples_strategy, st.sets(concept_ids, max_size=15))
+def test_prune_idempotent_and_shrinking(triples, concepts):
+    once = build_over_dump(triples, concepts)
+    assert build_over_dump(triples, once.nodes) == once
+    union_nodes = {u for s, _, o in triples for u in (s, o)}
+    union_edges = {norm_edge(s, o) for s, _, o in triples if s != o}
+    assert once.edges <= union_edges
+    assert once.nodes <= union_nodes | set(concepts)
 
 
 # --- cache ------------------------------------------------------------
@@ -288,6 +298,17 @@ def test_graph_text_round_trip_and_order():
     assert graph_from_text(text) == g
     # edges listed u < v, lines sorted
     assert "A\tB" in text and text.index("A\tB") < text.index("B\tC")
+
+
+node_ids = st.sampled_from([f"n{i:02d}" for i in range(20)])
+graph_strategy = st.builds(
+    lambda pairs, extra: KnowledgeGraph(
+        frozenset(extra) | {u for p in pairs for u in p},
+        frozenset(norm_edge(*p) for p in pairs if p[0] != p[1]),
+    ),
+    st.lists(st.tuples(node_ids, node_ids), max_size=40),
+    st.sets(node_ids, max_size=5),
+)
 
 
 @settings(max_examples=50)
