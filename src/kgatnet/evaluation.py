@@ -170,18 +170,3 @@ def write_long_report(fold_rows: dict[str, list[dict[str, float | None]]],
                 if row.get(name) is not None:
                     w.writerow([trait, name, f"{row[name]:.6f}", fold_i])
     _write_atomically(path, buf.getvalue().encode("utf-8"))
-
-
-def read_metric_report(path: Path | str) -> dict[str, dict[str, float | None]]:
-    """Inverse of write_metric_report, keyed metric -> trait column."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    if header != ["metric", *TRAITS, "avg"]:
-        raise ValueError(f"unexpected report header {header!r}")
-    out: dict[str, dict[str, float | None]] = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        out[cells[0]] = {
-            t: (float(v) if v else None) for t, v in zip([*TRAITS, "avg"], cells[1:])
-        }
-    return out

@@ -9,10 +9,12 @@ argsort of `src` and its CSR row pointer), so the backward pass scatters
 into source nodes as one CSR SpMM and one `np.bincount` instead of
 `np.add.at`.
 
-The heads of a layer run batched along a leading head axis where that
-needs only (L, N, F) or (L, E) arrays it keeps anyway: the projection, the
-attention scores, the segment softmax and its backward, the two scatters
-and the gradients of W.  The rest runs one head at a time: the (E, F)
+Each attention layer keeps its L heads as two stacked parameters,
+`att{k}.W` of shape (L, F, D) and `att{k}.a` of shape (L, 2F), and runs
+them batched along that leading head axis where that needs only
+(L, N, F) or (L, E) arrays it keeps anyway: the projection, the attention
+scores, the segment softmax and its backward, the two scatters and the
+gradient of W.  The rest loops over the heads of those arrays: the (E, F)
 products over edges and features (the forward aggregation and the
 attention-weight gradient), since all heads at once would hold L of them,
 and the gradients of the attention vectors, the projected input and the
@@ -34,7 +36,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +51,7 @@ LEAKY_SLOPE = 0.2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -189,13 +190,13 @@ def _tree_sum(arrays):
     return items[0]
 
 
-def attention_layer_forward(H, tensors, W_list, a_list):
-    """One multi-head layer: per-head attention sums averaged, then ELU.
+def attention_layer_forward(H, tensors, W, a):
+    """One multi-head layer over the stacked head weights W (L, F, D) and
+    attention vectors a (L, 2F): per-head attention sums averaged, then ELU.
 
-    The cache keeps, for each head, views (Wh, pre, alpha) into the
-    batched (L, N, F) projection and (L, E) scores and weights."""
+    The cache keeps the batched (L, N, F) projection Wh and the (L, E)
+    scores pre and weights alpha."""
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    W, a = np.array(W_list), np.array(a_list)
     fh = W.shape[1]
     Wh = np.matmul(H, W.transpose(0, 2, 1))                       # (L, N, F)
     # against an (L, F, 1) column, matmul runs the per-head `Wh @ a` GEMV
@@ -208,22 +209,21 @@ def attention_layer_forward(H, tensors, W_list, a_list):
         msg = np.take(Wh_l, src, axis=0)
         msg *= alpha_l[:, None]
         head_sums.append(np.add.reduceat(msg, seg, axis=0))
-    avg = _tree_sum(head_sums) / len(W_list)
+    avg = _tree_sum(head_sums) / len(W)
     out = elu(avg)
-    return out, (H, avg, out, list(zip(Wh, pre, alpha)))
+    return out, (H, avg, out, Wh, pre, alpha)
 
 
-def attention_layer_backward(dOut, cache, tensors, W_list, a_list):
-    """Returns gradient wrt the layer input plus per-head (dW, da) lists."""
-    H, avg, out, head_caches = cache
+def attention_layer_backward(dOut, cache, tensors, W, a):
+    """Returns the gradients wrt the layer input, W (L, F, D) and a (L, 2F)."""
+    H, avg, out, Wh, pre, alpha = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    n, L, fh = H.shape[0], len(W_list), W_list[0].shape[0]
-    pre = np.array([c[1] for c in head_caches])
-    alpha = np.array([c[2] for c in head_caches])
+    n, (L, fh) = H.shape[0], W.shape[:2]
     dHeadSum = (dOut * _elu_grad(avg, out)) / L
     m = np.take(dHeadSum, dst, axis=0)                              # (E, F')
-    dalpha = np.array([np.einsum("ef,ef->e", m, np.take(Wh, src, axis=0))
-                       for Wh, _, _ in head_caches])
+    dalpha = np.empty_like(alpha)
+    for l in range(L):
+        dalpha[l] = np.einsum("ef,ef->e", m, np.take(Wh[l], src, axis=0))
     # dWh[l, j] = sum over edges (i <- j) of alpha[l, e] * dHeadSum[i]: the
     # heads' transposed attention matrices stacked as one CSR matrix, whose
     # rows add their edges in the same order as a scatter over src would
@@ -240,26 +240,48 @@ def attention_layer_backward(dOut, cache, tensors, W_list, a_list):
                      minlength=L * n).reshape(L, n)
     # the rest one head at a time, so no (L, N, F) temporary is made
     dH = np.zeros_like(H)
-    das = []
-    for l, (W, a, (Wh, _, _)) in enumerate(zip(W_list, a_list, head_caches)):
-        das.append(np.concatenate([Wh.T @ dd[l], Wh.T @ ds[l]]))
-        dWh[l] += dd[l][:, None] * a[:fh] + ds[l][:, None] * a[fh:]
-        dH += dWh[l] @ W
-    dWs = list(np.matmul(dWh.transpose(0, 2, 1), H))
-    return dH, dWs, das
+    da = np.empty_like(a)
+    for l in range(L):
+        da[l, :fh] = Wh[l].T @ dd[l]
+        da[l, fh:] = Wh[l].T @ ds[l]
+        dWh[l] += dd[l][:, None] * a[l, :fh] + ds[l][:, None] * a[l, fh:]
+        dH += dWh[l] @ W[l]
+    dW = np.matmul(dWh.transpose(0, 2, 1), H)
+    return dH, dW, da
 
 
 # --- full model ----------------------------------------------------------
 
 @dataclass
 class GatModel:
-    n_features: int
-    dense_units: int
-    hidden_units: int
-    heads: int
-    n_layers: int
-    embed_dim: int  # 0 when not enriched
+    """The parameters; the geometry is read from their shapes."""
+
     params: dict[str, np.ndarray] = field(repr=False)
+
+    @property
+    def n_features(self) -> int:
+        return self.params["proj.W"].shape[1]
+
+    @property
+    def dense_units(self) -> int:
+        return self.params["proj.W"].shape[0]
+
+    @property
+    def heads(self) -> int:
+        return self.params["att0.W"].shape[0]
+
+    @property
+    def hidden_units(self) -> int:
+        return self.params["att0.W"].shape[1]
+
+    @property
+    def n_layers(self) -> int:
+        return sum(key.startswith("att") for key in self.params) // 2  # att{k}.W, att{k}.a
+
+    @property
+    def embed_dim(self) -> int:
+        """0 when not enriched."""
+        return self.params["clf.W"].shape[1] - self.n_layers * self.hidden_units
 
     def copy_params(self):
         return {k: v.copy() for k, v in self.params.items()}
@@ -285,20 +307,17 @@ def new_model(n_features, config: TrainConfig, embed_dim=0, rng=None) -> GatMode
     }
     in_width = D
     for k in range(K):
+        # head by head, each W before its a: the draw order tests/oracles.py pins
+        W, a = np.empty((L, Hd, in_width)), np.empty((L, 2 * Hd))
         for l in range(L):
-            params[f"att{k}.h{l}.W"] = glorot(rng, (Hd, in_width))
-            params[f"att{k}.h{l}.a"] = glorot(rng, (2 * Hd,), fan_in=2 * Hd, fan_out=1)
+            W[l] = glorot(rng, (Hd, in_width))
+            a[l] = glorot(rng, (2 * Hd,), fan_in=2 * Hd, fan_out=1)
+        params[f"att{k}.W"], params[f"att{k}.a"] = W, a
         in_width = Hd
     clf_in = K * Hd + embed_dim
     params["clf.W"] = glorot(rng, (2, clf_in))
     params["clf.b"] = np.zeros(2)
-    return GatModel(n_features, D, Hd, L, K, embed_dim, params)
-
-
-def _layer_params(model, k):
-    W_list = [model.params[f"att{k}.h{l}.W"] for l in range(model.heads)]
-    a_list = [model.params[f"att{k}.h{l}.a"] for l in range(model.heads)]
-    return W_list, a_list
+    return GatModel(params)
 
 
 def _forward(model, tensors, X, embeddings):
@@ -312,7 +331,7 @@ def _forward(model, tensors, X, embeddings):
     caches, outs = [], []
     Hk = H
     for k in range(model.n_layers):
-        Hk, cache = attention_layer_forward(Hk, tensors, *_layer_params(model, k))
+        Hk, cache = attention_layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
         caches.append(cache)
         outs.append(Hk)
     parts = [o[tensors.essay_idx] for o in outs]
@@ -377,11 +396,8 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
         dOut[tensors.essay_idx] += dconcat[:, k * Hd : (k + 1) * Hd]
         if dH_next is not None:
             dOut += dH_next
-        W_list, a_list = _layer_params(model, k)
-        dH_next, dWs, das = attention_layer_backward(dOut, caches[k], tensors, W_list, a_list)
-        for l in range(model.heads):
-            grads[f"att{k}.h{l}.W"] = dWs[l]
-            grads[f"att{k}.h{l}.a"] = das[l]
+        dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = attention_layer_backward(
+            dOut, caches[k], tensors, p[f"att{k}.W"], p[f"att{k}.a"])
 
     dpre0 = dH_next * _elu_grad(pre0, H0)
     if X_T is None:
@@ -557,15 +573,7 @@ def train_trait(tensors, X, y, config: TrainConfig,
 # --- persistence ---------------------------------------------------------
 
 def save_model(model: GatModel, path):
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "n_features": model.n_features,
-        "dense_units": model.dense_units,
-        "hidden_units": model.hidden_units,
-        "heads": model.heads,
-        "n_layers": model.n_layers,
-        "embed_dim": model.embed_dim,
-    }
+    meta = {"version": CHECKPOINT_VERSION}
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.array(json.dumps(meta)), **model.params)
     _write_atomically(path, buf.getvalue())
@@ -577,10 +585,7 @@ def load_model(path) -> GatModel:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
         params = {k: npz[k] for k in npz.files if k != "__meta__"}
-    return GatModel(
-        meta["n_features"], meta["dense_units"], meta["hidden_units"],
-        meta["heads"], meta["n_layers"], meta["embed_dim"], params,
-    )
+    return GatModel(params)
 
 
 def write_history(history, path):

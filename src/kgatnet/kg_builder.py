@@ -32,9 +32,6 @@ class RdfTriple(NamedTuple):
     obj: str
 
 
-TripleSet = frozenset  # of RdfTriple
-
-
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Simple undirected graph; edges stored as (u, v) pairs with u < v."""

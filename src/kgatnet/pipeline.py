@@ -387,7 +387,7 @@ def make_source(cfg: PipelineConfig):
 
 # --- stages ------------------------------------------------------------------
 
-def stage_preprocess(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
+def stage_preprocess(cfg: PipelineConfig, force: bool = False) -> dict:
     corpus = load_corpus(cfg.corpus)
     art = Artifacts(cfg.output_dir)
     art.concepts_dir.mkdir(parents=True, exist_ok=True)
@@ -410,7 +410,7 @@ def stage_preprocess(cfg: PipelineConfig, force: bool = False, jobs: int = 1) ->
     return {"documents": len(corpus), "written": len(todo)}
 
 
-def stage_build(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
+def stage_build(cfg: PipelineConfig, force: bool = False) -> dict:
     corpus = load_corpus(cfg.corpus)
     art = Artifacts(cfg.output_dir)
     art.graphs_dir.mkdir(parents=True, exist_ok=True)
@@ -426,7 +426,7 @@ def stage_build(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     return {"documents": len(corpus), "written": len(todo)}
 
 
-def stage_aggregate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
+def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
     art = Artifacts(cfg.output_dir)
     outputs = (art.aggregated, art.features, art.labels)
     if not force and all(p.exists() for p in outputs):
@@ -457,7 +457,7 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> 
     return {"entities": len(agg.entity_nodes), "essays": len(agg.essay_nodes)}
 
 
-def stage_embed(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
+def stage_embed(cfg: PipelineConfig, force: bool = False) -> dict:
     art = Artifacts(cfg.output_dir)
     if not force and art.embeddings.exists():
         log.info("embed: output present, skipping")
@@ -595,7 +595,7 @@ def _write_correlations(matrix: np.ndarray, path: Path) -> None:
     _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def stage_evaluate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
+def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
     art = Artifacts(cfg.output_dir)
     # flag consistency comes before the cache check: a skipped stage still
     # refreshes the manifest's config echo, which must not contradict the
@@ -616,7 +616,12 @@ def stage_evaluate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> d
     for i, test_idx in enumerate(splits["folds"]):
         test_idx = np.asarray(test_idx, dtype=np.int64)
         for j, trait in enumerate(TRAITS):
-            model = load_model(_require(art.model_path(i, trait), "train"))
+            path = _require(art.model_path(i, trait), "train")
+            try:
+                model = load_model(path)
+            except ValueError as exc:
+                raise ConfigError(f"cannot read checkpoint {path} ({exc}); "
+                                  "rerun train --force") from None
             predicted = predict(model, tensors, X, test_idx, essay_vecs)
             counts = confusion_counts(predicted.tolist(), labels[test_idx, j].tolist())
             fold_rows[trait].append(metric_row(counts))
@@ -697,5 +702,7 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False, jobs: int = 
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}")
     _check_config_paths(cfg)
-    info = _STAGE_FUNCS[stage](cfg, force=force, jobs=jobs)
+    # only training runs in worker processes
+    func = _STAGE_FUNCS[stage]
+    info = func(cfg, force=force, jobs=jobs) if stage == "train" else func(cfg, force=force)
     update_manifest(cfg, stage, info)

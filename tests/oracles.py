@@ -2,10 +2,11 @@
 
 The naive oracles are deliberately written with per-node python loops and
 plain math, so a shared bug with the vectorized production code is unlikely.
-The per-head attention layer, the pairwise edge-list loop and the per-key
-Adam step are the straightforward formulations the vectorized kernels must
-reproduce bit for bit.  The skip-gram trainer at the end makes each center's
-step one target at a time; the batched kernel must match it to rounding.
+The per-head attention layer, the pairwise edge-list loop, the per-key
+Adam step and the one-array-at-a-time initialisation are the
+straightforward formulations the vectorized code must reproduce bit for
+bit.  The skip-gram trainer at the end makes each center's step one
+target at a time; the batched kernel must match it to rounding.
 The document graph is built the long way: every concept's description
 unioned into one graph, then filtered down to the concepts.  The
 weight-decayed loss adds the L2 term's gradient per parameter, the
@@ -46,12 +47,13 @@ def naive_elu(x):
     return x if x > 0 else math.exp(x) - 1.0
 
 
-def naive_layer(H, nbrs, W_list, a_list):
-    """Head-averaged attention layer, scalar loops straight from the math."""
+def naive_layer(H, nbrs, Ws, As):
+    """Head-averaged attention layer over stacked head weights `Ws` and
+    attention vectors `As`, scalar loops straight from the math."""
     n = H.shape[0]
-    fh = W_list[0].shape[0]
+    fh = Ws[0].shape[0]
     total = np.zeros((n, fh))
-    for W, a in zip(W_list, a_list):
+    for W, a in zip(Ws, As):
         Wh = H @ W.T
         for i in range(n):
             js = nbrs[i]
@@ -64,7 +66,7 @@ def naive_layer(H, nbrs, W_list, a_list):
             z = sum(ez)
             for ezj, j in zip(ez, js):
                 total[i] += (ezj / z) * Wh[j]
-    avg = total / len(W_list)
+    avg = total / len(Ws)
     out = np.empty_like(avg)
     for idx, val in np.ndenumerate(avg):
         out[idx] = naive_elu(val)
@@ -81,9 +83,7 @@ def naive_forward(model, nbrs, X_dense):
     H = out
     layer_outs = []
     for k in range(model.n_layers):
-        W_list = [p[f"att{k}.h{l}.W"] for l in range(model.heads)]
-        a_list = [p[f"att{k}.h{l}.a"] for l in range(model.heads)]
-        H = naive_layer(H, nbrs, W_list, a_list)
+        H = naive_layer(H, nbrs, p[f"att{k}.W"], p[f"att{k}.a"])
         layer_outs.append(H)
     return layer_outs
 
@@ -113,11 +113,8 @@ def min_leaky_margin(model, tensors, X):
     H = elu(np.asarray(X @ p["proj.W"].T) + p["proj.b"])
     margin = np.inf
     for k in range(model.n_layers):
-        W_list = [p[f"att{k}.h{l}.W"] for l in range(model.heads)]
-        a_list = [p[f"att{k}.h{l}.a"] for l in range(model.heads)]
-        H, (_, _, _, head_caches) = attention_layer_forward(H, tensors, W_list, a_list)
-        for _, pre, _ in head_caches:
-            margin = min(margin, float(np.min(np.abs(pre))))
+        H, (*_, pre, _) = attention_layer_forward(H, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
+        margin = min(margin, float(np.min(np.abs(pre))))
     return margin
 
 
@@ -167,8 +164,8 @@ def aggregate_head(alpha, wh_neighbors, activation=elu):
     return activation(alpha @ wh_neighbors)
 
 
-def multi_head_layer(H, tensors, W_list, a_list):
-    out, _ = attention_layer_forward(H, tensors, W_list, a_list)
+def multi_head_layer(H, tensors, W, a):
+    out, _ = attention_layer_forward(H, tensors, W, a)
     return out
 
 
@@ -197,30 +194,31 @@ def per_head_segment_softmax(scores, dst, seg_starts):
     return ez / denom[dst]
 
 
-def per_head_layer_forward(H, tensors, W_list, a_list):
+def per_head_layer_forward(H, tensors, Ws, As):
     """The attention layer one head at a time, scattering with np.add.at in
-    the backward: the production layer must match it bit for bit."""
+    the backward: the production layer must match it bit for bit.  Its
+    cache keeps one (Wh, pre, alpha) per head."""
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
     head_sums, head_caches = [], []
-    for W, a in zip(W_list, a_list):
+    for W, a in zip(Ws, As):
         fh = W.shape[0]
         Wh = H @ W.T
         pre = (Wh @ a[:fh])[dst] + (Wh @ a[fh:])[src]
         alpha = per_head_segment_softmax(leaky_relu(pre), dst, seg)
         head_sums.append(np.add.reduceat(alpha[:, None] * Wh[src], seg, axis=0))
         head_caches.append((Wh, pre, alpha))
-    avg = _tree_sum(head_sums) / len(W_list)
+    avg = _tree_sum(head_sums) / len(Ws)
     out = elu(avg)
     return out, (H, avg, out, head_caches)
 
 
-def per_head_layer_backward(dOut, cache, tensors, W_list, a_list):
+def per_head_layer_backward(dOut, cache, tensors, Ws, As):
     H, avg, out, head_caches = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    dHeadSum = (dOut * _elu_grad(avg, out)) / len(W_list)
+    dHeadSum = (dOut * _elu_grad(avg, out)) / len(Ws)
     dH = np.zeros_like(H)
     dWs, das = [], []
-    for (W, a, (Wh, pre, alpha)) in zip(W_list, a_list, head_caches):
+    for (W, a, (Wh, pre, alpha)) in zip(Ws, As, head_caches):
         fh = W.shape[0]
         m = dHeadSum[dst]                                   # (E, F')
         dalpha = np.einsum("ef,ef->e", m, Wh[src])
@@ -238,6 +236,34 @@ def per_head_layer_backward(dOut, cache, tensors, W_list, a_list):
         dWs.append(dWh.T @ H)
         dH += dWh @ W
     return dH, dWs, das
+
+
+def drawn_in_order(n_features, config, embed_dim=0):
+    """new_model's parameters, drawn from default_rng(config.seed) one
+    array at a time: proj.W, then each layer's heads in turn, a head's W
+    before its a, then clf.W; every draw uniform within the Glorot limit."""
+    rng = np.random.default_rng(config.seed)
+
+    def uniform(rows, cols, fan_in, fan_out):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(rows, cols))
+
+    D, Hd = config.dense_units, config.hidden_units
+    params = {"proj.W": uniform(D, n_features, n_features, D), "proj.b": np.zeros(D)}
+    in_width = D
+    for k in range(config.attention_layers):
+        heads = []
+        for _ in range(config.heads_per_layer):
+            W = uniform(Hd, in_width, in_width, Hd)
+            a = uniform(1, 2 * Hd, 2 * Hd, 1)[0]
+            heads.append((W, a))
+        params[f"att{k}.W"] = np.stack([W for W, _ in heads])
+        params[f"att{k}.a"] = np.stack([a for _, a in heads])
+        in_width = Hd
+    clf_in = config.attention_layers * Hd + embed_dim
+    params["clf.W"] = uniform(2, clf_in, clf_in, 2)
+    params["clf.b"] = np.zeros(2)
+    return params
 
 
 def weight_decayed_loss_and_gradients(model, tensors, X, batch, targets, weight_decay,

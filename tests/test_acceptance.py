@@ -95,10 +95,10 @@ def test_criterion_2_attention_rows_sum_to_one():
         f_in = int(rng.integers(2, 6))
         H = rng.normal(size=(n, f_in))
         heads = int(rng.integers(1, 4))
-        W_list = [rng.normal(size=(fh, f_in)) for _ in range(heads)]
-        a_list = [rng.normal(size=2 * fh) for _ in range(heads)]
-        _, (_, _, _, head_caches) = attention_layer_forward(H, tensors, W_list, a_list)
-        for _, _, alpha in head_caches:
+        W = rng.normal(size=(heads, fh, f_in))
+        a = rng.normal(size=(heads, 2 * fh))
+        _, (*_, alphas) = attention_layer_forward(H, tensors, W, a)
+        for alpha in alphas:
             sums = np.add.reduceat(alpha, tensors.seg_starts)
             worst = max(worst, float(np.max(np.abs(sums - 1.0))))
     ok = worst < 1e-6
@@ -115,10 +115,10 @@ def test_criterion_3_identical_heads_reduce_to_single_head():
     H = rng.normal(size=(5, 3))
     W = rng.normal(size=(4, 3))
     a = rng.normal(size=8)
-    single = multi_head_layer(H, tensors, [W], [a])
+    single = multi_head_layer(H, tensors, W[None], a[None])
     ok = True
     for L in (2, 4, 8):
-        multi = multi_head_layer(H, tensors, [W] * L, [a] * L)
+        multi = multi_head_layer(H, tensors, np.stack([W] * L), np.stack([a] * L))
         # head averaging is a pairwise tree sum, so power-of-two head counts
         # reproduce the single-head result bit for bit
         if not np.array_equal(multi, single):

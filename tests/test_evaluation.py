@@ -1,6 +1,7 @@
 """Metrics, folds, correlations, report files."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from kgatnet.errors import InvalidK, LengthMismatch, UndefinedMetric
 from kgatnet.evaluation import (
+    TRAITS,
     ConfusionCounts,
     accuracy,
     aggregate_fold_rows,
@@ -16,12 +18,26 @@ from kgatnet.evaluation import (
     k_fold_split,
     metric_row,
     precision,
-    read_metric_report,
     recall,
     trait_correlations,
     write_long_report,
     write_metric_report,
 )
+
+
+def read_metric_report(path):
+    """Inverse of write_metric_report, keyed metric -> trait column."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    if header != ["metric", *TRAITS, "avg"]:
+        raise ValueError(f"unexpected report header {header!r}")
+    out = {}
+    for line in lines[1:]:
+        cells = line.split(",")
+        out[cells[0]] = {
+            t: (float(v) if v else None) for t, v in zip([*TRAITS, "avg"], cells[1:])
+        }
+    return out
 
 
 def test_confusion_basic():

@@ -34,6 +34,7 @@ from kgatnet.gat import (
 )
 from oracles import (
     aggregate_head,
+    drawn_in_order,
     fd_gradient_max_error,
     loop_edge_list,
     min_leaky_margin,
@@ -182,7 +183,7 @@ def test_aggregate_head_matches_dense_oracle():
     H = rng.normal(size=(4, 3))
     W = rng.normal(size=(2, 3))
     a = rng.normal(size=4)
-    out, _ = attention_layer_forward(H, tensors, [W], [a])
+    out, _ = attention_layer_forward(H, tensors, W[None], a[None])
 
     nbrs = neighbors_from_pairs(4, pairs)
     Wh = H @ W.T
@@ -205,9 +206,9 @@ def test_multi_head_single_head_degeneracy():
     H = rng.normal(size=(3, 2))
     W = rng.normal(size=(2, 2))
     a = rng.normal(size=4)
-    single = multi_head_layer(H, tensors, [W], [a])
+    single = multi_head_layer(H, tensors, W[None], a[None])
     for copies in (2, 4, 8):
-        repeated = multi_head_layer(H, tensors, [W] * copies, [a] * copies)
+        repeated = multi_head_layer(H, tensors, np.stack([W] * copies), np.stack([a] * copies))
         assert np.array_equal(repeated, single)  # bitwise
 
 
@@ -216,10 +217,10 @@ def test_multi_head_two_heads_direct_formula():
     pairs = [(0, 1), (1, 2)]  # 3-node path
     tensors = GraphTensors.from_edges(3, pairs, np.array([], dtype=int))
     H = rng.normal(size=(3, 3))
-    W_list = [rng.normal(size=(2, 3)) for _ in range(2)]
-    a_list = [rng.normal(size=4) for _ in range(2)]
-    got = multi_head_layer(H, tensors, W_list, a_list)
-    want = naive_layer(H, neighbors_from_pairs(3, pairs), W_list, a_list)
+    W = rng.normal(size=(2, 2, 3))
+    a = rng.normal(size=(2, 4))
+    got = multi_head_layer(H, tensors, W, a)
+    want = naive_layer(H, neighbors_from_pairs(3, pairs), W, a)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -228,11 +229,10 @@ def test_attention_rows_sum_to_one():
     pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
     tensors = GraphTensors.from_edges(5, pairs, np.array([], dtype=int))
     H = rng.normal(size=(5, 3))
-    _, (_, _, _, head_caches) = attention_layer_forward(
-        H, tensors, [rng.normal(size=(2, 3))], [rng.normal(size=4)]
+    _, (*_, alpha) = attention_layer_forward(
+        H, tensors, rng.normal(size=(1, 2, 3)), rng.normal(size=(1, 4))
     )
-    _, _, alpha = head_caches[0]
-    sums = np.add.reduceat(alpha, tensors.seg_starts)
+    sums = np.add.reduceat(alpha[0], tensors.seg_starts)
     assert np.allclose(sums, 1.0, atol=1e-6)
 
 
@@ -265,27 +265,46 @@ def test_layer_matches_per_head_reference_bitwise(heads):
         tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
         f_in, f_out = int(rng.integers(2, 9)), int(rng.integers(9, 14))
         H = rng.normal(size=(n, f_in))
-        W_list = [rng.normal(size=(f_out, f_in)) for _ in range(heads)]
-        a_list = [rng.normal(size=2 * f_out) for _ in range(heads)]
-        out, cache = attention_layer_forward(H, tensors, W_list, a_list)
-        ref_out, ref_cache = per_head_layer_forward(H, tensors, W_list, a_list)
+        W = rng.normal(size=(heads, f_out, f_in))
+        a = rng.normal(size=(heads, 2 * f_out))
+        out, cache = attention_layer_forward(H, tensors, W, a)
+        ref_out, ref_cache = per_head_layer_forward(H, tensors, W, a)
         assert np.array_equal(out, ref_out)
         for got, want in zip(cache[:3], ref_cache[:3]):
             assert np.array_equal(got, want)
-        assert len(cache[3]) == heads
-        for got, want in zip(cache[3], ref_cache[3]):
+        # the batched (Wh, pre, alpha) against the reference's per-head triples
+        assert len(ref_cache[3]) == heads
+        for got, want in zip(cache[3:], zip(*ref_cache[3])):
+            assert len(got) == heads
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
         dOut = rng.normal(size=out.shape)
-        dH, dWs, das = attention_layer_backward(dOut, cache, tensors, W_list, a_list)
-        ref_dH, ref_dWs, ref_das = per_head_layer_backward(
-            dOut, ref_cache, tensors, W_list, a_list)
+        dH, dW, da = attention_layer_backward(dOut, cache, tensors, W, a)
+        ref_dH, ref_dWs, ref_das = per_head_layer_backward(dOut, ref_cache, tensors, W, a)
         assert np.array_equal(dH, ref_dH)
-        assert len(dWs) == len(das) == heads
+        assert dW.shape == W.shape and da.shape == a.shape
         for l in range(heads):
-            assert np.array_equal(dWs[l], ref_dWs[l])
-            assert np.array_equal(das[l], ref_das[l])
+            assert np.array_equal(dW[l], ref_dWs[l])
+            assert np.array_equal(da[l], ref_das[l])
+
+
+# --- initialisation ----------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_init_draws_each_head_in_order(seed, heads):
+    cfg = small_config(seed=seed, heads_per_layer=heads, hidden_units=3, dense_units=5)
+    for embed_dim in (0, 2):
+        model = new_model(6, cfg, embed_dim=embed_dim)
+        want = drawn_in_order(6, cfg, embed_dim=embed_dim)
+        assert list(model.params) == list(want)
+        for key in want:
+            assert np.array_equal(model.params[key], want[key]), key
+        assert model.params["att1.W"].shape == (heads, 3, 3)
+        assert model.params["att1.a"].shape == (heads, 6)
+        assert (model.n_features, model.dense_units, model.hidden_units, model.heads,
+                model.n_layers, model.embed_dim) == (6, 5, 3, heads, 2, embed_dim)
 
 
 # --- forward -------------------------------------------------------------

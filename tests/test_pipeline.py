@@ -311,21 +311,6 @@ def test_doc_id_entity_clash_rejected(tmp_path):
         run_stage("aggregate", cfg)
 
 
-def test_jobs_parallel_matches_serial(workdir):
-    cfg = load_config(workdir / "run.cfg")
-    run_stage("preprocess", cfg, jobs=4)
-    art = Artifacts(cfg.output_dir)
-    serial_dir = workdir / "serial"
-    cfg2 = parse_config(
-        (workdir / "run.cfg").read_text() + "output_dir = serial\n", workdir
-    )
-    run_stage("preprocess", cfg2)
-    for p in sorted(art.concepts_dir.glob("*.txt")):
-        q = Artifacts(cfg2.output_dir).concept_path(p.stem)
-        assert p.read_text() == q.read_text()
-    assert serial_dir.exists()
-
-
 def _output_copy(workdir, name):
     return parse_config(
         (workdir / "run.cfg").read_text() + f"output_dir = {name}\n", workdir
@@ -511,6 +496,17 @@ def test_cli_exit_two_on_missing_config(tmp_path):
 
 def test_cli_exit_three_on_missing_stage_input(workdir):
     assert main(["train", "--config", str(workdir / "run.cfg")]) == 3
+
+
+def test_cli_exit_two_on_unreadable_checkpoint(workdir, caplog):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path]) == 0
+    # a checkpoint of the per-head layout, which version 2 replaced
+    old = Artifacts(workdir / "out").model_path(0, "E")
+    np.savez(old, __meta__=np.array(json.dumps({"version": 1})), **{"att0.h0.W": np.zeros((8, 8))})
+    assert main(["evaluate", "--config", cfg_path, "--force"]) == 2
+    assert str(old) in caplog.text
+    assert "train --force" in caplog.text
 
 
 def test_cli_seed_override_changes_fold_assignment(workdir):
