@@ -30,7 +30,13 @@ class MissingEmbedding(KgatnetError):
 
 
 class NonFiniteLoss(KgatnetError):
-    """Training loss became NaN or Inf, signalling divergence."""
+    """Training loss became NaN or Inf, signalling divergence.  When a
+    stack of models was trained, `model` is the index of the one that
+    diverged."""
+
+    def __init__(self, message: str, model: int | None = None):
+        super().__init__(message)
+        self.model = model
 
 
 class DuplicateDocumentId(KgatnetError):

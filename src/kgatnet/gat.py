@@ -23,17 +23,33 @@ are combined by averaging (not concatenation), and the per-essay
 classifier input is the concatenation of every attention layer's output,
 optionally extended with a fixed per-essay embedding vector.
 
+Every parameter may also carry leading model axes: a stack of M models
+has `proj.W` of shape (M, D, n_features), `att{k}.W` of shape
+(M, L, F, D) and so on, and the forward pass, the gradients, the loss and
+Adam take every model's step in the same numpy calls.  The kernels treat
+(M, L) as the batch axis that L is for one model; the input projection
+multiplies the shared features by every model's `proj.W` placed side by
+side, and the backward's scatter is one block-diagonal SpMM.  The (E, F)
+loops run once per (model, head).  `train_stack` fits the (fold, trait)
+classifiers that share a graph and a training-set size this way, each
+model with its own generator, split, batch order, early stopping and
+snapshot; a model that stops leaves the stack.
+
 Every kernel adds in the same order as the per-head layer that
 `tests/oracles.py` keeps as a reference (one head at a time, scattering
-with `np.add.at`), and the tests hold the two bit-equal, so results do not
-depend on how the heads are batched.
+with `np.add.at`), and every stacked operation in the same order as one
+model's, so results do not depend on how heads or models are batched:
+the tests hold a stacked training bit-equal to the per-model loop kept
+there.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,14 +116,14 @@ def _elu_grad(pre, out):
 
 
 def softmax_rows(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    return ez / ez.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_rows(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 # --- graph tensors -------------------------------------------------------
@@ -148,19 +164,25 @@ class GraphTensors:
     def n_essays(self) -> int:
         return len(self.essay_idx)
 
-    def _stacked_src_major(self, heads):
-        """(indices, indptr) of `heads` transposed adjacency matrices stacked
-        as one (heads*N, N) CSR matrix: row h*N + j lists node j's outgoing
-        edges in src-major order.  Built once per head count, in the index
-        dtype scipy picks, so a matrix over them is cheap to construct."""
-        if heads not in self._stacked:
-            E = len(self.src)
+    def transposed_attention(self, alpha):
+        """The transposed attention matrices of `alpha` (B, L, E), block b's
+        L heads stacked as one block-diagonal (B*L*N, B*N) CSR matrix: row
+        (b*L + l)*N + j lists node j's outgoing edges in src-major order,
+        in the columns b*N + dst.  The matrix is built once per (B, L) and
+        its data refilled on each call, so only the latest shape is kept."""
+        B, L, E = alpha.shape
+        m = self._stacked.get((B, L))
+        if m is None:
+            self._stacked.clear()
+            n = self.n_nodes
+            cols = self.dst[self.src_order] + n * np.repeat(np.arange(B), L)[:, None]
             m = sp.csr_matrix(
-                (np.empty(heads * E), np.tile(self.dst[self.src_order], heads),
-                 np.append(self.src_indptr[:-1] + E * np.arange(heads)[:, None], heads * E)),
-                shape=(heads * self.n_nodes, self.n_nodes))
-            self._stacked[heads] = (m.indices, m.indptr)
-        return self._stacked[heads]
+                (np.empty(B * L * E), cols.ravel(),
+                 np.append(self.src_indptr[:-1] + E * np.arange(B * L)[:, None], B * L * E)),
+                shape=(B * L * n, B * n))
+            self._stacked[(B, L)] = m
+        np.take(alpha.reshape(B * L, E), self.src_order, axis=1, out=m.data.reshape(B * L, E))
+        return m
 
 
 def tensors_from_aggregated(agg) -> GraphTensors:
@@ -191,62 +213,70 @@ def _tree_sum(arrays):
 
 
 def attention_layer_forward(H, tensors, W, a):
-    """One multi-head layer over the stacked head weights W (L, F, D) and
-    attention vectors a (L, 2F): per-head attention sums averaged, then ELU.
+    """One multi-head layer over the stacked head weights W (..., L, F, D)
+    and attention vectors a (..., L, 2F), for input H (..., N, D): per-head
+    attention sums averaged, then ELU.  Leading axes are models.
 
-    The cache keeps the batched (L, N, F) projection Wh and the (L, E)
-    scores pre and weights alpha."""
+    The cache keeps the batched (..., L, N, F) projection Wh and the
+    (..., L, E) scores pre and weights alpha."""
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    fh = W.shape[1]
-    Wh = np.matmul(H, W.transpose(0, 2, 1))                       # (L, N, F)
-    # against an (L, F, 1) column, matmul runs the per-head `Wh @ a` GEMV
-    pre = (np.take(np.matmul(Wh, a[:, :fh, None])[..., 0], dst, axis=1)
-           + np.take(np.matmul(Wh, a[:, fh:, None])[..., 0], src, axis=1))  # (L, E)
+    fh = W.shape[-2]
+    Wh = np.matmul(H[..., None, :, :], W.swapaxes(-1, -2))       # (..., L, N, F)
+    # against an (..., F, 1) column, matmul runs the per-head `Wh @ a` GEMV
+    pre = (np.take(np.matmul(Wh, a[..., :fh, None])[..., 0], dst, axis=-1)
+           + np.take(np.matmul(Wh, a[..., fh:, None])[..., 0], src, axis=-1))  # (..., L, E)
     alpha = segment_softmax(leaky_relu(pre), dst, seg)
-    # one (E, F) product per head: all heads at once would hold L of them
-    head_sums = []
-    for Wh_l, alpha_l in zip(Wh, alpha):
+    # one (E, F) product per model and head: all at once would hold M*L of them
+    sums = np.empty(Wh.shape)
+    n, E = Wh.shape[-2], len(src)
+    for s_l, Wh_l, alpha_l in zip(sums.reshape(-1, n, fh), Wh.reshape(-1, n, fh),
+                                  alpha.reshape(-1, E)):
         msg = np.take(Wh_l, src, axis=0)
         msg *= alpha_l[:, None]
-        head_sums.append(np.add.reduceat(msg, seg, axis=0))
-    avg = _tree_sum(head_sums) / len(W)
+        np.add.reduceat(msg, seg, axis=0, out=s_l)
+    avg = _tree_sum(np.moveaxis(sums, -3, 0)) / W.shape[-3]
     out = elu(avg)
     return out, (H, avg, out, Wh, pre, alpha)
 
 
 def attention_layer_backward(dOut, cache, tensors, W, a):
-    """Returns the gradients wrt the layer input, W (L, F, D) and a (L, 2F)."""
+    """Returns the gradients wrt the layer input, W (..., L, F, D) and
+    a (..., L, 2F)."""
     H, avg, out, Wh, pre, alpha = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    n, (L, fh) = H.shape[0], W.shape[:2]
-    dHeadSum = (dOut * _elu_grad(avg, out)) / L
-    m = np.take(dHeadSum, dst, axis=0)                              # (E, F')
+    n, (L, fh) = H.shape[-2], W.shape[-3:-1]
+    models = math.prod(W.shape[:-3])
+    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (..., N, F)
     dalpha = np.empty_like(alpha)
-    for l in range(L):
-        dalpha[l] = np.einsum("ef,ef->e", m, np.take(Wh[l], src, axis=0))
-    # dWh[l, j] = sum over edges (i <- j) of alpha[l, e] * dHeadSum[i]: the
-    # heads' transposed attention matrices stacked as one CSR matrix, whose
-    # rows add their edges in the same order as a scatter over src would
-    A_T = sp.csr_matrix(
-        (np.take(alpha, tensors.src_order, axis=1).ravel(), *tensors._stacked_src_major(L)),
-        shape=(L * n, n))
-    dWh = (A_T @ dHeadSum).reshape(L, n, fh)
+    for dHS_m, Wh_m, dalpha_m in zip(dHeadSum.reshape(models, n, fh),
+                                     Wh.reshape(models, L, n, fh),
+                                     dalpha.reshape(models, L, -1)):
+        m = np.take(dHS_m, dst, axis=0)                             # (E, F)
+        for l in range(L):
+            dalpha_m[l] = np.einsum("ef,ef->e", m, np.take(Wh_m[l], src, axis=0))
+    # dWh[..., l, j] = sum over edges (i <- j) of alpha[..., l, e] * dHeadSum[..., i]:
+    # every model's and head's transposed attention matrix in one block-diagonal
+    # CSR matrix, whose rows add their edges in the order a scatter over src would
+    A_T = tensors.transposed_attention(alpha.reshape(models, L, -1))
+    dWh = (A_T @ dHeadSum.reshape(models * n, fh)).reshape(Wh.shape)
     # softmax backward within each destination segment
     t = alpha * dalpha
-    de = alpha * (dalpha - np.take(np.add.reduceat(t, seg, axis=1), dst, axis=1))
+    de = alpha * (dalpha - np.take(np.add.reduceat(t, seg, axis=-1), dst, axis=-1))
     dpre = de * np.where(pre > 0, 1.0, LEAKY_SLOPE)
-    dd = np.add.reduceat(dpre, seg, axis=1)                         # per-destination term
-    ds = np.bincount((src + n * np.arange(L)[:, None]).ravel(), weights=dpre.ravel(),
-                     minlength=L * n).reshape(L, n)
-    # the rest one head at a time, so no (L, N, F) temporary is made
+    dd = np.add.reduceat(dpre, seg, axis=-1)                        # per-destination term
+    ds = np.bincount((src + n * np.arange(models * L)[:, None]).ravel(),
+                     weights=dpre.ravel(), minlength=models * L * n).reshape(dd.shape)
+    # the rest one head at a time, so no (..., L, N, F) temporary is made
     dH = np.zeros_like(H)
     da = np.empty_like(a)
     for l in range(L):
-        da[l, :fh] = Wh[l].T @ dd[l]
-        da[l, fh:] = Wh[l].T @ ds[l]
-        dWh[l] += dd[l][:, None] * a[l, :fh] + ds[l][:, None] * a[l, fh:]
-        dH += dWh[l] @ W[l]
-    dW = np.matmul(dWh.transpose(0, 2, 1), H)
+        Wh_T = Wh[..., l, :, :].swapaxes(-1, -2)
+        da[..., l, :fh] = np.matmul(Wh_T, dd[..., l, :, None])[..., 0]
+        da[..., l, fh:] = np.matmul(Wh_T, ds[..., l, :, None])[..., 0]
+        dWh[..., l, :, :] += (dd[..., l, :, None] * a[..., l, None, :fh]
+                              + ds[..., l, :, None] * a[..., l, None, fh:])
+        dH += np.matmul(dWh[..., l, :, :], W[..., l, :, :])
+    dW = np.matmul(dWh.swapaxes(-1, -2), H[..., None, :, :])
     return dH, dW, da
 
 
@@ -254,25 +284,31 @@ def attention_layer_backward(dOut, cache, tensors, W, a):
 
 @dataclass
 class GatModel:
-    """The parameters; the geometry is read from their shapes."""
+    """The parameters; the geometry is read from their shapes.  Leading
+    axes in front of every parameter's own shape are models
+    (`stack_shape`): () for one model, (M,) for a stack of M."""
 
     params: dict[str, np.ndarray] = field(repr=False)
 
     @property
+    def stack_shape(self) -> tuple[int, ...]:
+        return self.params["proj.b"].shape[:-1]
+
+    @property
     def n_features(self) -> int:
-        return self.params["proj.W"].shape[1]
+        return self.params["proj.W"].shape[-1]
 
     @property
     def dense_units(self) -> int:
-        return self.params["proj.W"].shape[0]
+        return self.params["proj.W"].shape[-2]
 
     @property
     def heads(self) -> int:
-        return self.params["att0.W"].shape[0]
+        return self.params["att0.W"].shape[-3]
 
     @property
     def hidden_units(self) -> int:
-        return self.params["att0.W"].shape[1]
+        return self.params["att0.W"].shape[-2]
 
     @property
     def n_layers(self) -> int:
@@ -281,7 +317,7 @@ class GatModel:
     @property
     def embed_dim(self) -> int:
         """0 when not enriched."""
-        return self.params["clf.W"].shape[1] - self.n_layers * self.hidden_units
+        return self.params["clf.W"].shape[-1] - self.n_layers * self.hidden_units
 
     def copy_params(self):
         return {k: v.copy() for k, v in self.params.items()}
@@ -326,7 +362,11 @@ def _forward(model, tensors, X, embeddings):
             f"features {X.shape} vs graph ({tensors.n_nodes}, {model.n_features})"
         )
     p = model.params
-    pre0 = np.asarray(X @ p["proj.W"].T) + p["proj.b"]
+    lead, n = model.stack_shape, tensors.n_nodes
+    # every model's proj.W side by side, so the shared X is multiplied once
+    side = np.asarray(X @ p["proj.W"].reshape(-1, model.n_features).T)
+    pre0 = (np.moveaxis(side.reshape(n, *lead, model.dense_units), 0, -2)
+            + p["proj.b"][..., None, :])
     H = elu(pre0)
     caches, outs = [], []
     Hk = H
@@ -334,7 +374,7 @@ def _forward(model, tensors, X, embeddings):
         Hk, cache = attention_layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
         caches.append(cache)
         outs.append(Hk)
-    parts = [o[tensors.essay_idx] for o in outs]
+    parts = [np.take(o, tensors.essay_idx, axis=-2) for o in outs]
     if model.embed_dim:
         if embeddings is None:
             raise MissingEmbedding("model is enriched but no embeddings given")
@@ -342,11 +382,11 @@ def _forward(model, tensors, X, embeddings):
             raise ShapeMismatch(
                 f"embeddings {embeddings.shape} vs ({tensors.n_essays}, {model.embed_dim})"
             )
-        parts.append(embeddings)
+        parts.append(np.broadcast_to(embeddings, (*lead, *embeddings.shape)))
     elif embeddings is not None:
         raise ShapeMismatch("model was not built for embeddings")
-    concat = np.concatenate(parts, axis=1) if parts else np.zeros((0, 0))
-    logits = concat @ p["clf.W"].T + p["clf.b"]
+    concat = np.concatenate(parts, axis=-1)
+    logits = np.matmul(concat, p["clf.W"].swapaxes(-1, -2)) + p["clf.b"][..., None, :]
     return logits, concat, caches, pre0, H
 
 
@@ -356,44 +396,57 @@ def forward(model, tensors, X, embeddings=None):
     return softmax_rows(logits)
 
 
+def _picked(logp, y):
+    """logp[..., i, y[..., i]]: each row's log-probability of its target."""
+    return np.take_along_axis(logp, y[..., None], axis=-1)[..., 0]
+
+
 def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=None,
                        X_T=None):
     """Mean binary cross-entropy over the batch (positions index the essay
-    axis) and the gradient for every parameter.  `X_T`, when given, is
+    axis) and the gradient for every parameter.  For a stack of models,
+    `batch_positions` and `targets` carry the stack's leading axes, one
+    batch per model, and the loss is one per model.  `X_T`, when given, is
     `X.T` built once by a caller that takes many steps over the same X.
     Weight decay is left to the caller: `l2_penalty` for the loss and
-    `adam_step` for its gradient."""
+    `adam_step` for its gradient.  A non-finite loss raises
+    `NonFiniteLoss`, whose `model` is the flat index of the first model
+    whose loss diverged."""
     batch = np.asarray(batch_positions, dtype=np.int64)
     y = np.asarray(targets, dtype=np.int64)
-    if len(np.unique(batch)) != len(batch):
-        raise ValueError("batch positions must be unique")
     if batch.shape != y.shape:
         raise ShapeMismatch("batch and targets must align")
+    ordered = np.sort(batch, axis=-1)
+    if np.any(ordered[..., 1:] == ordered[..., :-1]):
+        raise ValueError("batch positions must be unique")
 
     logits, concat, caches, pre0, H0 = _forward(model, tensors, X, embeddings)
-    B = len(batch)
-    logp = log_softmax_rows(logits[batch])
-    loss = -logp[np.arange(B), y].mean()
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(f"loss diverged: {loss}")
+    B = batch.shape[-1]
+    logp = log_softmax_rows(np.take_along_axis(logits, batch[..., None], axis=-2))
+    loss = -_picked(logp, y).mean(axis=-1)
+    finite = np.isfinite(loss)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NonFiniteLoss(f"loss diverged: {loss.flat[bad]}", model=bad)
 
+    g = np.exp(logp)
+    np.put_along_axis(g, y[..., None], _picked(g, y)[..., None] - 1.0, axis=-1)
+    g /= B
     dlogits = np.zeros_like(logits)
-    dlogits[batch] = np.exp(logp)
-    dlogits[batch, y] -= 1.0
-    dlogits[batch] /= B
+    np.put_along_axis(dlogits, batch[..., None], g, axis=-2)
 
     p = model.params
     grads = {
-        "clf.W": dlogits.T @ concat,
-        "clf.b": dlogits.sum(axis=0),
+        "clf.W": np.matmul(dlogits.swapaxes(-1, -2), concat),
+        "clf.b": dlogits.sum(axis=-2),
     }
-    dconcat = dlogits @ p["clf.W"]
+    dconcat = np.matmul(dlogits, p["clf.W"])
 
     Hd = model.hidden_units
     dH_next = None
     for k in reversed(range(model.n_layers)):
-        dOut = np.zeros((tensors.n_nodes, Hd))
-        dOut[tensors.essay_idx] += dconcat[:, k * Hd : (k + 1) * Hd]
+        dOut = np.zeros((*model.stack_shape, tensors.n_nodes, Hd))
+        dOut[..., tensors.essay_idx, :] += dconcat[..., k * Hd : (k + 1) * Hd]
         if dH_next is not None:
             dOut += dH_next
         dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = attention_layer_backward(
@@ -402,10 +455,13 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
     dpre0 = dH_next * _elu_grad(pre0, H0)
     if X_T is None:
         X_T = X.T
-    grads["proj.W"] = np.asarray(X_T @ dpre0).T
-    grads["proj.b"] = dpre0.sum(axis=0)
+    # the models' dpre0 side by side, as in the forward projection
+    lead = model.stack_shape
+    side = np.asarray(X_T @ np.moveaxis(dpre0, -2, 0).reshape(tensors.n_nodes, -1))
+    grads["proj.W"] = np.moveaxis(side.reshape(-1, *lead, model.dense_units), 0, -1)
+    grads["proj.b"] = dpre0.sum(axis=-2)
 
-    return float(loss), grads
+    return loss, grads
 
 
 def _decays(name):
@@ -415,10 +471,12 @@ def _decays(name):
 
 def l2_penalty(loss, params, weight_decay):
     """`loss` plus `weight_decay` times the squared norm of every non-bias
-    parameter, added one parameter at a time in `params` order."""
+    parameter, added one parameter at a time in `params` order.  For a
+    stack, `loss` has the stack's shape and each model gets its own norm."""
+    lead = np.shape(loss)
     for name, value in params.items():
         if _decays(name):
-            loss = loss + weight_decay * float(np.sum(value * value))
+            loss = loss + weight_decay * np.sum((value * value).reshape(*lead, -1), axis=-1)
     return loss
 
 
@@ -432,12 +490,14 @@ def predict(model, tensors, X, positions=None, embeddings=None):
 
 # --- Adam ---------------------------------------------------------------
 
-def _split(flat, like):
-    """Views into `flat`, one per entry of `like`, with its shape."""
+def _split(flat, shapes):
+    """Views into `flat`, one per entry of `shapes`: the leading axes of
+    `flat` (models), then that entry's shape."""
     out, start = {}, 0
-    for key, arr in like.items():
-        out[key] = flat[start : start + arr.size].reshape(arr.shape)
-        start += arr.size
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        out[key] = flat[..., start : start + size].reshape(*flat.shape[:-1], *shape)
+        start += size
     return out
 
 
@@ -446,7 +506,8 @@ class AdamState:
     """First and second moments of every parameter, each held in one flat
     buffer; `m` and `v` map parameter names to views into them.  The
     parameters that weight decay applies to, `decayed`, come first in the
-    buffers, so their entries form one leading slice."""
+    buffers, so their entries form one leading slice.  For a stack of
+    models the buffers have one row per model."""
 
     m_flat: np.ndarray
     v_flat: np.ndarray
@@ -456,14 +517,26 @@ class AdamState:
     decayed: tuple[str, ...] = ()
 
     @classmethod
-    def for_params(cls, params):
+    def for_params(cls, params, lead=()):
+        """Zero moments for `params`, whose leading axes `lead` are models."""
         decayed = tuple(k for k in params if _decays(k))
-        layout = {k: params[k] for k in decayed}
-        layout.update((k, v) for k, v in params.items() if not _decays(k))
-        size = sum(p.size for p in params.values())
-        m_flat, v_flat = np.zeros(size), np.zeros(size)
-        return cls(m_flat, v_flat, _split(m_flat, layout), _split(v_flat, layout),
-                   decayed=decayed)
+        order = [*decayed, *(k for k in params if not _decays(k))]
+        shapes = {k: params[k].shape[len(lead):] for k in order}
+        size = sum(math.prod(s) for s in shapes.values())
+        return cls._over(np.zeros((*lead, size)), np.zeros((*lead, size)), shapes, 0, decayed)
+
+    @classmethod
+    def _over(cls, m_flat, v_flat, shapes, t, decayed):
+        return cls(m_flat, v_flat, _split(m_flat, shapes), _split(v_flat, shapes), t, decayed)
+
+    def shapes(self):
+        """Each parameter's shape without the leading model axes."""
+        return {k: v.shape[self.m_flat.ndim - 1:] for k, v in self.m.items()}
+
+    def take(self, rows):
+        """The state of the models `rows` of a one-axis stack."""
+        return AdamState._over(self.m_flat[rows], self.v_flat[rows], self.shapes(),
+                               self.t, self.decayed)
 
 
 def adam_step(params, grads, state: AdamState, lr,
@@ -475,17 +548,19 @@ def adam_step(params, grads, state: AdamState, lr,
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    g = np.concatenate([grads[key].ravel() for key in state.m])
+    lead = state.m_flat.shape[:-1]
+    g = np.concatenate([grads[key].reshape(*lead, -1) for key in state.m], axis=-1)
     if weight_decay:
-        decayed = np.concatenate([params[key].ravel() for key in state.decayed])
-        g[: decayed.size] += 2.0 * weight_decay * decayed
+        decayed = np.concatenate([params[key].reshape(*lead, -1) for key in state.decayed],
+                                 axis=-1)
+        g[..., : decayed.shape[-1]] += 2.0 * weight_decay * decayed
     m, v = state.m_flat, state.v_flat
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * (g * g)
     step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    for key, delta in _split(step, state.m).items():
+    for key, delta in _split(step, state.shapes()).items():
         params[key] -= delta
     return params, state
 
@@ -493,81 +568,129 @@ def adam_step(params, grads, state: AdamState, lr,
 # --- training loop -------------------------------------------------------
 
 def evaluate_split(model, tensors, X, positions, y, embeddings=None):
-    """(mean cross-entropy, accuracy) on the given essay positions."""
+    """(mean cross-entropy, accuracy) on the given essay positions.  For a
+    stack, `positions` and `y` carry its leading axes, and so do both
+    results."""
     logits, *_ = _forward(model, tensors, X, embeddings)
     pos = np.asarray(positions, dtype=np.int64)
-    logp = log_softmax_rows(logits[pos])
-    loss = float(-logp[np.arange(len(pos)), np.asarray(y)].mean())
-    acc = float((np.argmax(logp, axis=1) == np.asarray(y)).mean())
+    y = np.asarray(y, dtype=np.int64)
+    logp = log_softmax_rows(np.take_along_axis(logits, pos[..., None], axis=-2))
+    loss = -_picked(logp, y).mean(axis=-1)
+    acc = (np.argmax(logp, axis=-1) == y).mean(axis=-1)
     return loss, acc
 
 
-def train_trait(tensors, X, y, config: TrainConfig,
-                train_idx=None, val_idx=None, embeddings=None, seed=None):
-    """Train one binary trait classifier transductively.
-
-    `train_idx` are essay positions whose labels may be used; when `val_idx`
-    is not given, `validation_split` of them is held out (seeded shuffle) for
-    early stopping.  Returns the best-validation-accuracy snapshot and the
-    per-epoch history rows (epoch, train_loss, val_loss, val_accuracy).
-    """
-    y = np.asarray(y, dtype=np.int64)
-    if config.enriched and embeddings is None:
-        raise MissingEmbedding("enriched config requires embeddings")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-
-    if train_idx is None:
-        train_idx = np.arange(tensors.n_essays)
+def _fit_and_validation(rng, train_idx, val_idx, validation_split):
+    """The essays one model fits and the ones it validates on: `val_idx`
+    when given, else a seeded `validation_split` share of `train_idx`."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if val_idx is None:
         shuffled = rng.permutation(train_idx)
-        n_val = max(1, int(round(len(train_idx) * config.validation_split)))
+        n_val = max(1, int(round(len(train_idx) * validation_split)))
         if n_val >= len(train_idx):
             raise ConfigError("validation split leaves no training essays")
-        val_idx, fit_idx = shuffled[:n_val], shuffled[n_val:]
-    else:
-        val_idx = np.asarray(val_idx, dtype=np.int64)
-        fit_idx = train_idx
-        if set(fit_idx) & set(val_idx):
-            raise ConfigError("train and validation essay sets overlap")
+        return shuffled[n_val:], shuffled[:n_val]
+    val_idx = np.asarray(val_idx, dtype=np.int64)
+    if set(train_idx) & set(val_idx):
+        raise ConfigError("train and validation essay sets overlap")
+    return train_idx, val_idx
 
+
+def train_stack(tensors, X, ys, config: TrainConfig,
+                train_idx=None, val_idx=None, embeddings=None, seeds=None):
+    """Train one binary classifier per label vector in `ys`, transductively,
+    as one stack of models that take every step together.
+
+    Model i may use the labels ys[i] of the essay positions train_idx[i]
+    (every essay when `train_idx` is None).  When `val_idx` is not given,
+    `validation_split` of them is held out (seeded shuffle) for early
+    stopping.  Model i draws its split, its initial weights and its batch
+    orders from a generator seeded with seeds[i] (`config.seed` when
+    `seeds` is None), so it ends exactly as if trained alone.  The models
+    must fit and validate on equally many essays, so that their batches
+    have one shape.
+
+    Yields (i, best-validation-accuracy snapshot, per-epoch history rows
+    (epoch, train_loss, val_loss, val_accuracy)) for each model i as it
+    leaves the stack: when its patience runs out, or after the last epoch.
+    A diverging loss raises `NonFiniteLoss` whose `model` is the index in
+    `ys` of the model that diverged.
+    """
+    if config.enriched and embeddings is None:
+        raise MissingEmbedding("enriched config requires embeddings")
+    M = len(ys)
+    train_idx = [np.arange(tensors.n_essays)] * M if train_idx is None else train_idx
+    val_idx = [None] * M if val_idx is None else val_idx
+    seeds = [config.seed] * M if seeds is None else seeds
     embed_dim = embeddings.shape[1] if config.enriched else 0
-    model = new_model(X.shape[1], config, embed_dim=embed_dim, rng=rng)
-    state = AdamState.for_params(model.params)
+
+    rngs, fits, vals, best = [], [], [], []
+    for t_idx, v_idx, seed in zip(train_idx, val_idx, seeds, strict=True):
+        rng = np.random.default_rng(seed)
+        fit, val = _fit_and_validation(rng, t_idx, v_idx, config.validation_split)
+        rngs.append(rng)
+        fits.append(fit)
+        vals.append(val)
+        # the initial weights are each model's first snapshot
+        best.append(new_model(X.shape[1], config, embed_dim=embed_dim, rng=rng).params)
+    if len({len(f) for f in fits}) > 1 or len({len(v) for v in vals}) > 1:
+        raise ValueError("the models of a stack must fit and validate on equally many essays")
+
+    Y = np.stack([np.asarray(y, dtype=np.int64) for y in ys])
+    V = np.stack(vals)
+    YV = np.take_along_axis(Y, V, axis=1)
+    model = GatModel({k: np.stack([p[k] for p in best]) for k in best[0]})
+    state = AdamState.for_params(model.params, lead=(M,))
     X_T = X.T
 
-    best_acc = -np.inf
-    best_loss = np.inf
-    best_params = model.copy_params()
-    epochs_since_best = 0
-    history = []
+    best_acc, best_loss, since = [-np.inf] * M, [np.inf] * M, [0] * M
+    histories = [[] for _ in range(M)]
+    active = list(range(M))   # the index in ys of each row of the stack
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(fit_idx)
+        order = np.stack([rngs[i].permutation(fits[i]) for i in active])
+        Y_active = Y[active]
         batch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(
-                model, tensors, X, batch, y[batch], embeddings, X_T=X_T)
+        for start in range(0, order.shape[1], config.batch_size):
+            batch = order[:, start : start + config.batch_size]
+            try:
+                loss, grads = loss_and_gradients(
+                    model, tensors, X, batch, np.take_along_axis(Y_active, batch, axis=1),
+                    embeddings, X_T=X_T)
+            except NonFiniteLoss as exc:
+                raise NonFiniteLoss(str(exc), model=active[exc.model]) from None
             if config.weight_decay:
                 loss = l2_penalty(loss, model.params, config.weight_decay)
             adam_step(model.params, grads, state, config.learning_rate,
                       weight_decay=config.weight_decay)
             batch_losses.append(loss)
-        val_loss, val_acc = evaluate_split(model, tensors, X, val_idx, y[val_idx], embeddings)
-        history.append((epoch, float(np.mean(batch_losses)), val_loss, val_acc))
-        # accuracy on a small validation set saturates quickly, so ties are
-        # broken by loss; otherwise a lucky early epoch would freeze training
-        if val_acc > best_acc or (val_acc == best_acc and val_loss < best_loss):
-            best_acc = val_acc
-            best_loss = val_loss
-            best_params = model.copy_params()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
-    model.params = best_params
-    return model, history
+        val_loss, val_acc = evaluate_split(model, tensors, X, V[active], YV[active], embeddings)
+        # one model's mean over its batches, as a contiguous row
+        train_loss = np.stack(batch_losses, axis=-1).mean(axis=-1)
+        stay = []
+        for row, i in enumerate(active):
+            histories[i].append(
+                (epoch, float(train_loss[row]), float(val_loss[row]), float(val_acc[row])))
+            # accuracy on a small validation set saturates quickly, so ties are
+            # broken by loss; otherwise a lucky early epoch would freeze training
+            if val_acc[row] > best_acc[i] or (
+                    val_acc[row] == best_acc[i] and val_loss[row] < best_loss[i]):
+                best_acc[i], best_loss[i] = val_acc[row], val_loss[row]
+                best[i] = {k: v[row].copy() for k, v in model.params.items()}
+                since[i] = 0
+            else:
+                since[i] += 1
+            if since[i] < config.patience:
+                stay.append(row)
+            else:
+                yield i, GatModel(best[i]), histories[i]
+        if len(stay) < len(active):
+            active = [active[row] for row in stay]
+            if not active:
+                return
+            model.params = {k: v[stay] for k, v in model.params.items()}
+            state = state.take(stay)
+    for i in active:
+        yield i, GatModel(best[i]), histories[i]
 
 
 # --- persistence ---------------------------------------------------------
@@ -580,11 +703,19 @@ def save_model(model: GatModel, path):
 
 
 def load_model(path) -> GatModel:
-    with np.load(path) as npz:
-        meta = json.loads(str(npz["__meta__"][()]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-        params = {k: npz[k] for k in npz.files if k != "__meta__"}
+    """The model saved at `path`; ValueError for a file that is not a
+    readable checkpoint of this version (truncated, not an archive, no
+    metadata, another version)."""
+    try:
+        with np.load(path) as npz:
+            if "__meta__" not in npz.files:
+                raise ValueError("no checkpoint metadata")
+            meta = json.loads(str(npz["__meta__"][()]))
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
+            params = {k: npz[k] for k in npz.files if k != "__meta__"}
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a readable checkpoint: {exc}") from None
     return GatModel(params)
 
 

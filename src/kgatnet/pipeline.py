@@ -36,7 +36,7 @@ from .aggregator import (
     write_aggregated,
     write_labels_csv,
 )
-from .errors import ConfigError, DuplicateDocumentId, MissingStageInput
+from .errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss
 from .evaluation import (
     TRAITS,
     aggregate_fold_rows,
@@ -54,7 +54,7 @@ from .gat import (
     predict,
     save_model,
     tensors_from_aggregated,
-    train_trait,
+    train_stack,
     write_history,
 )
 from .kg_builder import (
@@ -508,44 +508,79 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
 # trainings run, and inherited by forked workers without pickling
 _train_inputs: tuple | None = None
 
+# a stack trains at most one fold's worth of classifiers at once, which
+# bounds a worker's activations at that many models'
+MAX_STACK = len(TRAITS)
 
-def _train_one(task: tuple[int, int]) -> None:
-    """Fit the classifier of one (fold, trait index) and write its history
-    and checkpoint; the checkpoint comes last because it marks the pair done."""
-    fold, j = task
+
+def plan_stacks(tasks: list, train_sizes: list[int], jobs: int) -> list[list]:
+    """Partition `tasks` into the stacks `train_stack` fits together.  Only
+    tasks with equally many training essays share a stack, so each group
+    of equal `train_sizes` is cut, in order, into the fewest stacks of at
+    most MAX_STACK, that count rounded up to a multiple of `jobs` (but not
+    past the group's size) so that every worker gets some, with sizes that
+    differ by at most one."""
+    jobs = max(jobs, 1)
+    groups: dict[int, list] = {}
+    for task, size in zip(tasks, train_sizes, strict=True):
+        groups.setdefault(size, []).append(task)
+    stacks = []
+    for group in groups.values():
+        count = -(-len(group) // MAX_STACK)
+        count = min(len(group), -(-count // jobs) * jobs)
+        per, extra = divmod(len(group), count)
+        start = 0
+        for k in range(count):
+            end = start + per + (k < extra)
+            stacks.append(group[start:end])
+            start = end
+    return stacks
+
+
+def _train_stack(stack: list[tuple[int, int]]) -> None:
+    """Fit the classifiers of a stack of (fold, trait index) pairs together
+    and write each one's history and checkpoint as soon as it stops; the
+    checkpoint comes last because it marks the pair done."""
     cfg, tensors, X, labels, essay_vecs, folds = _train_inputs
     art = Artifacts(cfg.output_dir)
-    train_idx = np.setdiff1d(np.arange(len(labels)), folds[fold])
-    model, history = train_trait(
-        tensors, X, labels[:, j], cfg.train,
-        train_idx=train_idx, embeddings=essay_vecs,
-        seed=[cfg.seed, fold, j],
+    everyone = np.arange(len(labels))
+    trainings = train_stack(
+        tensors, X, [labels[:, j] for _, j in stack], cfg.train,
+        train_idx=[np.setdiff1d(everyone, folds[fold]) for fold, _ in stack],
+        embeddings=essay_vecs, seeds=[[cfg.seed, fold, j] for fold, j in stack],
     )
-    write_history(history, art.history_path(fold, TRAITS[j]))
-    save_model(model, art.model_path(fold, TRAITS[j]))
+    try:
+        for i, model, history in trainings:
+            fold, j = stack[i]
+            write_history(history, art.history_path(fold, TRAITS[j]))
+            save_model(model, art.model_path(fold, TRAITS[j]))
+    except NonFiniteLoss as exc:
+        fold, j = stack[exc.model]
+        raise NonFiniteLoss(f"fold {fold}, trait {TRAITS[j]}: {exc}") from None
 
 
-def _run_trainings(inputs: tuple, todo: list[tuple[int, int]], jobs: int) -> None:
-    """Run `_train_one` on every task over `inputs`: inline when jobs <= 1 or
-    at most one task is left, otherwise in up to `jobs` forked processes,
-    since training is GIL-bound.  The first worker exception re-raises here."""
+def _run_trainings(inputs: tuple, stacks: list[list[tuple[int, int]]], jobs: int) -> None:
+    """Run `_train_stack` on every stack over `inputs`: inline when jobs <= 1
+    or at most one stack is left, otherwise in up to `jobs` forked
+    processes, since training is GIL-bound.  The first worker exception
+    re-raises here."""
     global _train_inputs
     _train_inputs = inputs
     try:
-        if jobs <= 1 or len(todo) <= 1:
-            for task in todo:
-                _train_one(task)
+        if jobs <= 1 or len(stacks) <= 1:
+            for stack in stacks:
+                _train_stack(stack)
             return
         # imported here so that runs with nothing left to do skip the cost;
         # a fork pool forks every worker on the first submit, before it
         # starts its own manager thread, so no other thread is forked
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
+        with ProcessPoolExecutor(max_workers=min(jobs, len(stacks)),
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             # consume to re-raise the first worker exception; map cancels
-            # the tasks not yet started
-            list(pool.map(_train_one, todo))
+            # the stacks not yet started
+            list(pool.map(_train_stack, stacks))
     finally:
         _train_inputs = None
 
@@ -576,11 +611,13 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     if recorded != text:
         _write_atomically(art.splits, text.encode("utf-8"))
 
-    # every training seeds its own generator with [seed, fold, trait], so
-    # the outputs do not depend on how the pool schedules them
+    # every training seeds its own generator with [seed, fold, trait], and
+    # a stack computes each model as if alone, so the outputs depend neither
+    # on how the trainings are stacked nor on how the pool schedules them
     todo = [(i, j) for i in range(len(folds)) for j, trait in enumerate(TRAITS)
             if force or not art.model_path(i, trait).exists()]
-    _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), todo, jobs)
+    stacks = plan_stacks(todo, [len(labels) - len(folds[i]) for i, _ in todo], jobs)
+    _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs)
 
     log.info("train: %d models fitted, %d already present",
              len(todo), len(folds) * len(TRAITS) - len(todo))

@@ -3,10 +3,11 @@
 The naive oracles are deliberately written with per-node python loops and
 plain math, so a shared bug with the vectorized production code is unlikely.
 The per-head attention layer, the pairwise edge-list loop, the per-key
-Adam step and the one-array-at-a-time initialisation are the
-straightforward formulations the vectorized code must reproduce bit for
-bit.  The skip-gram trainer at the end makes each center's step one
-target at a time; the batched kernel must match it to rounding.
+Adam step, the one-array-at-a-time initialisation and the one-model
+training loop are the straightforward formulations the vectorized and
+stacked code must reproduce bit for bit.  The skip-gram trainer at the
+end makes each center's step one target at a time; the batched kernel
+must match it to rounding.
 The document graph is built the long way: every concept's description
 unioned into one graph, then filtered down to the concepts.  The
 weight-decayed loss adds the L2 term's gradient per parameter, the
@@ -19,17 +20,22 @@ import math
 
 import numpy as np
 
-from kgatnet.errors import ShapeMismatch
+from kgatnet.errors import ConfigError, MissingEmbedding, ShapeMismatch
 from kgatnet.gat import (
     LEAKY_SLOPE,
+    AdamState,
+    TrainConfig,
     _decays,
     _elu_grad,
     _tree_sum,
+    adam_step,
     attention_layer_forward,
     elu,
+    evaluate_split,
     l2_penalty,
     leaky_relu,
     loss_and_gradients,
+    new_model,
 )
 from kgatnet.kg_builder import KnowledgeGraph, norm_edge, title_case
 
@@ -289,6 +295,78 @@ def per_key_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e
         v[key] *= beta2
         v[key] += (1.0 - beta2) * (g * g)
         params[key] -= lr * (m[key] / c1) / (np.sqrt(v[key] / c2) + eps)
+
+
+# --- one model at a time ----------------------------------------------------
+
+# the training loop for one classifier: every model of a gat.train_stack
+# stack must end with these parameters and this history, bit for bit
+def train_trait(tensors, X, y, config: TrainConfig,
+                train_idx=None, val_idx=None, embeddings=None, seed=None):
+    """Train one binary trait classifier transductively.
+
+    `train_idx` are essay positions whose labels may be used; when `val_idx`
+    is not given, `validation_split` of them is held out (seeded shuffle) for
+    early stopping.  Returns the best-validation-accuracy snapshot and the
+    per-epoch history rows (epoch, train_loss, val_loss, val_accuracy).
+    """
+    y = np.asarray(y, dtype=np.int64)
+    if config.enriched and embeddings is None:
+        raise MissingEmbedding("enriched config requires embeddings")
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+
+    if train_idx is None:
+        train_idx = np.arange(tensors.n_essays)
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    if val_idx is None:
+        shuffled = rng.permutation(train_idx)
+        n_val = max(1, int(round(len(train_idx) * config.validation_split)))
+        if n_val >= len(train_idx):
+            raise ConfigError("validation split leaves no training essays")
+        val_idx, fit_idx = shuffled[:n_val], shuffled[n_val:]
+    else:
+        val_idx = np.asarray(val_idx, dtype=np.int64)
+        fit_idx = train_idx
+        if set(fit_idx) & set(val_idx):
+            raise ConfigError("train and validation essay sets overlap")
+
+    embed_dim = embeddings.shape[1] if config.enriched else 0
+    model = new_model(X.shape[1], config, embed_dim=embed_dim, rng=rng)
+    state = AdamState.for_params(model.params)
+    X_T = X.T
+
+    best_acc = -np.inf
+    best_loss = np.inf
+    best_params = model.copy_params()
+    epochs_since_best = 0
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(fit_idx)
+        batch_losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grads = loss_and_gradients(
+                model, tensors, X, batch, y[batch], embeddings, X_T=X_T)
+            if config.weight_decay:
+                loss = l2_penalty(loss, model.params, config.weight_decay)
+            adam_step(model.params, grads, state, config.learning_rate,
+                      weight_decay=config.weight_decay)
+            batch_losses.append(loss)
+        val_loss, val_acc = evaluate_split(model, tensors, X, val_idx, y[val_idx], embeddings)
+        history.append((epoch, float(np.mean(batch_losses)), val_loss, val_acc))
+        # accuracy on a small validation set saturates quickly, so ties are
+        # broken by loss; otherwise a lucky early epoch would freeze training
+        if val_acc > best_acc or (val_acc == best_acc and val_loss < best_loss):
+            best_acc = val_acc
+            best_loss = val_loss
+            best_params = model.copy_params()
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best >= config.patience:
+                break
+    model.params = best_params
+    return model, history
 
 
 # --- skip-gram, one target at a time ---------------------------------------

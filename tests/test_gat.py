@@ -13,8 +13,10 @@ from kgatnet.errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
+from kgatnet import gat
 from kgatnet.gat import (
     AdamState,
+    GatModel,
     GraphTensors,
     TrainConfig,
     adam_step,
@@ -29,7 +31,7 @@ from kgatnet.gat import (
     new_model,
     predict,
     save_model,
-    train_trait,
+    train_stack,
     write_history,
 )
 from oracles import (
@@ -47,6 +49,7 @@ from oracles import (
     per_head_layer_forward,
     per_key_adam_step,
     raw_attention_score,
+    train_trait,
     weight_decayed_loss_and_gradients,
 )
 
@@ -413,7 +416,7 @@ def test_weight_decay_adds_exact_l2_term():
 
 
 def test_weight_decay_in_adam_matches_per_parameter_term():
-    # train_trait adds the penalty to the loss and leaves its gradient to
+    # train_stack adds the penalty to the loss and leaves its gradient to
     # Adam's flat buffer; both must give the bits of the per-parameter
     # reference
     tensors, X, _ = tiny_instance()
@@ -585,10 +588,19 @@ def planted_corpus(n_essays=12, n_ent=5, seed=0):
     return tensors, X, np.array(y)
 
 
+def train_one(tensors, X, y, config, **kw):
+    """One classifier: a stack of one model."""
+    for name in ("train_idx", "val_idx"):
+        if kw.get(name) is not None:
+            kw[name] = [kw[name]]
+    ((_, model, history),) = train_stack(tensors, X, [y], config, **kw)
+    return model, history
+
+
 def test_train_reaches_perfect_validation_on_planted_signal():
     tensors, X, y = planted_corpus()
     cfg = small_config(epochs=50, learning_rate=0.02, patience=10, seed=7)
-    model, history = train_trait(tensors, X, y, cfg)
+    model, history = train_one(tensors, X, y, cfg)
     best_val = max(h[3] for h in history)
     assert best_val == 1.0
     assert len(history) <= 50
@@ -597,19 +609,19 @@ def test_train_reaches_perfect_validation_on_planted_signal():
 def test_train_deterministic_for_fixed_seed():
     tensors, X, y = planted_corpus()
     cfg = small_config(epochs=6, seed=5)
-    m1, h1 = train_trait(tensors, X, y, cfg)
-    m2, h2 = train_trait(tensors, X, y, cfg)
+    m1, h1 = train_one(tensors, X, y, cfg)
+    m2, h2 = train_one(tensors, X, y, cfg)
     assert h1 == h2
     for k in m1.params:
         assert np.array_equal(m1.params[k], m2.params[k])
-    m3, _ = train_trait(tensors, X, y, small_config(epochs=6, seed=6))
+    m3, _ = train_one(tensors, X, y, small_config(epochs=6, seed=6))
     assert any(not np.array_equal(m3.params[k], m1.params[k]) for k in m1.params)
 
 
 def test_train_early_stopping_restores_best_snapshot():
     tensors, X, y = planted_corpus()
     cfg = small_config(epochs=40, learning_rate=0.02, patience=2, seed=7)
-    model, history = train_trait(tensors, X, y, cfg)
+    model, history = train_one(tensors, X, y, cfg)
     accs = [h[3] for h in history]
     # snapshot rule: accuracy first, loss breaks ties; first strict improvement
     best_epoch, best_key = 0, (history[0][3], -history[0][2])
@@ -630,14 +642,92 @@ def test_train_early_stopping_restores_best_snapshot():
 def test_train_explicit_split_overlap_rejected():
     tensors, X, y = planted_corpus()
     with pytest.raises(ConfigError):
-        train_trait(tensors, X, y, small_config(),
+        train_one(tensors, X, y, small_config(),
                     train_idx=np.array([0, 1, 2]), val_idx=np.array([2, 3]))
 
 
 def test_train_enriched_requires_embeddings():
     tensors, X, y = planted_corpus()
     with pytest.raises(MissingEmbedding):
-        train_trait(tensors, X, y, small_config(enriched=True))
+        train_one(tensors, X, y, small_config(enriched=True))
+
+
+def stack_corpus(n_essays=14, n_ent=6, seed=0):
+    """A planted corpus with sparse features, as the pipeline passes them,
+    and five label vectors: the planted one and four random ones."""
+    rng = np.random.default_rng(seed)
+    tensors, X, y = planted_corpus(n_essays, n_ent, seed)
+    ys = [y] + [(rng.random(n_essays) < 0.5).astype(int) for _ in range(4)]
+    return tensors, sp.csr_matrix(X), ys, rng.normal(size=(n_essays, 3))
+
+
+@pytest.mark.parametrize("models", [1, 3, 5])
+@pytest.mark.parametrize("weight_decay,enriched", [(0.0, False), (0.02, False), (0.02, True)])
+@pytest.mark.parametrize("batch_size", [4, 1])
+def test_stack_matches_per_model_loop_bitwise(models, weight_decay, enriched, batch_size):
+    tensors, X, ys, vecs = stack_corpus()
+    cfg = small_config(epochs=12, learning_rate=0.02, patience=2, dense_units=5,
+                       batch_size=batch_size, weight_decay=weight_decay, enriched=enriched)
+    embeddings = vecs if enriched else None
+    # each model leaves out two other essays: 12 to train on, 3 held out
+    # for validation and 9 to fit, so the last batch of 4 holds one essay,
+    # and batches of 1 make an epoch's mean loss a pairwise sum of 9
+    train_idx = [np.delete(np.arange(14), [i, i + 3]) for i in range(models)]
+    seeds = [[3, i, 7 - i] for i in range(models)]
+    stacked = list(train_stack(tensors, X, ys[:models], cfg, train_idx=train_idx,
+                               embeddings=embeddings, seeds=seeds))
+    epochs = {i: len(history) for i, _, history in stacked}
+    # each model comes back as it leaves the stack, ties in stack order
+    assert [i for i, _, _ in stacked] == sorted(range(models), key=lambda i: (epochs[i], i))
+    for i, model, history in stacked:
+        want_model, want_history = train_trait(tensors, X, ys[i], cfg, train_idx=train_idx[i],
+                                               embeddings=embeddings, seed=seeds[i])
+        assert history == want_history
+        assert model.params.keys() == want_model.params.keys()
+        for key in model.params:
+            assert np.array_equal(model.params[key], want_model.params[key]), (i, key)
+    if models == 5:
+        # the models leave the stack at different epochs
+        assert len(set(epochs.values())) > 1
+
+
+def test_stack_rejects_unequal_training_sizes():
+    tensors, X, ys, _ = stack_corpus()
+    with pytest.raises(ValueError, match="equally many"):
+        list(train_stack(tensors, X, ys[:2], small_config(),
+                         train_idx=[np.arange(12), np.arange(11)]))
+
+
+def test_stacked_loss_names_the_diverging_model():
+    tensors, X, _ = tiny_instance()
+    models = [new_model(X.shape[1], small_config(seed=s)) for s in (1, 2, 3)]
+    stack = GatModel({k: np.stack([m.params[k] for m in models]) for k in models[0].params})
+    stack.params["proj.W"][1, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss) as info:
+        loss_and_gradients(stack, tensors, X, [[0, 1]] * 3, [[0, 1]] * 3)
+    assert info.value.model == 1
+
+
+def test_stack_divergence_names_the_model_by_its_index(monkeypatch):
+    # after the first model leaves, the row of the stack is no longer the
+    # index of the model; the error must carry the index
+    tensors, X, ys, _ = stack_corpus()
+    cfg = small_config(epochs=12, learning_rate=0.02, patience=2)
+    seeds = [[3, i] for i in range(5)]
+    lengths = {i: len(h) for i, _, h in train_stack(tensors, X, ys, cfg, seeds=seeds)}
+    first_out = min(lengths.values())
+    assert first_out < cfg.epochs
+    real = gat.loss_and_gradients
+
+    def diverge_after_shrinking(model, tensors, X, batch, *args, **kw):
+        if np.shape(batch)[0] < 5:
+            raise NonFiniteLoss("loss diverged: nan", model=0)
+        return real(model, tensors, X, batch, *args, **kw)
+
+    monkeypatch.setattr(gat, "loss_and_gradients", diverge_after_shrinking)
+    with pytest.raises(NonFiniteLoss) as info:
+        list(train_stack(tensors, X, ys, cfg, seeds=seeds))
+    assert info.value.model == min(i for i, n in lengths.items() if n > first_out)
 
 
 def test_predict_tie_goes_to_class_zero():

@@ -11,16 +11,18 @@ import numpy as np
 import pytest
 
 from kgatnet.cli import main
-from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput
+from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss
 from kgatnet.aggregator import read_aggregated
 from kgatnet.kg_builder import CachingSource, NTriplesSource, SparqlEndpointSource, read_graph
 from kgatnet.pipeline import (
+    MAX_STACK,
     Artifacts,
     _make_folds,
     load_config,
     load_corpus,
     make_source,
     parse_config,
+    plan_stacks,
     run_stage,
     with_overrides,
 )
@@ -330,6 +332,78 @@ def test_train_jobs_processes_match_serial_bytes(workdir):
     assert a.metrics.read_bytes() == b.metrics.read_bytes()
 
 
+def test_train_jobs_match_serial_bytes_under_cv_with_uneven_folds(workdir):
+    # 30 essays in 7 folds: 10 trainings on 25 essays and 25 on 26, and at
+    # --jobs 2 the 25 go to six stacks, so stacks mix two folds
+    text = (workdir / "run.cfg").read_text().replace("protocol = split80", "protocol = cv")
+    serial, parallel = (parse_config(text + f"cv_folds = 7\noutput_dir = {name}\n", workdir)
+                        for name in ("serial", "parallel"))
+    folds = _make_folds(30, serial)
+    todo = [(i, j) for i in range(len(folds)) for j in range(5)]
+    sizes = [30 - len(folds[i]) for i, _ in todo]
+    assert sorted(set(sizes)) == [25, 26]
+    assert any(len({i for i, _ in stack}) > 1 for stack in plan_stacks(todo, sizes, 2))
+    for stage in ("preprocess", "build", "aggregate"):
+        run_stage(stage, serial)
+        run_stage(stage, parallel)
+    run_stage("train", serial, jobs=1)
+    run_stage("train", parallel, jobs=2)
+    a, b = Artifacts(serial.output_dir), Artifacts(parallel.output_dir)
+    files = sorted(p.name for p in a.models_dir.iterdir())
+    assert len(files) == 71  # 35 checkpoints, 35 histories, splits.json
+    assert sorted(p.name for p in b.models_dir.iterdir()) == files
+    for name in files:
+        assert (a.models_dir / name).read_bytes() == (b.models_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("n_tasks,jobs,want", [
+    (15, 1, [5, 5, 5]),           # fixture-cv serially
+    (15, 2, [4, 4, 4, 3]),        # fixture-cv at --jobs 2
+    (5, 2, [3, 2]),               # one split80 fold at --jobs 2
+    (50, 2, [5] * 10),
+    (15, 8, [2] * 7 + [1]),
+    (3, 8, [1, 1, 1]),            # never more stacks than trainings
+])
+def test_plan_stacks_one_group(n_tasks, jobs, want):
+    tasks = list(range(n_tasks))
+    stacks = plan_stacks(tasks, [20] * n_tasks, jobs)
+    assert [len(s) for s in stacks] == want
+    assert [t for s in stacks for t in s] == tasks
+
+
+def test_plan_stacks_rule():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n, jobs = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        sizes = rng.choice([20, 21, 22], size=n).tolist()
+        tasks = list(range(n))
+        stacks = plan_stacks(tasks, sizes, jobs)
+        assert sorted(t for s in stacks for t in s) == tasks
+        for size in set(sizes):
+            group = [t for t in tasks if sizes[t] == size]
+            mine = [s for s in stacks if sizes[s[0]] == size]
+            # one training-set size per stack, the group's order kept
+            assert [t for s in mine for t in s] == group
+            lengths = [len(s) for s in mine]
+            assert max(lengths) <= MAX_STACK and max(lengths) - min(lengths) <= 1
+            fewest = -(-len(group) // MAX_STACK)
+            if len(mine) < len(group):
+                assert len(mine) % jobs == 0 and len(mine) < fewest + jobs
+            else:
+                assert all(length == 1 for length in lengths)
+
+
+def test_divergence_names_fold_and_trait(workdir):
+    cfg_path = workdir / "run.cfg"
+    cfg_path.write_text(cfg_path.read_text() + "learning_rate = 1e300\n")
+    cfg = load_config(cfg_path)
+    for stage in ("preprocess", "build", "aggregate"):
+        run_stage(stage, cfg)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss,
+                                                  match="fold 0, trait O: loss diverged"):
+        run_stage("train", cfg, jobs=1)
+
+
 def test_cli_divergence_in_a_worker_exits_five(workdir):
     cfg_path = workdir / "run.cfg"
     # the first Adam step moves every weight by about the learning rate,
@@ -506,6 +580,16 @@ def test_cli_exit_two_on_unreadable_checkpoint(workdir, caplog):
     np.savez(old, __meta__=np.array(json.dumps({"version": 1})), **{"att0.h0.W": np.zeros((8, 8))})
     assert main(["evaluate", "--config", cfg_path, "--force"]) == 2
     assert str(old) in caplog.text
+    assert "train --force" in caplog.text
+
+
+def test_cli_exit_two_on_truncated_checkpoint(workdir, caplog):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path]) == 0
+    cut = Artifacts(workdir / "out").model_path(0, "A")
+    cut.write_bytes(cut.read_bytes()[:100])
+    assert main(["evaluate", "--config", cfg_path, "--force"]) == 2
+    assert str(cut) in caplog.text
     assert "train --force" in caplog.text
 
 
