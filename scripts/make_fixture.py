@@ -34,6 +34,9 @@ from kgatnet.preprocess import (
 
 TRAITS = "OCEAN"
 
+# _deal_membership's pairwise target of 6 is feasible only at this size
+N_DOCS = 30
+
 SIGNATURES = {
     "O": ("Painting", "Museum", "Poetry"),
     "C": ("Schedule", "Checklist", "Deadline"),
@@ -151,17 +154,18 @@ def build_dump(rng: np.random.Generator) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _deal_membership(rng: np.random.Generator, n_docs: int, half: int):
+def _deal_membership(rng: np.random.Generator):
     """30x5 binary membership with column sums 15, row sums 2 or 3, and all
     pairwise co-activation counts annealed to exactly 6 (their feasible mean)."""
+    half = N_DOCS // 2
     # row capacities force the pairwise sum to 15*C(3,2) + 15*C(2,2) = 60,
     # i.e. a mean of 6 per trait pair
     target = 6
 
     def greedy():
-        row_caps = np.array([3] * half + [2] * (n_docs - half))
+        row_caps = np.array([3] * half + [2] * (N_DOCS - half))
         rng.shuffle(row_caps)
-        m = np.zeros((n_docs, 5), dtype=int)
+        m = np.zeros((N_DOCS, 5), dtype=int)
         for j in range(5):
             caps = row_caps - m.sum(axis=1)
             pool = np.flatnonzero(caps > 0)
@@ -207,21 +211,18 @@ def main() -> int:
     default_out = Path(__file__).resolve().parent.parent / "src" / "kgatnet" / "data" / "fixture"
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=default_out)
-    ap.add_argument("--docs", type=int, default=30)
     args = ap.parse_args()
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(7)
-    n_docs = args.docs
-    half = n_docs // 2
 
     # Balanced membership: each trait is on in half the documents, each
     # document is active in two or three traits (so essay degrees sit in a
     # narrow band), and every trait pair co-occurs in exactly six documents.
     # The last condition caps inter-trait label correlation at 0.2; without
     # it, one trait's signature entities leak into another's classifier.
-    members = _deal_membership(rng, n_docs, half)
+    members = _deal_membership(rng)
     if members is None:
         raise SystemExit("could not deal balanced trait membership")
 
@@ -230,7 +231,7 @@ def main() -> int:
     for t in TRAITS:
         cands = [d for d in sorted(members[t]) if d not in flip.values()]
         flip[t] = cands[int(rng.integers(len(cands)))]
-    labels = np.zeros((n_docs, 5), dtype=int)
+    labels = np.zeros((N_DOCS, 5), dtype=int)
     for j, t in enumerate(TRAITS):
         for d in members[t]:
             labels[d, j] = 0 if d == flip[t] else 1
@@ -238,11 +239,11 @@ def main() -> int:
     # deal background words from a fixed-count deck (two per document, each
     # word used the same number of times) so none of them can correlate with
     # a trait strongly enough to act as a spurious separator
-    reps = -(-2 * n_docs // len(DOC_BACKGROUND))
-    deck = (DOC_BACKGROUND * reps)[: 2 * n_docs]
+    reps = -(-2 * N_DOCS // len(DOC_BACKGROUND))
+    deck = (DOC_BACKGROUND * reps)[: 2 * N_DOCS]
     for _ in range(1000):
         deal = [deck[i] for i in rng.permutation(len(deck))]
-        bg_pairs = [deal[2 * d : 2 * d + 2] for d in range(n_docs)]
+        bg_pairs = [deal[2 * d : 2 * d + 2] for d in range(N_DOCS)]
         if all(len(set(p)) == len(p) for p in bg_pairs):
             break
     else:
@@ -250,7 +251,7 @@ def main() -> int:
 
     docs = []
     new_york_docs = 0
-    for d in range(n_docs):
+    for d in range(N_DOCS):
         sig_words: list[str] = []
         for t in TRAITS:
             if d in members[t]:
@@ -327,7 +328,7 @@ def main() -> int:
         n11 = sum(labels[d, j] for d in on)
         n10 = len(on) - n11
         n01 = int(labels[:, j].sum()) - n11
-        n00 = n_docs - len(on) - n01
+        n00 = N_DOCS - len(on) - n01
         num = n11 * n00 - n10 * n01
         den = np.sqrt(float((n11 + n10) * (n01 + n00) * (n11 + n01) * (n10 + n00)))
         print(f"{t}: n11={n11} n10={n10} n01={n01} n00={n00} phi={num / den:.3f}")
@@ -335,7 +336,7 @@ def main() -> int:
     # background words must stay label-neutral; with a balanced deal the
     # worst reachable correlation is well under 0.4
     for word in set(DOC_BACKGROUND):
-        present = np.array([word in bg_pairs[d] for d in range(n_docs)], dtype=int)
+        present = np.array([word in bg_pairs[d] for d in range(N_DOCS)], dtype=int)
         for j, t in enumerate(TRAITS):
             y = labels[:, j]
             if present.std() == 0 or y.std() == 0:
@@ -343,7 +344,7 @@ def main() -> int:
             phi = float(np.corrcoef(present, y)[0, 1])
             if abs(phi) > 0.45:
                 raise SystemExit(f"background word {word} correlates with {t}: {phi:.3f}")
-    print(f"wrote {n_docs} docs, {sum(1 for l in dump_text.splitlines() if l.endswith('.'))} "
+    print(f"wrote {N_DOCS} docs, {sum(1 for l in dump_text.splitlines() if l.endswith('.'))} "
           f"statements, New_York in {new_york_docs} docs -> {out}")
     return 0
 

@@ -10,14 +10,8 @@ import argparse
 import logging
 import sys
 
-from .errors import (
-    ConfigError,
-    InvalidK,
-    MissingStageInput,
-    NetworkError,
-    NonFiniteLoss,
-)
-from .pipeline import STAGES, load_config, run_stage, with_overrides
+from .errors import ConfigError, MissingStageInput, NetworkError, NonFiniteLoss
+from .pipeline import STAGES, load_config, run_stage
 
 log = logging.getLogger("kgatnet")
 
@@ -50,12 +44,15 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = str(args.seed)
+    if args.enriched:
+        overrides["enriched"] = "true"
     try:
-        cfg = load_config(args.config)
-        cfg = with_overrides(cfg, seed=args.seed,
-                             enriched=True if args.enriched else None)
+        cfg = load_config(args.config, overrides)
         run_stage(args.stage, cfg, force=args.force, jobs=args.jobs)
-    except (ConfigError, InvalidK) as exc:
+    except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2
     except MissingStageInput as exc:

@@ -39,7 +39,7 @@ class NonFiniteLoss(KgatnetError):
         self.model = model
 
 
-class DuplicateDocumentId(KgatnetError):
+class DuplicateDocumentId(ConfigError):
     """Two corpus documents share the same id."""
 
 
@@ -51,7 +51,7 @@ class LengthMismatch(KgatnetError):
     """Predicted and actual label sequences differ in length."""
 
 
-class InvalidK(KgatnetError):
+class InvalidK(ConfigError):
     """Fold count outside the valid range for the given corpus size."""
 
 

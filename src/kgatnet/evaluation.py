@@ -126,17 +126,13 @@ def trait_correlations(labels: np.ndarray) -> np.ndarray:
 
 # --- cross-validation aggregation ----------------------------------------
 
-def aggregate_fold_rows(rows: Sequence[dict[str, float | None]]) -> dict[str, tuple[float, float] | None]:
-    """Mean and population stddev per metric over folds, skipping undefined
-    cells; a metric undefined in every fold aggregates to None."""
-    out: dict[str, tuple[float, float] | None] = {}
+def aggregate_fold_rows(rows: Sequence[dict[str, float | None]]) -> dict[str, float | None]:
+    """Mean per metric over folds, skipping undefined cells; a metric
+    undefined in every fold aggregates to None."""
+    out: dict[str, float | None] = {}
     for name in METRICS:
         vals = [r[name] for r in rows if r.get(name) is not None]
-        if not vals:
-            out[name] = None
-        else:
-            arr = np.asarray(vals, dtype=np.float64)
-            out[name] = (float(arr.mean()), float(arr.std()))
+        out[name] = float(np.asarray(vals, dtype=np.float64).mean()) if vals else None
     return out
 
 

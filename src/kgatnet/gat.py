@@ -580,33 +580,27 @@ def evaluate_split(model, tensors, X, positions, y, embeddings=None):
     return loss, acc
 
 
-def _fit_and_validation(rng, train_idx, val_idx, validation_split):
-    """The essays one model fits and the ones it validates on: `val_idx`
-    when given, else a seeded `validation_split` share of `train_idx`."""
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    if val_idx is None:
-        shuffled = rng.permutation(train_idx)
-        n_val = max(1, int(round(len(train_idx) * validation_split)))
-        if n_val >= len(train_idx):
-            raise ConfigError("validation split leaves no training essays")
-        return shuffled[n_val:], shuffled[:n_val]
-    val_idx = np.asarray(val_idx, dtype=np.int64)
-    if set(train_idx) & set(val_idx):
-        raise ConfigError("train and validation essay sets overlap")
-    return train_idx, val_idx
+def _fit_and_validation(rng, train_idx, validation_split):
+    """The essays one model fits and the seeded `validation_split` share of
+    `train_idx` it validates on."""
+    shuffled = rng.permutation(np.asarray(train_idx, dtype=np.int64))
+    n_val = max(1, int(round(len(train_idx) * validation_split)))
+    if n_val >= len(train_idx):
+        raise ConfigError("validation split leaves no training essays")
+    return shuffled[n_val:], shuffled[:n_val]
 
 
 def train_stack(tensors, X, ys, config: TrainConfig,
-                train_idx=None, val_idx=None, embeddings=None, seeds=None):
+                train_idx=None, embeddings=None, seeds=None):
     """Train one binary classifier per label vector in `ys`, transductively,
     as one stack of models that take every step together.
 
     Model i may use the labels ys[i] of the essay positions train_idx[i]
-    (every essay when `train_idx` is None).  When `val_idx` is not given,
-    `validation_split` of them is held out (seeded shuffle) for early
-    stopping.  Model i draws its split, its initial weights and its batch
-    orders from a generator seeded with seeds[i] (`config.seed` when
-    `seeds` is None), so it ends exactly as if trained alone.  The models
+    (every essay when `train_idx` is None), of which `validation_split` is
+    held out (seeded shuffle) for early stopping.  Model i draws its split,
+    its initial weights and its batch orders from a generator seeded with
+    seeds[i] (`config.seed` when `seeds` is None), so it ends exactly as if
+    trained alone.  The models
     must fit and validate on equally many essays, so that their batches
     have one shape.
 
@@ -620,14 +614,13 @@ def train_stack(tensors, X, ys, config: TrainConfig,
         raise MissingEmbedding("enriched config requires embeddings")
     M = len(ys)
     train_idx = [np.arange(tensors.n_essays)] * M if train_idx is None else train_idx
-    val_idx = [None] * M if val_idx is None else val_idx
     seeds = [config.seed] * M if seeds is None else seeds
     embed_dim = embeddings.shape[1] if config.enriched else 0
 
     rngs, fits, vals, best = [], [], [], []
-    for t_idx, v_idx, seed in zip(train_idx, val_idx, seeds, strict=True):
+    for t_idx, seed in zip(train_idx, seeds, strict=True):
         rng = np.random.default_rng(seed)
-        fit, val = _fit_and_validation(rng, t_idx, v_idx, config.validation_split)
+        fit, val = _fit_and_validation(rng, t_idx, config.validation_split)
         rngs.append(rng)
         fits.append(fit)
         vals.append(val)

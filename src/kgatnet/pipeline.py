@@ -124,11 +124,10 @@ class PipelineConfig:
         return self.train.enriched
 
 
-# key -> (kind, default); paths are resolved against the config file's
-# directory, "" marks required keys
-_PATH_KEYS = ("corpus", "dump", "output_dir", "cache_dir", "stopwords", "lemmas", "gazetteer")
-
-_KEY_DEFAULTS: dict[str, str | None] = {
+# pipeline-level key -> default (None: unset); a value is parsed as the
+# type of its key's default, and a path key's resolves against the config
+# file's directory
+_KEY_DEFAULTS: dict[str, object] = {
     "corpus": None,  # required
     "dump": None,
     "endpoint": None,
@@ -137,60 +136,60 @@ _KEY_DEFAULTS: dict[str, str | None] = {
     "stopwords": None,  # bundled list
     "lemmas": None,  # bundled table
     "gazetteer": None,  # no multi-word entities
-    "seed": "42",
+    "seed": TrainConfig.seed,  # EmbedConfig.seed is the same
     "protocol": "cv",
-    "cv_folds": "10",
-    "test_fraction": "0.2",
+    "cv_folds": 10,
+    "test_fraction": 0.2,
     "entity_features": "self",
-    "enriched": "false",
     "predicate_prefixes": "",
-    "epochs": "50",
-    "batch_size": "32",
-    "learning_rate": "0.0003",
-    "patience": "10",
-    "validation_split": "0.1",
-    "heads_per_layer": "8",
-    "hidden_units": "128",
-    "dense_units": "128",
-    "attention_layers": "5",
-    "weight_decay": "0.0",
-    "embed_dim": "500",
-    "walk_depth": "5",
-    "walks_per_node": "5",
-    "window": "5",
-    "negatives": "5",
-    "embed_epochs": "5",
-    "embed_learning_rate": "0.025",
-    "embed_min_learning_rate": "0.0001",
 }
 
+# each TrainConfig field but `seed` is set by the key of its name, and each
+# EmbedConfig field but `seed` by the key mapped to it here; the keys'
+# defaults are the fields', and the one `seed` key seeds all three configs
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+_EMBED_KEYS = {
+    "embed_dim": "dim",
+    "walk_depth": "max_depth",
+    "walks_per_node": "walks_per_node",
+    "window": "window",
+    "negatives": "negatives",
+    "embed_epochs": "epochs",
+    "embed_learning_rate": "learning_rate",
+    "embed_min_learning_rate": "min_learning_rate",
+}
+
+# every key parse_config accepts, with its default
+CONFIG_DEFAULTS: dict[str, object] = {
+    **_KEY_DEFAULTS,
+    **{key: getattr(TrainConfig, key) for key in _TRAIN_KEYS},
+    **{key: getattr(EmbedConfig, name) for key, name in _EMBED_KEYS.items()},
+}
+
+# the input files a config names
+_INPUT_FILES = ("corpus", "dump", "stopwords", "lemmas", "gazetteer")
+
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_EXPECTED = {bool: "true/false", int: "an integer", float: "a number"}
 
 
-def _to_int(key: str, raw: str) -> int:
+def _convert(key: str, raw: str, default: object) -> object:
+    """`raw` as a value of the default's type; text keys keep the string."""
+    kind = type(default)
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+        if kind is bool:
+            return _BOOL_WORDS[raw.lower()]
+        if kind in (int, float):
+            return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+    return raw
 
 
-def _to_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _to_bool(key: str, raw: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.lower()]
-    except KeyError:
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}") from None
-
-
-def parse_config(text: str, base_dir: Path | str = ".") -> PipelineConfig:
-    """Parse a flat ``key = value`` config (# comments, blank lines allowed)."""
-    base = Path(base_dir)
+def parse_config(text: str, base_dir: Path | str = ".",
+                 overrides: dict[str, str] | None = None) -> PipelineConfig:
+    """Parse a flat ``key = value`` config (# comments, blank lines allowed).
+    `overrides` maps keys to raw values that replace the text's."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -200,93 +199,40 @@ def parse_config(text: str, base_dir: Path | str = ".") -> PipelineConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_DEFAULTS:
+        if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
-
-    def get(key: str) -> str | None:
-        return raw.get(key, _KEY_DEFAULTS[key])
-
-    def path_of(key: str) -> Path | None:
-        value = get(key)
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-
-    corpus = path_of("corpus")
-    if corpus is None:
+    for key, value in (overrides or {}).items():
+        if key not in CONFIG_DEFAULTS:
+            raise ConfigError(f"unknown key {key!r}")
+        raw[key] = value
+    if "corpus" not in raw:
         raise ConfigError("missing required key 'corpus'")
-    output_dir = path_of("output_dir")
-    cache_dir = path_of("cache_dir") or output_dir / "cache"
-    seed = _to_int("seed", get("seed"))
-    prefixes = tuple(p.strip() for p in get("predicate_prefixes").split(",") if p.strip())
 
-    train = TrainConfig(
-        epochs=_to_int("epochs", get("epochs")),
-        batch_size=_to_int("batch_size", get("batch_size")),
-        learning_rate=_to_float("learning_rate", get("learning_rate")),
-        patience=_to_int("patience", get("patience")),
-        validation_split=_to_float("validation_split", get("validation_split")),
-        heads_per_layer=_to_int("heads_per_layer", get("heads_per_layer")),
-        hidden_units=_to_int("hidden_units", get("hidden_units")),
-        dense_units=_to_int("dense_units", get("dense_units")),
-        attention_layers=_to_int("attention_layers", get("attention_layers")),
-        weight_decay=_to_float("weight_decay", get("weight_decay")),
-        seed=seed,
-        enriched=_to_bool("enriched", get("enriched")),
-    )
-    embed = EmbedConfig(
-        dim=_to_int("embed_dim", get("embed_dim")),
-        max_depth=_to_int("walk_depth", get("walk_depth")),
-        walks_per_node=_to_int("walks_per_node", get("walks_per_node")),
-        window=_to_int("window", get("window")),
-        negatives=_to_int("negatives", get("negatives")),
-        epochs=_to_int("embed_epochs", get("embed_epochs")),
-        learning_rate=_to_float("embed_learning_rate", get("embed_learning_rate")),
-        min_learning_rate=_to_float("embed_min_learning_rate", get("embed_min_learning_rate")),
-        seed=seed,
-    )
-    return PipelineConfig(
-        corpus=corpus,
-        dump=path_of("dump"),
-        endpoint=get("endpoint"),
-        output_dir=output_dir,
-        cache_dir=cache_dir,
-        stopwords=path_of("stopwords"),
-        lemmas=path_of("lemmas"),
-        gazetteer=path_of("gazetteer"),
-        seed=seed,
-        protocol=get("protocol"),
-        cv_folds=_to_int("cv_folds", get("cv_folds")),
-        test_fraction=_to_float("test_fraction", get("test_fraction")),
-        entity_features=get("entity_features"),
-        predicate_prefixes=prefixes,
-        train=train,
-        embed=embed,
-    )
+    values = {key: _convert(key, raw[key], default) if key in raw else default
+              for key, default in CONFIG_DEFAULTS.items()}
+    for key in (*_INPUT_FILES, "output_dir", "cache_dir"):
+        if values[key] is not None:
+            # an absolute path replaces the base
+            values[key] = Path(base_dir) / values[key]
+    if values["cache_dir"] is None:
+        values["cache_dir"] = values["output_dir"] / "cache"
+    values["predicate_prefixes"] = tuple(
+        p.strip() for p in values["predicate_prefixes"].split(",") if p.strip())
+
+    seed = values["seed"]
+    train = TrainConfig(seed=seed, **{key: values[key] for key in _TRAIN_KEYS})
+    embed = EmbedConfig(seed=seed, **{name: values[key] for key, name in _EMBED_KEYS.items()})
+    return PipelineConfig(**{key: values[key] for key in _KEY_DEFAULTS}, train=train, embed=embed)
 
 
-def load_config(path: Path | str) -> PipelineConfig:
+def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> PipelineConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8"), p.parent)
-
-
-def with_overrides(cfg: PipelineConfig, seed: int | None = None,
-                   enriched: bool | None = None) -> PipelineConfig:
-    """Apply CLI overrides; a new seed propagates into train and embed."""
-    train, embed = cfg.train, cfg.embed
-    if seed is not None:
-        train = dataclasses.replace(train, seed=seed)
-        embed = dataclasses.replace(embed, seed=seed)
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if enriched is not None:
-        train = dataclasses.replace(train, enriched=enriched)
-    return dataclasses.replace(cfg, train=train, embed=embed)
+    return parse_config(p.read_text(encoding="utf-8"), p.parent, overrides)
 
 
 # --- corpus ----------------------------------------------------------------
@@ -309,7 +255,7 @@ def load_corpus(path: Path | str) -> list[Document]:
             if not _DOC_ID_RE.fullmatch(doc_id):
                 raise ConfigError(f"corpus line {lineno}: bad doc id {doc_id!r}")
             if doc_id in seen:
-                raise DuplicateDocumentId(doc_id)
+                raise DuplicateDocumentId(f"corpus line {lineno}: duplicate doc id {doc_id!r}")
             seen.add(doc_id)
             try:
                 bits = tuple(int(x) for x in row[2:7])
@@ -365,7 +311,7 @@ def _require(path: Path, produced_by: str) -> Path:
 
 
 def _check_config_paths(cfg: PipelineConfig) -> None:
-    for name in ("corpus", "dump", "stopwords", "lemmas", "gazetteer"):
+    for name in _INPUT_FILES:
         p = getattr(cfg, name)
         if p is not None and not Path(p).is_file():
             raise ConfigError(f"{name} file not found: {p}")
@@ -663,14 +609,7 @@ def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
             counts = confusion_counts(predicted.tolist(), labels[test_idx, j].tolist())
             fold_rows[trait].append(metric_row(counts))
 
-    per_trait: dict[str, dict[str, float | None]] = {}
-    for trait in TRAITS:
-        rows = fold_rows[trait]
-        if len(rows) == 1:
-            per_trait[trait] = rows[0]
-        else:
-            means = aggregate_fold_rows(rows)
-            per_trait[trait] = {m: (v[0] if v is not None else None) for m, v in means.items()}
+    per_trait = {trait: aggregate_fold_rows(fold_rows[trait]) for trait in TRAITS}
 
     art.reports_dir.mkdir(parents=True, exist_ok=True)
     write_metric_report(per_trait, art.metrics)
@@ -699,7 +638,7 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
         data = json.loads(art.manifest.read_text(encoding="utf-8"))
     data["config"] = _config_echo(cfg)
     inputs = {}
-    for name in ("corpus", "dump", "stopwords", "lemmas", "gazetteer"):
+    for name in _INPUT_FILES:
         p = getattr(cfg, name)
         if p is not None and Path(p).is_file():
             inputs[name] = _digest(p)

@@ -588,12 +588,9 @@ def planted_corpus(n_essays=12, n_ent=5, seed=0):
     return tensors, X, np.array(y)
 
 
-def train_one(tensors, X, y, config, **kw):
+def train_one(tensors, X, y, config):
     """One classifier: a stack of one model."""
-    for name in ("train_idx", "val_idx"):
-        if kw.get(name) is not None:
-            kw[name] = [kw[name]]
-    ((_, model, history),) = train_stack(tensors, X, [y], config, **kw)
+    ((_, model, history),) = train_stack(tensors, X, [y], config)
     return model, history
 
 
@@ -637,13 +634,6 @@ def test_train_early_stopping_restores_best_snapshot():
     loss, acc = evaluate_split(model, tensors, X, val_idx, y[val_idx])
     assert acc == max(accs)
     assert loss == min(vl for _, _, vl, va in history if va == max(accs))
-
-
-def test_train_explicit_split_overlap_rejected():
-    tensors, X, y = planted_corpus()
-    with pytest.raises(ConfigError):
-        train_one(tensors, X, y, small_config(),
-                    train_idx=np.array([0, 1, 2]), val_idx=np.array([2, 3]))
 
 
 def test_train_enriched_requires_embeddings():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput, 
 from kgatnet.aggregator import read_aggregated
 from kgatnet.kg_builder import CachingSource, NTriplesSource, SparqlEndpointSource, read_graph
 from kgatnet.pipeline import (
+    CONFIG_DEFAULTS,
     MAX_STACK,
     Artifacts,
     _make_folds,
@@ -24,11 +26,11 @@ from kgatnet.pipeline import (
     parse_config,
     plan_stacks,
     run_stage,
-    with_overrides,
 )
 from kgatnet.rdf2vec import count_pairs, generate_walks
 
-FIXTURE = Path(__file__).parent.parent / "src" / "kgatnet" / "data" / "fixture"
+ROOT = Path(__file__).parent.parent
+FIXTURE = ROOT / "src" / "kgatnet" / "data" / "fixture"
 
 MINIMAL = "corpus = corpus.csv\ndump = dump.nt\n"
 
@@ -94,20 +96,31 @@ def test_parse_config_rejects(text, fragment):
 
 
 def test_with_overrides_seed_propagates():
-    cfg = parse_config(MINIMAL)
-    out = with_overrides(cfg, seed=99)
+    out = parse_config(MINIMAL + "seed = 7\n", overrides={"seed": "99"})
     assert out.seed == 99
     assert out.train.seed == 99
     assert out.embed.seed == 99
-    # original untouched
-    assert cfg.seed == 42
+    with pytest.raises(ConfigError, match="integer"):
+        parse_config(MINIMAL, overrides={"seed": "abc"})
 
 
 def test_with_overrides_enriched_only():
-    cfg = parse_config(MINIMAL)
-    out = with_overrides(cfg, enriched=True)
+    out = parse_config(MINIMAL, overrides={"enriched": "true"})
     assert out.enriched
-    assert out.seed == cfg.seed
+    assert out.seed == 42
+    assert out == parse_config(MINIMAL + "enriched = true\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(MINIMAL, overrides={"no_such_key": "1"})
+
+
+def test_readme_configuration_table_names_every_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    named = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            named.update(re.findall(r"`([a-z_]+)`", line.split("|")[1]))
+    assert named == set(CONFIG_DEFAULTS)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -286,7 +299,7 @@ def test_build_without_preprocess_raises(workdir):
 def test_evaluate_enriched_flag_mismatch(workdir):
     cfg = load_config(workdir / "run.cfg")
     run_stage("run-all", cfg)
-    enriched_cfg = with_overrides(cfg, enriched=True)
+    enriched_cfg = load_config(workdir / "run.cfg", {"enriched": "true"})
     with pytest.raises(ConfigError, match="enriched"):
         run_stage("evaluate", enriched_cfg, force=True)
 
@@ -519,7 +532,7 @@ def test_train_new_seed_refits_every_model(workdir):
     assert main(["train", "--config", cfg_path, "--seed", "7"]) == 0
     assert json.loads(art.manifest.read_text())["stages"]["train"]["trained"] == 5
     splits = json.loads(art.splits.read_text())
-    seven = with_overrides(load_config(cfg_path), seed=7)
+    seven = load_config(cfg_path, {"seed": "7"})
     assert splits["seed"] == 7
     assert splits["folds"] == [f.tolist() for f in _make_folds(30, seven)]
 
@@ -566,6 +579,15 @@ def test_cli_exit_two_on_bad_config(tmp_path):
 
 def test_cli_exit_two_on_missing_config(tmp_path):
     assert main(["preprocess", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_cli_exit_two_on_duplicate_doc_id(workdir, caplog):
+    corpus = workdir / "corpus.csv"
+    rows = corpus.read_text(encoding="utf-8").splitlines()
+    doc02 = next(r for r in rows if r.startswith("doc02,"))
+    corpus.write_text("\n".join(rows + [doc02]) + "\n", encoding="utf-8")
+    assert main(["preprocess", "--config", str(workdir / "run.cfg")]) == 2
+    assert f"corpus line {len(rows) + 1}: duplicate doc id 'doc02'" in caplog.text
 
 
 def test_cli_exit_three_on_missing_stage_input(workdir):
