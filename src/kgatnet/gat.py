@@ -2,26 +2,28 @@
 with hand-rolled Adam and early stopping on validation accuracy.
 
 Everything is numpy float64.  The graph lives in edge-list form sorted by
-destination, so per-node softmax and aggregation reduce to `np.*.reduceat`
-over contiguous segments; self-loops guarantee every segment is non-empty.
-`GraphTensors` also keeps the src-major order of the same edges (a stable
-argsort of `src` and its CSR row pointer), so the backward pass scatters
-into source nodes as one CSR SpMM and one `np.bincount` instead of
-`np.add.at`.
+destination, so the per-node softmax reduces to `np.*.reduceat` over
+contiguous segments; self-loops guarantee every segment is non-empty.
+The same order makes the edges the rows of a CSR attention matrix, so the
+aggregation is one SpMM.  `GraphTensors` also keeps the src-major order of
+the same edges (a stable argsort of `src` and its CSR row pointer), so the
+backward pass scatters into source nodes as one SpMM with the transposed
+matrix and one `np.bincount` instead of `np.add.at`.
 
 Each attention layer keeps its L heads as two stacked parameters,
 `att{k}.W` of shape (L, F, D) and `att{k}.a` of shape (L, 2F), and runs
 them batched along that leading head axis where that needs only
 (L, N, F) or (L, E) arrays it keeps anyway: the projection, the attention
-scores, the segment softmax and its backward, the two scatters and the
-gradient of W.  The rest loops over the heads of those arrays: the (E, F)
-products over edges and features (the forward aggregation and the
-attention-weight gradient), since all heads at once would hold L of them,
-and the gradients of the attention vectors, the projected input and the
-layer input, since batched they would need (L, N, F) temporaries.  Heads
-are combined by averaging (not concatenation), and the per-essay
-classifier input is the concatenation of every attention layer's output,
-optionally extended with a fixed per-essay embedding vector.
+scores, the segment softmax and its backward, the aggregation and the two
+scatters (block-diagonal SpMMs with one block per head) and the gradient
+of W.  The rest loops over the heads of those arrays: the attention-weight
+gradient, an (E, F) product over edges and features that all heads at
+once would hold L of, and the gradients of the attention vectors, the
+projected input and the layer input, since batched they would need
+(L, N, F) temporaries.  Heads are combined by averaging (not
+concatenation), and the per-essay classifier input is the concatenation
+of every attention layer's output, optionally extended with a fixed
+per-essay embedding vector.
 
 Every parameter may also carry leading model axes: a stack of M models
 has `proj.W` of shape (M, D, n_features), `att{k}.W` of shape
@@ -29,18 +31,21 @@ has `proj.W` of shape (M, D, n_features), `att{k}.W` of shape
 Adam take every model's step in the same numpy calls.  The kernels treat
 (M, L) as the batch axis that L is for one model; the input projection
 multiplies the shared features by every model's `proj.W` placed side by
-side, and the backward's scatter is one block-diagonal SpMM.  The (E, F)
-loops run once per (model, head).  `train_stack` fits the (fold, trait)
-classifiers that share a graph and a training-set size this way, each
-model with its own generator, split, batch order, early stopping and
-snapshot; a model that stops leaves the stack.
+side, and the forward's aggregation and the backward's scatter are each
+one block-diagonal SpMM over every (model, head).  Only the
+attention-weight gradient loops, once per model over its heads.
+`train_stack` fits the (fold, trait) classifiers that share a graph and a
+training-set size this way, each model with its own generator, split,
+batch order, early stopping and snapshot; a model that stops leaves the
+stack.
 
 Every kernel adds in the same order as the per-head layer that
 `tests/oracles.py` keeps as a reference (one head at a time, scattering
-with `np.add.at`), and every stacked operation in the same order as one
-model's, so results do not depend on how heads or models are batched:
-the tests hold a stacked training bit-equal to the per-model loop kept
-there.
+with `np.add.at`: a CSR row adds its edges one at a time in edge order,
+from zero, as such a scatter does), and every stacked operation in the
+same order as one model's, so results do not depend on how heads or
+models are batched: the tests hold a stacked training bit-equal to the
+per-model loop kept there.
 """
 
 from __future__ import annotations
@@ -134,7 +139,9 @@ class GraphTensors:
     self-loop per node), sorted by (dst, src).  seg_starts[i] is the offset
     of node i's incoming-edge segment.  src_order is the stable argsort of
     src, so edges[src_order] is the same list in src-major order, and
-    src_indptr[i] is the offset of node i's outgoing edges in it."""
+    src_indptr[i] is the offset of node i's outgoing edges in it.  The
+    block-diagonal attention matrices that `attention` and
+    `transposed_attention` fill are cached for one block count at a time."""
 
     n_nodes: int
     src: np.ndarray
@@ -164,23 +171,55 @@ class GraphTensors:
     def n_essays(self) -> int:
         return len(self.essay_idx)
 
+    def _block_matrix(self, key, blocks, build):
+        """The matrix cached under `key`, made by `build()` on a miss.  Only
+        the matrices of one block count are kept: a miss for `blocks`
+        drops those of any other count, so a step's forward and transposed
+        matrices stay cached side by side."""
+        m = self._stacked.get(key)
+        if m is None:
+            for old in [k for k in self._stacked if k[1] != blocks]:
+                del self._stacked[old]
+            m = self._stacked[key] = build()
+        return m
+
+    def attention(self, alpha):
+        """The attention matrices of `alpha` (B, E), one per block, as one
+        block-diagonal (B*N, B*N) CSR matrix: row b*N + i lists node i's
+        incoming edges in dst-major order, in the columns b*N + src, so its
+        data is `alpha` as it is.  The matrix is built once per B and its
+        data refilled on each call."""
+        B, E = alpha.shape
+        n = self.n_nodes
+
+        def build():
+            offsets = np.arange(B)[:, None]
+            return sp.csr_matrix(
+                (np.empty(B * E), (self.src + n * offsets).ravel(),
+                 np.append(self.seg_starts + E * offsets, B * E)),
+                shape=(B * n, B * n))
+
+        m = self._block_matrix(("attention", B), B, build)
+        m.data[:] = alpha.ravel()
+        return m
+
     def transposed_attention(self, alpha):
         """The transposed attention matrices of `alpha` (B, L, E), block b's
         L heads stacked as one block-diagonal (B*L*N, B*N) CSR matrix: row
         (b*L + l)*N + j lists node j's outgoing edges in src-major order,
         in the columns b*N + dst.  The matrix is built once per (B, L) and
-        its data refilled on each call, so only the latest shape is kept."""
+        its data refilled on each call, and shares `attention`'s cache."""
         B, L, E = alpha.shape
-        m = self._stacked.get((B, L))
-        if m is None:
-            self._stacked.clear()
-            n = self.n_nodes
+        n = self.n_nodes
+
+        def build():
             cols = self.dst[self.src_order] + n * np.repeat(np.arange(B), L)[:, None]
-            m = sp.csr_matrix(
+            return sp.csr_matrix(
                 (np.empty(B * L * E), cols.ravel(),
                  np.append(self.src_indptr[:-1] + E * np.arange(B * L)[:, None], B * L * E)),
                 shape=(B * L * n, B * n))
-            self._stacked[(B, L)] = m
+
+        m = self._block_matrix(("transposed", B * L, L), B * L, build)
         np.take(alpha.reshape(B * L, E), self.src_order, axis=1, out=m.data.reshape(B * L, E))
         return m
 
@@ -226,14 +265,11 @@ def attention_layer_forward(H, tensors, W, a):
     pre = (np.take(np.matmul(Wh, a[..., :fh, None])[..., 0], dst, axis=-1)
            + np.take(np.matmul(Wh, a[..., fh:, None])[..., 0], src, axis=-1))  # (..., L, E)
     alpha = segment_softmax(leaky_relu(pre), dst, seg)
-    # one (E, F) product per model and head: all at once would hold M*L of them
-    sums = np.empty(Wh.shape)
-    n, E = Wh.shape[-2], len(src)
-    for s_l, Wh_l, alpha_l in zip(sums.reshape(-1, n, fh), Wh.reshape(-1, n, fh),
-                                  alpha.reshape(-1, E)):
-        msg = np.take(Wh_l, src, axis=0)
-        msg *= alpha_l[:, None]
-        np.add.reduceat(msg, seg, axis=0, out=s_l)
+    # sums[..., l, i] = sum over edges (i <- j) of alpha[..., l, e] * Wh[..., l, j]:
+    # every model's and head's attention matrix in one block-diagonal CSR
+    # matrix, whose rows add their edges in order, as a scatter over dst would
+    A = tensors.attention(alpha.reshape(-1, len(src)))
+    sums = (A @ Wh.reshape(-1, fh)).reshape(Wh.shape)
     avg = _tree_sum(np.moveaxis(sums, -3, 0)) / W.shape[-3]
     out = elu(avg)
     return out, (H, avg, out, Wh, pre, alpha)
@@ -396,9 +432,18 @@ def forward(model, tensors, X, embeddings=None):
     return softmax_rows(logits)
 
 
+def _rows(logits, positions):
+    """logits[..., positions[..., i], :]: the rows at each model's own
+    positions, indexed over one flattened model axis."""
+    flat = positions.reshape(-1, positions.shape[-1])
+    models = np.arange(len(flat))[:, None]
+    return logits.reshape(len(flat), *logits.shape[-2:])[models, flat].reshape(
+        *positions.shape, logits.shape[-1])
+
+
 def _picked(logp, y):
     """logp[..., i, y[..., i]]: each row's log-probability of its target."""
-    return np.take_along_axis(logp, y[..., None], axis=-1)[..., 0]
+    return logp.reshape(-1, logp.shape[-1])[np.arange(y.size), y.ravel()].reshape(y.shape)
 
 
 def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=None,
@@ -422,7 +467,7 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
 
     logits, concat, caches, pre0, H0 = _forward(model, tensors, X, embeddings)
     B = batch.shape[-1]
-    logp = log_softmax_rows(np.take_along_axis(logits, batch[..., None], axis=-2))
+    logp = log_softmax_rows(_rows(logits, batch))
     loss = -_picked(logp, y).mean(axis=-1)
     finite = np.isfinite(loss)
     if not finite.all():
@@ -430,10 +475,13 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
         raise NonFiniteLoss(f"loss diverged: {loss.flat[bad]}", model=bad)
 
     g = np.exp(logp)
-    np.put_along_axis(g, y[..., None], _picked(g, y)[..., None] - 1.0, axis=-1)
+    g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
     g /= B
     dlogits = np.zeros_like(logits)
-    np.put_along_axis(dlogits, batch[..., None], g, axis=-2)
+    # the batch is unique within each model, so no row is assigned twice
+    flat = batch.reshape(-1, B)
+    dlogits.reshape(len(flat), *logits.shape[-2:])[np.arange(len(flat))[:, None], flat] = (
+        g.reshape(len(flat), B, -1))
 
     p = model.params
     grads = {
@@ -574,7 +622,7 @@ def evaluate_split(model, tensors, X, positions, y, embeddings=None):
     logits, *_ = _forward(model, tensors, X, embeddings)
     pos = np.asarray(positions, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    logp = log_softmax_rows(np.take_along_axis(logits, pos[..., None], axis=-2))
+    logp = log_softmax_rows(_rows(logits, pos))
     loss = -_picked(logp, y).mean(axis=-1)
     acc = (np.argmax(logp, axis=-1) == y).mean(axis=-1)
     return loss, acc

@@ -562,6 +562,11 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     # on how the trainings are stacked nor on how the pool schedules them
     todo = [(i, j) for i in range(len(folds)) for j, trait in enumerate(TRAITS)
             if force or not art.model_path(i, trait).exists()]
+    if todo:
+        # reports of the models about to be replaced would otherwise keep
+        # `evaluate` from scoring the new ones
+        for p in (art.metrics, art.long, art.correlations):
+            p.unlink(missing_ok=True)
     stacks = plan_stacks(todo, [len(labels) - len(folds[i]) for i, _ in todo], jobs)
     _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs)
 

@@ -5,7 +5,10 @@ plain math, so a shared bug with the vectorized production code is unlikely.
 The per-head attention layer, the pairwise edge-list loop, the per-key
 Adam step, the one-array-at-a-time initialisation and the one-model
 training loop are the straightforward formulations the vectorized and
-stacked code must reproduce bit for bit.  The skip-gram trainer at the
+stacked code must reproduce bit for bit.  The per-head layer aggregates
+and scatters with `np.add.at`, one edge at a time in edge order, which is
+the order in which a CSR matrix's rows add their edges: the production
+layer's block-diagonal SpMMs must match it.  The skip-gram trainer at the
 end makes each center's step one target at a time; the batched kernel
 must match it to rounding.
 The document graph is built the long way: every concept's description
@@ -201,9 +204,10 @@ def per_head_segment_softmax(scores, dst, seg_starts):
 
 
 def per_head_layer_forward(H, tensors, Ws, As):
-    """The attention layer one head at a time, scattering with np.add.at in
-    the backward: the production layer must match it bit for bit.  Its
-    cache keeps one (Wh, pre, alpha) per head."""
+    """The attention layer one head at a time, scattering with np.add.at:
+    into destinations for the aggregation, so each node adds its incoming
+    edges one at a time in edge order.  The production layer must match it
+    bit for bit.  Its cache keeps one (Wh, pre, alpha) per head."""
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
     head_sums, head_caches = [], []
     for W, a in zip(Ws, As):
@@ -211,7 +215,9 @@ def per_head_layer_forward(H, tensors, Ws, As):
         Wh = H @ W.T
         pre = (Wh @ a[:fh])[dst] + (Wh @ a[fh:])[src]
         alpha = per_head_segment_softmax(leaky_relu(pre), dst, seg)
-        head_sums.append(np.add.reduceat(alpha[:, None] * Wh[src], seg, axis=0))
+        sums = np.zeros_like(Wh)
+        np.add.at(sums, dst, alpha[:, None] * Wh[src])
+        head_sums.append(sums)
         head_caches.append((Wh, pre, alpha))
     avg = _tree_sum(head_sums) / len(Ws)
     out = elu(avg)

@@ -1,6 +1,7 @@
 """Attention network: forward/backward math, Adam, training loop, persistence."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,36 @@ def test_from_edges_matches_pairwise_loop():
         assert np.array_equal(tensors.seg_starts, np.searchsorted(dst, np.arange(n)))
 
 
+def assert_layer_matches_per_head_reference(tensors, H, W, a, dOut):
+    """The layer, forward and backward, against the per-head reference run
+    on each model of the stack alone, bit for bit."""
+    out, cache = attention_layer_forward(H, tensors, W, a)
+    dH, dW, da = attention_layer_backward(dOut, cache, tensors, W, a)
+    assert dW.shape == W.shape and da.shape == a.shape
+    for m in np.ndindex(W.shape[:-3]):
+        ref_out, ref_cache = per_head_layer_forward(H[m], tensors, W[m], a[m])
+        assert np.array_equal(out[m], ref_out)
+        for got, want in zip(cache[:3], ref_cache[:3]):
+            assert np.array_equal(got[m], want)
+        # the batched (Wh, pre, alpha) against the reference's per-head triples
+        assert len(ref_cache[3]) == W.shape[-3]
+        for got, want in zip(cache[3:], zip(*ref_cache[3])):
+            assert np.array_equal(got[m], np.stack(want))
+        ref_dH, ref_dWs, ref_das = per_head_layer_backward(dOut[m], ref_cache, tensors,
+                                                           W[m], a[m])
+        assert np.array_equal(dH[m], ref_dH)
+        assert np.array_equal(dW[m], np.stack(ref_dWs))
+        assert np.array_equal(da[m], np.stack(ref_das))
+
+
+def random_layer(rng, n, lead, heads):
+    """A layer input, head weights, attention vectors and output gradient,
+    with `lead` model axes in front of each."""
+    f_in, f_out = int(rng.integers(2, 9)), int(rng.integers(9, 14))
+    return (rng.normal(size=(*lead, n, f_in)), rng.normal(size=(*lead, heads, f_out, f_in)),
+            rng.normal(size=(*lead, heads, 2 * f_out)), rng.normal(size=(*lead, n, f_out)))
+
+
 @pytest.mark.parametrize("heads", [1, 2, 3, 8])
 def test_layer_matches_per_head_reference_bitwise(heads):
     rng = np.random.default_rng(heads)
@@ -266,30 +297,54 @@ def test_layer_matches_per_head_reference_bitwise(heads):
         n = int(rng.integers(3, 25))
         pairs = random_pairs(rng, n, int(rng.integers(1, 3 * n)))
         tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
-        f_in, f_out = int(rng.integers(2, 9)), int(rng.integers(9, 14))
-        H = rng.normal(size=(n, f_in))
-        W = rng.normal(size=(heads, f_out, f_in))
-        a = rng.normal(size=(heads, 2 * f_out))
-        out, cache = attention_layer_forward(H, tensors, W, a)
-        ref_out, ref_cache = per_head_layer_forward(H, tensors, W, a)
-        assert np.array_equal(out, ref_out)
-        for got, want in zip(cache[:3], ref_cache[:3]):
-            assert np.array_equal(got, want)
-        # the batched (Wh, pre, alpha) against the reference's per-head triples
-        assert len(ref_cache[3]) == heads
-        for got, want in zip(cache[3:], zip(*ref_cache[3])):
-            assert len(got) == heads
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, (), heads))
 
-        dOut = rng.normal(size=out.shape)
-        dH, dW, da = attention_layer_backward(dOut, cache, tensors, W, a)
-        ref_dH, ref_dWs, ref_das = per_head_layer_backward(dOut, ref_cache, tensors, W, a)
-        assert np.array_equal(dH, ref_dH)
-        assert dW.shape == W.shape and da.shape == a.shape
-        for l in range(heads):
-            assert np.array_equal(dW[l], ref_dWs[l])
-            assert np.array_equal(da[l], ref_das[l])
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_stacked_layer_matches_per_head_reference_bitwise(heads):
+    rng = np.random.default_rng(30 + heads)
+    for _ in range(5):
+        n = int(rng.integers(3, 25))
+        pairs = random_pairs(rng, n, int(rng.integers(1, 3 * n)))
+        tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+        assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, (3,), heads))
+
+
+def test_long_segment_adds_its_edges_in_order():
+    # node 0 has 48 incoming edges, so a sum that does not add them one at
+    # a time in edge order moves bits there
+    rng = np.random.default_rng(40)
+    n = 60
+    pairs = [(0, j) for j in range(1, 48)] + random_pairs(rng, n, 80)
+    tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+    assert np.diff(tensors.seg_starts)[0] >= 40
+    for lead in [(), (2,)]:
+        assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, lead, 3))
+
+
+def test_reused_tensors_keep_one_block_count():
+    # one GraphTensors serves stacks of 3, 2 and 3 models, as a stack does
+    # when models leave it; the cached matrices are refilled, never stale
+    rng = np.random.default_rng(41)
+    n, heads = 20, 2
+    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 40), np.array([], dtype=int))
+    for models in (3, 2, 3):
+        for _ in range(2):
+            assert_layer_matches_per_head_reference(
+                tensors, *random_layer(rng, n, (models,), heads))
+            # the forward's and the backward's matrices, both of this block count
+            assert {key[1] for key in tensors._stacked} == {models * heads}
+            assert len(tensors._stacked) == 2
+
+
+def test_traced_gat_functions_exist():
+    # the benchmark tracer wraps these by name, and a name it cannot find
+    # is silently left untimed
+    tracer = (Path(__file__).parent.parent / "benchmark" / "tracer.py").read_text()
+    names = re.findall(r'tracer\.patch\(gat, "(\w+)"', tracer)
+    assert "attention_layer_forward" in names and "attention_layer_backward" in names
+    for name in names:
+        assert callable(getattr(gat, name, None)), name
 
 
 # --- initialisation ----------------------------------------------------------

@@ -537,6 +537,36 @@ def test_train_new_seed_refits_every_model(workdir):
     assert splits["folds"] == [f.tolist() for f in _make_folds(30, seven)]
 
 
+def _artifact_stamps(root):
+    """{path: (mtime_ns, bytes)} of every artifact under root but the
+    manifest, which every stage refreshes by design."""
+    return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_train_force_then_evaluate_rewrites_the_reports(workdir):
+    cfg_path = workdir / "run.cfg"
+    assert main(["run-all", "--config", str(cfg_path)]) == 0
+    art = Artifacts(workdir / "out")
+    # a rerun with nothing changed rewrites no artifact
+    before = _artifact_stamps(art.root)
+    assert main(["run-all", "--config", str(cfg_path)]) == 0
+    assert _artifact_stamps(art.root) == before
+
+    reports = (art.metrics, art.long, art.correlations)
+    old = {p: p.stat().st_mtime_ns for p in reports}
+    cfg_path.write_text(cfg_path.read_text().replace("epochs = 3\n", "epochs = 1\n"))
+    assert main(["train", "--config", str(cfg_path), "--force"]) == 0
+    # every history is one epoch long now
+    assert all(len(p.read_text().splitlines()) == 2
+               for p in art.models_dir.glob("history_*.csv"))
+    # the reports of the replaced models are gone, so evaluate scores the new ones
+    assert not any(p.exists() for p in reports)
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert all(p.stat().st_mtime_ns != old[p] for p in reports)
+    assert "skipped" not in json.loads(art.manifest.read_text())["stages"]["evaluate"]
+
+
 def test_importing_cli_leaves_requests_unloaded():
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
