@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .errors import DuplicateDocumentId, MissingLabel
 from .evaluation import TRAITS
 from .gat import _write_atomically
-from .kg_builder import KnowledgeGraph, norm_edge
+from .kg_builder import KnowledgeGraph, norm_edge, read_sections
 from .preprocess import Document
 
 
@@ -150,25 +150,10 @@ def aggregated_to_text(agg: AggregatedGraph) -> str:
 
 
 def aggregated_from_text(text: str) -> AggregatedGraph:
-    lines = text.splitlines()
-    pos = 0
-
-    def section(name):
-        nonlocal pos
-        if pos >= len(lines) or not lines[pos].startswith(name + " "):
-            raise ValueError(f"expected '{name} <count>' at line {pos + 1}")
-        count = int(lines[pos].split()[1])
-        body = lines[pos + 1 : pos + 1 + count]
-        if len(body) != count:
-            raise ValueError(f"section {name} truncated")
-        pos += 1 + count
-        return body
-
-    entities = tuple(section("nodes"))
-    ee = frozenset(tuple(line.split("\t")) for line in section("edges"))
-    essays = tuple(section("essays"))
-    ese = frozenset(tuple(line.split("\t")) for line in section("essay_edges"))
-    return AggregatedGraph(entities, essays, ee, ese)
+    entities, ee, essays, ese = read_sections(text, "nodes", "edges", "essays", "essay_edges")
+    return AggregatedGraph(tuple(entities), tuple(essays),
+                           frozenset(tuple(line.split("\t")) for line in ee),
+                           frozenset(tuple(line.split("\t")) for line in ese))
 
 
 def write_aggregated(agg: AggregatedGraph, path: Path | str) -> None:

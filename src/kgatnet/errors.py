@@ -17,10 +17,6 @@ class NetworkError(KgatnetError):
     """
 
 
-class CacheMiss(KgatnetError):
-    """No cache entry for the requested concept; a fetch is required."""
-
-
 class ShapeMismatch(KgatnetError):
     """Array shapes inconsistent with the configured model dimensions."""
 

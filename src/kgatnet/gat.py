@@ -6,7 +6,8 @@ destination, so the per-node softmax reduces to `np.*.reduceat` over
 contiguous segments; self-loops guarantee every segment is non-empty.
 The same order makes the edges the rows of a CSR attention matrix, so the
 aggregation is one SpMM.  `GraphTensors` also keeps the src-major order of
-the same edges (a stable argsort of `src` and its CSR row pointer), so the
+the same edges (a stable argsort of `src`, which maps each edge to its
+reverse, since both directions of every edge are stored), so the
 backward pass scatters into source nodes as one SpMM with the transposed
 matrix and one `np.bincount` instead of `np.add.at`.
 
@@ -138,8 +139,9 @@ class GraphTensors:
     """Directed edge list (both directions of every undirected edge plus one
     self-loop per node), sorted by (dst, src).  seg_starts[i] is the offset
     of node i's incoming-edge segment.  src_order is the stable argsort of
-    src, so edges[src_order] is the same list in src-major order, and
-    src_indptr[i] is the offset of node i's outgoing edges in it.  The
+    src, so edges[src_order] is the same list in src-major order; as every
+    edge is stored in both directions, src_order[e] is the reverse of edge
+    e, and node i's outgoing edges start at seg_starts[i] in it.  The
     block-diagonal attention matrices that `attention` and
     `transposed_attention` fill are cached for one block count at a time."""
 
@@ -149,7 +151,6 @@ class GraphTensors:
     seg_starts: np.ndarray
     essay_idx: np.ndarray
     src_order: np.ndarray
-    src_indptr: np.ndarray
     _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -162,10 +163,8 @@ class GraphTensors:
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
         seg_starts = np.searchsorted(dst, loops)
-        src_order = np.argsort(src, kind="stable")
-        src_indptr = np.searchsorted(src[src_order], np.arange(n_nodes + 1))
         return cls(n_nodes, src, dst, seg_starts,
-                   np.asarray(essay_idx, dtype=np.int64), src_order, src_indptr)
+                   np.asarray(essay_idx, dtype=np.int64), np.argsort(src, kind="stable"))
 
     @property
     def n_essays(self) -> int:
@@ -213,10 +212,11 @@ class GraphTensors:
         n = self.n_nodes
 
         def build():
-            cols = self.dst[self.src_order] + n * np.repeat(np.arange(B), L)[:, None]
+            # edge src_order[e] is edge e reversed, so its dst is src[e]
+            cols = self.src + n * np.repeat(np.arange(B), L)[:, None]
             return sp.csr_matrix(
                 (np.empty(B * L * E), cols.ravel(),
-                 np.append(self.src_indptr[:-1] + E * np.arange(B * L)[:, None], B * L * E)),
+                 np.append(self.seg_starts + E * np.arange(B * L)[:, None], B * L * E)),
                 shape=(B * L * n, B * n))
 
         m = self._block_matrix(("transposed", B * L, L), B * L, build)
@@ -354,9 +354,6 @@ class GatModel:
     def embed_dim(self) -> int:
         """0 when not enriched."""
         return self.params["clf.W"].shape[-1] - self.n_layers * self.hidden_units
-
-    def copy_params(self):
-        return {k: v.copy() for k, v in self.params.items()}
 
 
 def glorot(rng, shape, fan_in=None, fan_out=None):

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol
 
-from .errors import CacheMiss, NetworkError
+from .errors import NetworkError
+from .gat import _write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -112,12 +112,9 @@ def parse_ntriples(lines: Iterable[str], predicate_prefixes: tuple[str, ...] = (
             yield RdfTriple(local_name(s), local_name(p), local_name(o))
 
 
-def render_ntriples(triples: Iterable[RdfTriple], base: str = "") -> str:
-    """Canonical (sorted) N-Triples text; `base` is prepended to bare names."""
-    lines = [
-        f"<{base}{t.subject}> <{base}{t.predicate}> <{base}{t.obj}> ."
-        for t in sorted(triples)
-    ]
+def render_ntriples(triples: Iterable[RdfTriple]) -> str:
+    """Canonical (sorted) N-Triples text over the bare local names."""
+    lines = [f"<{t.subject}> <{t.predicate}> <{t.obj}> ." for t in sorted(triples)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -151,47 +148,45 @@ class NTriplesSource:
         return self._by_name.get(name, frozenset())
 
 
+RESOURCE_BASE = "http://dbpedia.org/resource/"
+MAX_TRIPLES = 10000  # per lookup; the query's LIMIT
+
+
 class SparqlEndpointSource:
     """Remote SPARQL-protocol client with retries, timeout, and a polite
-    minimum interval between requests (thread-safe)."""
+    minimum interval between requests."""
 
     def __init__(
         self,
         endpoint_url: str,
-        resource_base: str = "http://dbpedia.org/resource/",
         predicate_prefixes: tuple[str, ...] = (),
         timeout: float = 30.0,
         max_attempts: int = 3,
         backoff: float = 1.0,
         min_interval: float = 1.0,
-        max_triples: int = 10000,
     ):
         self.endpoint_url = endpoint_url
-        self.resource_base = resource_base
         self.predicate_prefixes = predicate_prefixes
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.min_interval = min_interval
-        self.max_triples = max_triples
         self.source_id = "sparql-" + hashlib.sha256(endpoint_url.encode()).hexdigest()[:12]
-        self._lock = threading.Lock()
         self._last_request = 0.0
 
     def _throttle(self):
-        with self._lock:
-            wait = self._last_request + self.min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
+        wait = self._last_request + self.min_interval - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        self._last_request = time.monotonic()
 
     def _query_for(self, name: str) -> str:
-        uri = self.resource_base + urllib.parse.quote(name, safe="_()',.-~")
+        uri = RESOURCE_BASE + urllib.parse.quote(name, safe="_()',.-~")
         return (
             "SELECT ?s ?p ?o WHERE { "
             f"{{ <{uri}> ?p ?o . BIND(<{uri}> AS ?s) }} UNION "
             f"{{ ?s ?p <{uri}> . BIND(<{uri}> AS ?o) }} "
-            f"}} LIMIT {self.max_triples}"
+            f"}} LIMIT {MAX_TRIPLES}"
         )
 
     def lookup(self, name: str) -> frozenset[RdfTriple]:
@@ -260,53 +255,36 @@ def safe_filename(name: str) -> str:
     return quoted
 
 
-class TripleCache:
-    """One N-Triples file per concept under <root>/<source_id>/.
+class CachingSource:
+    """A TripleSource read through a disk cache of one N-Triples file per
+    name under <root>/<source_id>/.
 
     Holds SPARQL endpoint lookups, each a network round trip; an N-Triples
-    dump is already indexed in memory and is not cached.
-
-    Writes go through an adjacent temp file and os.replace, so concurrent
-    puts for the same key are last-write-wins and readers never see a
-    partial file.  An empty file is a cached (valid) empty result.
+    dump is already indexed in memory and is not cached.  An entry is
+    written atomically, so a failed write leaves no file, and an empty file
+    is a cached (valid) empty result.
     """
 
-    def __init__(self, root: Path | str, source_id: str):
-        self.dir = Path(root) / source_id
+    def __init__(self, inner: TripleSource, root: Path | str):
+        self.inner = inner
+        self.source_id = inner.source_id
+        self.dir = Path(root) / inner.source_id
         self.dir.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, concept: str) -> Path:
-        return self.dir / (safe_filename(concept) + ".nt")
-
-    def get(self, concept: str) -> frozenset[RdfTriple]:
-        path = self.path_for(concept)
-        if not path.exists():
-            raise CacheMiss(concept)
-        with open(path, encoding="utf-8") as fh:
-            return frozenset(parse_ntriples(fh))
-
-    def put(self, concept: str, triples: Iterable[RdfTriple]) -> None:
-        path = self.path_for(concept)
-        tmp = path.with_name(path.name + f".tmp{threading.get_ident()}")
-        tmp.write_text(render_ntriples(triples), encoding="utf-8")
-        tmp.replace(path)
-
-
-class CachingSource:
-    """Wrap a TripleSource with a read-through TripleCache."""
-
-    def __init__(self, inner: TripleSource, cache: TripleCache):
-        self.inner = inner
-        self.cache = cache
-        self.source_id = inner.source_id
-
     def lookup(self, name: str) -> frozenset[RdfTriple]:
-        try:
-            return self.cache.get(name)
-        except CacheMiss:
-            triples = self.inner.lookup(name)
-            self.cache.put(name, triples)
-            return triples
+        path = self.dir / (safe_filename(name) + ".nt")
+        if path.exists():
+            with open(path, encoding="utf-8") as fh:
+                return frozenset(parse_ntriples(fh))
+        triples = self.inner.lookup(name)
+        _write_atomically(path, render_ntriples(triples).encode("utf-8"))
+        return triples
+
+
+# benchmark/tracer.py still looks this name up to wrap the old cache's get
+# and put, which it then reports as not found; drop it when the tracer
+# stops asking (ROADMAP item 7)
+TripleCache = CachingSource
 
 
 # --- graph construction ------------------------------------------------
@@ -358,21 +336,31 @@ def graph_to_text(graph: KnowledgeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> KnowledgeGraph:
+def read_sections(text: str, *names: str) -> list[list[str]]:
+    """The bodies of the named sections of `text`, in order; each section is
+    a `<name> <count>` line followed by `count` lines."""
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("nodes "):
-        raise ValueError("graph text must start with a 'nodes <count>' header")
-    n_nodes = int(lines[0].split()[1])
-    nodes = frozenset(lines[1 : 1 + n_nodes])
-    edge_header = lines[1 + n_nodes]
-    if not edge_header.startswith("edges "):
-        raise ValueError("missing 'edges <count>' header")
-    n_edges = int(edge_header.split()[1])
+    bodies, pos = [], 0
+    for name in names:
+        if pos >= len(lines) or not lines[pos].startswith(name + " "):
+            raise ValueError(f"expected '{name} <count>' at line {pos + 1}")
+        count = int(lines[pos].split()[1])
+        body = lines[pos + 1 : pos + 1 + count]
+        if len(body) != count:
+            raise ValueError(f"section {name} truncated")
+        bodies.append(body)
+        pos += 1 + count
+    return bodies
+
+
+def graph_from_text(text: str) -> KnowledgeGraph:
+    node_lines, edge_lines = read_sections(text, "nodes", "edges")
+    nodes = frozenset(node_lines)
     edges = set()
-    for line in lines[2 + n_nodes : 2 + n_nodes + n_edges]:
+    for line in edge_lines:
         u, v = line.split("\t")
         edges.add((u, v))
-    if len(nodes) != n_nodes or len(edges) != n_edges:
+    if len(nodes) != len(node_lines) or len(edges) != len(edge_lines):
         raise ValueError("graph text counts disagree with payload")
     return KnowledgeGraph(nodes, frozenset(edges))
 

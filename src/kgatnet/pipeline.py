@@ -61,7 +61,6 @@ from .kg_builder import (
     CachingSource,
     NTriplesSource,
     SparqlEndpointSource,
-    TripleCache,
     build_document_graph,
     graph_to_text,
     read_graph,
@@ -327,8 +326,9 @@ def make_source(cfg: PipelineConfig):
     endpoint behind a disk cache, since its lookups are network round trips."""
     if cfg.dump is not None:
         return NTriplesSource(cfg.dump, cfg.predicate_prefixes)
-    inner = SparqlEndpointSource(cfg.endpoint, predicate_prefixes=cfg.predicate_prefixes)
-    return CachingSource(inner, TripleCache(cfg.cache_dir, inner.source_id))
+    return CachingSource(
+        SparqlEndpointSource(cfg.endpoint, predicate_prefixes=cfg.predicate_prefixes),
+        cfg.cache_dir)
 
 
 # --- stages ------------------------------------------------------------------

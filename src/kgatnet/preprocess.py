@@ -1,8 +1,7 @@
 """Phase-1 text preparation: raw document text to a canonical concept set.
 
 The chain is tokenize -> remove_noise -> normalize -> recognize entities ->
-finalize_concept_set.  Every step is a pure function over immutable inputs,
-so documents can be processed concurrently without shared state.
+finalize_concept_set.  Every step is a pure function over immutable inputs.
 """
 
 from __future__ import annotations

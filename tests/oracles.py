@@ -343,7 +343,7 @@ def train_trait(tensors, X, y, config: TrainConfig,
 
     best_acc = -np.inf
     best_loss = np.inf
-    best_params = model.copy_params()
+    best_params = {k: v.copy() for k, v in model.params.items()}
     epochs_since_best = 0
     history = []
     for epoch in range(1, config.epochs + 1):
@@ -365,7 +365,7 @@ def train_trait(tensors, X, y, config: TrainConfig,
         if val_acc > best_acc or (val_acc == best_acc and val_loss < best_loss):
             best_acc = val_acc
             best_loss = val_loss
-            best_params = model.copy_params()
+            best_params = {k: v.copy() for k, v in model.params.items()}
             epochs_since_best = 0
         else:
             epochs_since_best += 1

@@ -258,6 +258,12 @@ def test_from_edges_matches_pairwise_loop():
         assert np.array_equal(tensors.dst, dst)
         assert tensors.src.dtype == tensors.dst.dtype == np.int64
         assert np.array_equal(tensors.seg_starts, np.searchsorted(dst, np.arange(n)))
+        # both directions of every edge are stored, so the src-major order
+        # maps each edge to its reverse and has the dst-major row pointer
+        assert np.array_equal(tensors.dst[tensors.src_order], tensors.src)
+        assert np.array_equal(
+            np.searchsorted(tensors.src[tensors.src_order], np.arange(n + 1)),
+            np.append(tensors.seg_starts, len(src)))
 
 
 def assert_layer_matches_per_head_reference(tensors, H, W, a, dOut):
@@ -808,7 +814,7 @@ def test_predictions_invariant_under_entity_permutation():
     tensors2 = GraphTensors.from_edges(6, pairs2, np.array([4, 5]))
     X2 = X[np.argsort(row_map)][:, inv]
     model2 = new_model(X.shape[1], small_config(seed=37))
-    model2.params = model.copy_params()
+    model2.params = {k: v.copy() for k, v in model.params.items()}
     model2.params["proj.W"] = model.params["proj.W"][:, inv]
     probs2 = forward(model2, tensors2, X2)
     assert np.allclose(probs2, base_probs, atol=1e-9)

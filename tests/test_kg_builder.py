@@ -1,23 +1,22 @@
 """Triple sources, graph building, caching, serialization."""
 
 import json
+import os
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgatnet.errors import CacheMiss, NetworkError
+from kgatnet.errors import NetworkError
 from kgatnet.kg_builder import (
     CachingSource,
     KnowledgeGraph,
     NTriplesSource,
     RdfTriple,
     SparqlEndpointSource,
-    TripleCache,
     build_document_graph,
     graph_from_text,
     graph_to_text,
@@ -239,46 +238,61 @@ def test_prune_idempotent_and_shrinking(triples, concepts):
 
 # --- cache ------------------------------------------------------------
 
-def test_cache_round_trip(tmp_path):
-    cache = TripleCache(tmp_path, "src1")
-    triples = frozenset({RdfTriple("A", "p", "B")})
-    cache.put("A", triples)
-    assert cache.get("A") == triples
+def test_cache_round_trip(dump_source, tmp_path):
+    stored = CachingSource(dump_source, tmp_path).lookup("Dog")
+    # a second source over the same directory serves the entry from disk
+    counting = CountingSource(dump_source)
+    assert CachingSource(counting, tmp_path).lookup("Dog") == stored
+    assert stored == frozenset({RdfTriple("Dog", "relatedTo", "Wolf")})
+    assert counting.calls == 0
 
 
-def test_cache_miss(tmp_path):
-    with pytest.raises(CacheMiss):
-        TripleCache(tmp_path, "src1").get("A")
-
-
-def test_cache_empty_set_is_valid_entry(tmp_path):
-    cache = TripleCache(tmp_path, "src1")
-    cache.put("A", frozenset())
-    assert cache.get("A") == frozenset()
-
-
-def test_cache_keyed_by_source(tmp_path):
-    a = TripleCache(tmp_path, "src1")
-    b = TripleCache(tmp_path, "src2")
-    a.put("X", frozenset({RdfTriple("X", "p", "Y")}))
-    with pytest.raises(CacheMiss):
-        b.get("X")
+def test_cache_miss(dump_source, tmp_path):
+    counting = CountingSource(dump_source)
+    src = CachingSource(counting, tmp_path)
+    assert src.lookup("Dog") == dump_source.lookup("Dog")
+    assert counting.names == ["Dog"]
+    assert (src.dir / "Dog.nt").is_file()
 
 
 def test_caching_source_fetches_once(dump_source, tmp_path):
     counting = CountingSource(dump_source)
-    src = CachingSource(counting, TripleCache(tmp_path / "cache", counting.source_id))
+    src = CachingSource(counting, tmp_path / "cache")
     first = src.lookup("Dog")
     second = src.lookup("Dog")
     assert first == second and counting.calls == 1
 
 
-def test_cache_concurrent_puts_last_write_wins(tmp_path):
-    cache = TripleCache(tmp_path, "src1")
-    sets = [frozenset({RdfTriple(f"A{i}", "p", "B")}) for i in range(8)]
-    with ThreadPoolExecutor(4) as pool:
-        list(pool.map(lambda ts: cache.put("key", ts), sets * 10))
-    assert cache.get("key") in sets  # some complete write, never a torn one
+def test_cache_empty_set_is_valid_entry(dump_source, tmp_path):
+    assert CachingSource(dump_source, tmp_path).lookup("Zzzz_unknown") == frozenset()
+    counting = CountingSource(dump_source)
+    assert CachingSource(counting, tmp_path).lookup("Zzzz_unknown") == frozenset()
+    assert counting.calls == 0
+
+
+def test_cache_keyed_by_source(dump_source, tmp_path):
+    CachingSource(dump_source, tmp_path).lookup("Dog")
+    other = CountingSource(dump_source)
+    other.source_id = "other-source"
+    assert CachingSource(other, tmp_path).lookup("Dog") == dump_source.lookup("Dog")
+    assert other.calls == 1
+
+
+def test_failed_cache_write_leaves_no_file(dump_source, tmp_path, monkeypatch):
+    src = CachingSource(dump_source, tmp_path)
+
+    def failing_replace(tmp, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space"):
+        src.lookup("Dog")
+    assert not list(src.dir.iterdir())  # no entry and no temp file
+    monkeypatch.undo()
+    counting = CountingSource(dump_source)
+    assert CachingSource(counting, tmp_path).lookup("Dog") == dump_source.lookup("Dog")
+    assert counting.calls == 1
+    assert [p.name for p in src.dir.iterdir()] == ["Dog.nt"]
 
 
 def test_safe_filename_distinct():
@@ -320,6 +334,11 @@ def test_graph_serialization_round_trip(graph):
 def test_graph_from_text_rejects_bad_header():
     with pytest.raises(ValueError):
         graph_from_text("edges 0\n")
+
+
+def test_graph_from_text_rejects_truncation():
+    with pytest.raises(ValueError):
+        graph_from_text("nodes 2\nA\n")
 
 
 # --- SPARQL endpoint client ---------------------------------------------

@@ -475,7 +475,7 @@ def test_make_source_caches_only_endpoint_lookups(workdir):
     source = make_source(cfg)
     assert isinstance(source, CachingSource)
     assert isinstance(source.inner, SparqlEndpointSource)
-    assert source.cache.dir.parent == cfg.cache_dir
+    assert source.dir.parent == cfg.cache_dir
 
 
 def test_interrupted_graph_write_leaves_no_file(workdir, monkeypatch):
