@@ -16,6 +16,12 @@ from .pipeline import STAGES, load_config, run_stage
 log = logging.getLogger("kgatnet")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgatnet",
@@ -30,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="append graph embeddings to the classifier input")
     parser.add_argument("--force", action="store_true",
                         help="recompute outputs that already exist")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="parallel processes for training the (fold, trait) classifiers")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed everywhere")

@@ -389,6 +389,31 @@ def new_model(n_features, config: TrainConfig, embed_dim=0, rng=None) -> GatMode
     return GatModel(params)
 
 
+def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) -> int:
+    """Estimated peak bytes that one model adds to a training step over a
+    graph of `n_nodes` nodes and `n_edges` directed edges (self-loops
+    included).  The peak is the backward of the last layer, while every
+    layer's forward cache is still held.  The graph and the features,
+    which a stack shares, are not counted.  The two (E, F) gathers of
+    `dalpha` are counted, though a stack makes them for one model at a
+    time, so a stack of M holds somewhat less than M times this."""
+    N, E = n_nodes, n_edges
+    L, F, D = config.heads_per_layer, config.hidden_units, config.dense_units
+    K = config.attention_layers
+    # the projection's pre-activation and output, then each layer's cache:
+    # avg and out (its H is the previous out), Wh, pre and alpha
+    forward = 2 * N * D + K * (2 * N * F + L * N * F + 2 * L * E)
+    # one layer's backward: dWh, the softmax backward's four (L, E) arrays,
+    # and the two (E, F) gathers of dalpha
+    backward = L * N * F + 4 * L * E + 2 * E * F
+    n_params = (D * (n_features + 1) + L * F * D + (K - 1) * L * F * F + K * L * 2 * F
+                + 2 * (K * F + embed_dim + 1))
+    # the parameters, their gradients, the two Adam moments and the best
+    # snapshot, then the forward and transposed attention matrices' values
+    # and int32 column indices
+    return 8 * (forward + backward + 5 * n_params) + 2 * L * E * (8 + 4)
+
+
 def _forward(model, tensors, X, embeddings):
     if X.shape != (tensors.n_nodes, model.n_features):
         raise ShapeMismatch(

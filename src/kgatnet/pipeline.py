@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import platform
 import re
 from dataclasses import dataclass
@@ -51,6 +52,7 @@ from .gat import (
     TrainConfig,
     _write_atomically,
     load_model,
+    model_bytes,
     predict,
     save_model,
     tensors_from_aggregated,
@@ -454,25 +456,33 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
 # trainings run, and inherited by forked workers without pickling
 _train_inputs: tuple | None = None
 
-# a stack trains at most one fold's worth of classifiers at once, which
-# bounds a worker's activations at that many models'
-MAX_STACK = len(TRAITS)
+
+def memory_budget() -> int:
+    """The bytes the training processes may hold between them: half of
+    physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def plan_stacks(tasks: list, train_sizes: list[int], jobs: int) -> list[list]:
+def stack_cap(one_model: int, jobs: int, budget: int) -> int:
+    """The most models of `one_model` bytes a stack may hold so that the
+    stacks of `jobs` processes fit `budget`; a model larger than its
+    process's share still trains alone."""
+    return max(1, budget // (jobs * one_model))
+
+
+def plan_stacks(tasks: list, train_sizes: list[int], jobs: int, cap: int) -> list[list]:
     """Partition `tasks` into the stacks `train_stack` fits together.  Only
     tasks with equally many training essays share a stack, so each group
     of equal `train_sizes` is cut, in order, into the fewest stacks of at
-    most MAX_STACK, that count rounded up to a multiple of `jobs` (but not
+    most `cap`, that count rounded up to a multiple of `jobs` (but not
     past the group's size) so that every worker gets some, with sizes that
     differ by at most one."""
-    jobs = max(jobs, 1)
     groups: dict[int, list] = {}
     for task, size in zip(tasks, train_sizes, strict=True):
         groups.setdefault(size, []).append(task)
     stacks = []
     for group in groups.values():
-        count = -(-len(group) // MAX_STACK)
+        count = -(-len(group) // cap)
         count = min(len(group), -(-count // jobs) * jobs)
         per, extra = divmod(len(group), count)
         start = 0
@@ -567,12 +577,21 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
         # `evaluate` from scoring the new ones
         for p in (art.metrics, art.long, art.correlations):
             p.unlink(missing_ok=True)
-    stacks = plan_stacks(todo, [len(labels) - len(folds[i]) for i, _ in todo], jobs)
+    # stacks as large as memory allows: each of `jobs` processes holds one
+    one_model = model_bytes(tensors.n_nodes, len(tensors.src), X.shape[1], cfg.train,
+                            0 if essay_vecs is None else essay_vecs.shape[1])
+    budget = memory_budget()
+    stacks = plan_stacks(todo, [len(labels) - len(folds[i]) for i, _ in todo], jobs,
+                         stack_cap(one_model, jobs, budget))
     _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs)
 
-    log.info("train: %d models fitted, %d already present",
-             len(todo), len(folds) * len(TRAITS) - len(todo))
-    return {"folds": len(folds), "trained": len(todo)}
+    info = {"folds": len(folds), "trained": len(todo),
+            "stack_sizes": [len(s) for s in stacks],
+            "model_bytes": one_model, "budget_bytes": budget}
+    log.info("train: %d models fitted in stacks %s, %d already present "
+             "(model_bytes %d, budget_bytes %d)", len(todo), info["stack_sizes"],
+             len(folds) * len(TRAITS) - len(todo), one_model, budget)
+    return info
 
 
 def _write_correlations(matrix: np.ndarray, path: Path) -> None:
@@ -628,8 +647,21 @@ def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
 
 # --- manifest and dispatch ---------------------------------------------------
 
+def _file_digest(path: Path) -> str:
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# input file digests by (path, size, mtime): each file is read once per
+# process, and again once it is edited
+_digests: dict[tuple[str, int, int], str] = {}
+
+
 def _digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    st = path.stat()
+    key = (str(path), st.st_size, st.st_mtime_ns)
+    if key not in _digests:
+        _digests[key] = _file_digest(path)
+    return _digests[key]
 
 
 def _config_echo(cfg: PipelineConfig) -> dict:
@@ -653,6 +685,9 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        # BLAS threads can change the last bits of long reductions
+        **{var: os.environ.get(var)
+           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     entry = dict(info)
     entry["completed"] = datetime.now(timezone.utc).isoformat(timespec="seconds")

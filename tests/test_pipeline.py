@@ -1,5 +1,6 @@
 """Config parsing, corpus loading, stage caching, and CLI behavior."""
 
+import dataclasses
 import json
 import os
 import re
@@ -15,17 +16,20 @@ from kgatnet.cli import main
 from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss
 from kgatnet.aggregator import read_aggregated
 from kgatnet.kg_builder import CachingSource, NTriplesSource, SparqlEndpointSource, read_graph
+from kgatnet import pipeline
+from kgatnet.gat import TrainConfig, model_bytes
 from kgatnet.pipeline import (
     CONFIG_DEFAULTS,
-    MAX_STACK,
     Artifacts,
     _make_folds,
     load_config,
     load_corpus,
     make_source,
+    memory_budget,
     parse_config,
     plan_stacks,
     run_stage,
+    stack_cap,
 )
 from kgatnet.rdf2vec import count_pairs, generate_walks
 
@@ -271,6 +275,46 @@ def test_embed_manifest_entry_counts_the_run(workdir, caplog):
                     f"last epoch loss {entry['loss']:.6f}")
 
 
+def test_train_manifest_entry_and_log_record_the_stack_plan(workdir, caplog, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = load_config(workdir / "run.cfg")
+    for stage in ("preprocess", "build", "aggregate"):
+        run_stage(stage, cfg)
+    with caplog.at_level("INFO"):
+        run_stage("train", cfg, jobs=2)
+    manifest = json.loads(Artifacts(cfg.output_dir).manifest.read_text())
+    entry = manifest["stages"]["train"]
+    # split80 at --jobs 2: five trainings in two stacks, as small models
+    assert entry["stack_sizes"] == [3, 2]
+    assert entry["budget_bytes"] == memory_budget()
+    assert 0 < entry["model_bytes"] < 10**6
+    assert (f"stacks [3, 2], 0 already present (model_bytes {entry['model_bytes']}, "
+            f"budget_bytes {entry['budget_bytes']})") in caplog.text
+    assert manifest["versions"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert manifest["versions"]["MKL_NUM_THREADS"] is None
+    assert "OMP_NUM_THREADS" in manifest["versions"]
+
+
+def test_run_all_hashes_each_input_once_until_it_changes(workdir, monkeypatch):
+    hashed = []
+    file_digest = pipeline._file_digest
+    monkeypatch.setattr(pipeline, "_file_digest",
+                        lambda path: hashed.append(path.name) or file_digest(path))
+    cfg = load_config(workdir / "run.cfg")
+    run_stage("run-all", cfg)
+    # five stages refresh the manifest, and the dump is read for it once
+    assert hashed.count("dump.nt") == 1
+    before = json.loads(Artifacts(cfg.output_dir).manifest.read_text())["inputs"]["dump"]
+
+    with open(workdir / "dump.nt", "a", encoding="utf-8") as fh:
+        fh.write("# edited\n")
+    pipeline.update_manifest(cfg, "evaluate", {})
+    assert hashed.count("dump.nt") == 2
+    after = json.loads(Artifacts(cfg.output_dir).manifest.read_text())["inputs"]["dump"]
+    assert after == pipeline._file_digest(workdir / "dump.nt") != before
+
+
 def test_stage_purity_deleted_artifact_reproduced(workdir):
     cfg = load_config(workdir / "run.cfg")
     art = Artifacts(cfg.output_dir)
@@ -346,8 +390,9 @@ def test_train_jobs_processes_match_serial_bytes(workdir):
 
 
 def test_train_jobs_match_serial_bytes_under_cv_with_uneven_folds(workdir):
-    # 30 essays in 7 folds: 10 trainings on 25 essays and 25 on 26, and at
-    # --jobs 2 the 25 go to six stacks, so stacks mix two folds
+    # 30 essays in 7 folds: 10 trainings on 25 essays and 25 on 26; at this
+    # geometry memory caps no stack, so at --jobs 2 the 25 go to two stacks
+    # [13, 12], which mix folds
     text = (workdir / "run.cfg").read_text().replace("protocol = split80", "protocol = cv")
     serial, parallel = (parse_config(text + f"cv_folds = 7\noutput_dir = {name}\n", workdir)
                         for name in ("serial", "parallel"))
@@ -355,7 +400,9 @@ def test_train_jobs_match_serial_bytes_under_cv_with_uneven_folds(workdir):
     todo = [(i, j) for i in range(len(folds)) for j in range(5)]
     sizes = [30 - len(folds[i]) for i, _ in todo]
     assert sorted(set(sizes)) == [25, 26]
-    assert any(len({i for i, _ in stack}) > 1 for stack in plan_stacks(todo, sizes, 2))
+    stacks = plan_stacks(todo, sizes, 2, cap=len(todo))
+    assert [len(s) for s in stacks] == [5, 5, 13, 12]
+    assert any(len({i for i, _ in stack}) > 1 for stack in stacks)
     for stage in ("preprocess", "build", "aggregate"):
         run_stage(stage, serial)
         run_stage(stage, parallel)
@@ -370,8 +417,8 @@ def test_train_jobs_match_serial_bytes_under_cv_with_uneven_folds(workdir):
 
 
 @pytest.mark.parametrize("n_tasks,jobs,want", [
-    (15, 1, [5, 5, 5]),           # fixture-cv serially
-    (15, 2, [4, 4, 4, 3]),        # fixture-cv at --jobs 2
+    (15, 1, [5, 5, 5]),
+    (15, 2, [4, 4, 4, 3]),
     (5, 2, [3, 2]),               # one split80 fold at --jobs 2
     (50, 2, [5] * 10),
     (15, 8, [2] * 7 + [1]),
@@ -379,31 +426,74 @@ def test_train_jobs_match_serial_bytes_under_cv_with_uneven_folds(workdir):
 ])
 def test_plan_stacks_one_group(n_tasks, jobs, want):
     tasks = list(range(n_tasks))
-    stacks = plan_stacks(tasks, [20] * n_tasks, jobs)
+    stacks = plan_stacks(tasks, [20] * n_tasks, jobs, cap=5)
     assert [len(s) for s in stacks] == want
     assert [t for s in stacks for t in s] == tasks
 
 
 def test_plan_stacks_rule():
-    rng = np.random.default_rng(8)
+    rng, caps = np.random.default_rng(8), np.random.default_rng(9)
     for _ in range(200):
         n, jobs = int(rng.integers(1, 60)), int(rng.integers(1, 9))
         sizes = rng.choice([20, 21, 22], size=n).tolist()
         tasks = list(range(n))
-        stacks = plan_stacks(tasks, sizes, jobs)
-        assert sorted(t for s in stacks for t in s) == tasks
-        for size in set(sizes):
-            group = [t for t in tasks if sizes[t] == size]
-            mine = [s for s in stacks if sizes[s[0]] == size]
-            # one training-set size per stack, the group's order kept
-            assert [t for s in mine for t in s] == group
-            lengths = [len(s) for s in mine]
-            assert max(lengths) <= MAX_STACK and max(lengths) - min(lengths) <= 1
-            fewest = -(-len(group) // MAX_STACK)
-            if len(mine) < len(group):
-                assert len(mine) % jobs == 0 and len(mine) < fewest + jobs
-            else:
-                assert all(length == 1 for length in lengths)
+        for cap in (5, int(caps.integers(1, 20))):
+            stacks = plan_stacks(tasks, sizes, jobs, cap)
+            assert sorted(t for s in stacks for t in s) == tasks
+            for size in set(sizes):
+                group = [t for t in tasks if sizes[t] == size]
+                mine = [s for s in stacks if sizes[s[0]] == size]
+                # one training-set size per stack, the group's order kept
+                assert [t for s in mine for t in s] == group
+                lengths = [len(s) for s in mine]
+                assert max(lengths) <= cap and max(lengths) - min(lengths) <= 1
+                fewest = -(-len(group) // cap)
+                if len(mine) < len(group):
+                    assert len(mine) % jobs == 0 and len(mine) < fewest + jobs
+                else:
+                    assert all(length == 1 for length in lengths)
+
+
+# the fixture config's network and its aggregated graph: 65 nodes, 705
+# directed edges with self-loops, 35 entity features
+FIXTURE_GEOMETRY = dict(n_nodes=65, n_edges=705, n_features=35, config=TrainConfig(
+    heads_per_layer=2, hidden_units=16, dense_units=16, attention_layers=2))
+
+
+@pytest.mark.parametrize("n_tasks,jobs,want", [
+    (15, 1, [15]),                # fixture-cv (3 folds) serially: one stack
+    (15, 2, [8, 7]),              # fixture-cv at --jobs 2: one stack per worker
+    (5, 2, [3, 2]),               # one split80 fold at --jobs 2, as under cap 5
+])
+def test_fixture_geometry_stacks_are_capped_only_by_jobs(n_tasks, jobs, want):
+    one = model_bytes(**FIXTURE_GEOMETRY)
+    assert one < 10**6
+    stacks = plan_stacks(list(range(n_tasks)), [20] * n_tasks, jobs,
+                         stack_cap(one, jobs, 2 * 1024**3))
+    assert [len(s) for s in stacks] == want
+
+
+def test_paper_geometry_trains_one_model_per_stack_under_a_small_budget():
+    # 12,000 nodes, 150,000 directed edges, 8 heads x 128 units, dense 128,
+    # 5 layers: about 1.3 GB a model, so 2 GB over two processes holds one
+    # model each; the estimate reads the geometry and allocates nothing
+    one = model_bytes(12_000, 150_000, 9_600, TrainConfig(
+        heads_per_layer=8, hidden_units=128, dense_units=128, attention_layers=5))
+    assert 1.0e9 < one < 1.6e9
+    cap = stack_cap(one, 2, 2 * 1024**3)
+    assert cap == 1
+    assert [len(s) for s in plan_stacks(list(range(50)), [2_220] * 50, 2, cap)] == [1] * 50
+
+
+def test_model_bytes_grows_with_every_dimension():
+    base = model_bytes(**FIXTURE_GEOMETRY)
+    config = FIXTURE_GEOMETRY["config"]
+    for change in ({"n_nodes": 130}, {"n_edges": 1410}, {"n_features": 70}):
+        assert model_bytes(**{**FIXTURE_GEOMETRY, **change}) > base
+    for field in ("heads_per_layer", "hidden_units", "dense_units", "attention_layers"):
+        wider = TrainConfig(**{**dataclasses.asdict(config), field: getattr(config, field) + 1})
+        assert model_bytes(**{**FIXTURE_GEOMETRY, "config": wider}) > base
+    assert model_bytes(**FIXTURE_GEOMETRY, embed_dim=8) > base
 
 
 def test_divergence_names_fold_and_trait(workdir):
@@ -618,6 +708,15 @@ def test_cli_exit_two_on_duplicate_doc_id(workdir, caplog):
     corpus.write_text("\n".join(rows + [doc02]) + "\n", encoding="utf-8")
     assert main(["preprocess", "--config", str(workdir / "run.cfg")]) == 2
     assert f"corpus line {len(rows) + 1}: duplicate doc id 'doc02'" in caplog.text
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_cli_exit_two_on_jobs_below_one(workdir, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(workdir / "run.cfg"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: expected a positive integer" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_cli_exit_three_on_missing_stage_input(workdir):
