@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .errors import DuplicateDocumentId, MissingLabel
 from .evaluation import TRAITS
 from .gat import _write_atomically
-from .kg_builder import KnowledgeGraph, norm_edge, read_sections
+from .kg_builder import KnowledgeGraph, read_sections, sections_to_text
 from .preprocess import Document
 
 
@@ -88,39 +88,27 @@ def attach_essay_nodes(
     )
 
 
-def build_feature_matrix(
-    agg: AggregatedGraph,
-    concept_sets: Sequence[frozenset[str]],
-    entity_features: str = "self",
-) -> sp.csr_matrix:
+def build_feature_matrix(agg: AggregatedGraph, entity_features: str = "self") -> sp.csr_matrix:
     """Binary N x F matrix, F = entity vocabulary size.
 
-    Essay rows mark the vocabulary entities occurring in the essay.  Entity
-    rows are one-hot self-indicators ("self") or all zero ("zero"); the
+    Essay rows mark the entities the essay is linked to (`essay_entity_edges`).
+    Entity rows are one-hot self-indicators ("self") or all zero ("zero"); the
     all-zero variant leaves entity nodes featureless and relies on attention
     over essay neighbours alone.
     """
     if entity_features not in ("self", "zero"):
         raise ValueError(f"entity_features must be 'self' or 'zero', got {entity_features!r}")
-    if len(concept_sets) != len(agg.essay_nodes):
-        raise ValueError("one concept set per essay node required")
     n_ent = len(agg.entity_nodes)
     rows, cols = [], []
     if entity_features == "self":
         rows.extend(range(n_ent))
         cols.extend(range(n_ent))
-    ent_idx = agg.entity_index
-    for d, concepts in enumerate(concept_sets):
-        for c in concepts:
-            j = ent_idx.get(c)
-            if j is not None:
-                rows.append(n_ent + d)
-                cols.append(j)
+    ent, ess = agg.entity_index, agg.essay_index
+    for d, e in agg.essay_entity_edges:
+        rows.append(ess[d])
+        cols.append(ent[e])
     data = np.ones(len(rows), dtype=np.float64)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(agg.n_nodes, n_ent))
-    mat.sum_duplicates()
-    mat.data[:] = 1.0  # binary even if a concept was listed twice
-    return mat
+    return sp.csr_matrix((data, (rows, cols)), shape=(agg.n_nodes, n_ent))
 
 
 def build_label_matrix(corpus: Sequence[Document]) -> np.ndarray:
@@ -138,15 +126,12 @@ def build_label_matrix(corpus: Sequence[Document]) -> np.ndarray:
 def aggregated_to_text(agg: AggregatedGraph) -> str:
     """Graph text format plus `essays` and `essay_edges` sections; node line
     order carries the index assignment, so it is not sorted."""
-    lines = [f"nodes {len(agg.entity_nodes)}"]
-    lines.extend(agg.entity_nodes)
-    lines.append(f"edges {len(agg.entity_entity_edges)}")
-    lines.extend(f"{u}\t{v}" for u, v in sorted(agg.entity_entity_edges))
-    lines.append(f"essays {len(agg.essay_nodes)}")
-    lines.extend(agg.essay_nodes)
-    lines.append(f"essay_edges {len(agg.essay_entity_edges)}")
-    lines.extend(f"{d}\t{e}" for d, e in sorted(agg.essay_entity_edges))
-    return "\n".join(lines) + "\n"
+    return sections_to_text(
+        ("nodes", list(agg.entity_nodes)),
+        ("edges", [f"{u}\t{v}" for u, v in sorted(agg.entity_entity_edges)]),
+        ("essays", list(agg.essay_nodes)),
+        ("essay_edges", [f"{d}\t{e}" for d, e in sorted(agg.essay_entity_edges)]),
+    )
 
 
 def aggregated_from_text(text: str) -> AggregatedGraph:

@@ -92,14 +92,8 @@ def k_fold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     if k < 2 or k > n:
         raise InvalidK(f"need 2 <= k <= n, got k={k}, n={n}")
     order = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(np.sort(order[start : start + size]))
-        start += size
-    return folds
+    # array_split makes the first n % k parts one longer
+    return [np.sort(part) for part in np.array_split(order, k)]
 
 
 def trait_correlations(labels: np.ndarray) -> np.ndarray:

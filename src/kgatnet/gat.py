@@ -227,7 +227,7 @@ class GraphTensors:
 def tensors_from_aggregated(agg) -> GraphTensors:
     n_ent = len(agg.entity_nodes)
     essay_idx = np.arange(n_ent, agg.n_nodes)
-    return GraphTensors.from_edges(agg.n_nodes, sorted(agg.index_edges()), essay_idx)
+    return GraphTensors.from_edges(agg.n_nodes, list(agg.index_edges()), essay_idx)
 
 
 def segment_softmax(scores, dst, seg_starts):
@@ -337,10 +337,6 @@ class GatModel:
     @property
     def dense_units(self) -> int:
         return self.params["proj.W"].shape[-2]
-
-    @property
-    def heads(self) -> int:
-        return self.params["att0.W"].shape[-3]
 
     @property
     def hidden_units(self) -> int:

@@ -7,13 +7,15 @@ the triples fetched only the edges between two of the document's concepts
 are kept, with predicates dropped and parallel edges merged into a simple
 undirected graph.  A dump is indexed in memory when it is loaded; only
 endpoint lookups, which are network round trips, go through the per-concept
-disk cache.
+disk cache.  Of an N-Triples file only the resource-only statements, three
+`<IRI>` terms, are recognised: the graph keeps no literal or blank node.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import re
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -56,56 +58,21 @@ def title_case(concept: str) -> str:
 
 # --- N-Triples parsing -------------------------------------------------
 
-def _nt_terms(body: str):
-    """Yield (kind, value) terms from one N-Triples statement body."""
-    i, n = 0, len(body)
-    while i < n:
-        ch = body[i]
-        if ch in " \t":
-            i += 1
-        elif ch == "<":
-            j = body.index(">", i)
-            yield ("uri", body[i + 1 : j])
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and body[j] != '"':
-                j += 2 if body[j] == "\\" else 1
-            k = j + 1
-            while k < n and body[k] not in " \t":
-                k += 1  # language tag / datatype suffix
-            yield ("literal", body[i + 1 : j])
-            i = k
-        else:
-            j = i
-            while j < n and body[j] not in " \t":
-                j += 1
-            yield ("blank", body[i:j])
-            i = j
+# a statement of three resources: its terms are separated by spaces and
+# tabs, but any whitespace may come before the closing dot, `\x0b` included
+_RESOURCE_STATEMENT = re.compile(r"<([^>]*)>[ \t]*<([^>]*)>[ \t]*<([^>]*)>\s*\.")
 
 
 def parse_ntriples(lines: Iterable[str], predicate_prefixes: tuple[str, ...] = ()):
-    """Yield RdfTriple for each resource-only statement; literals and blank
-    nodes are discarded, as are predicates outside the allowlist (when given).
-    Malformed lines are skipped with a debug log, not fatal."""
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    """Yield RdfTriple for each resource-only statement, three `<IRI>` terms,
+    whose predicate is in the allowlist (when given).  Every other line is
+    skipped silently: comments, statements with a literal or a blank node,
+    and malformed lines."""
+    for line in lines:
+        m = _RESOURCE_STATEMENT.fullmatch(line.strip())
+        if m is None:
             continue
-        if not line.endswith("."):
-            log.debug("line %d: no terminating dot, skipped", lineno)
-            continue
-        try:
-            terms = list(_nt_terms(line[:-1].rstrip()))
-        except ValueError:
-            log.debug("line %d: unterminated term, skipped", lineno)
-            continue
-        if len(terms) != 3:
-            log.debug("line %d: %d terms, skipped", lineno, len(terms))
-            continue
-        if any(kind != "uri" for kind, _ in terms):
-            continue  # literal object or blank node
-        s, p, o = (value for _, value in terms)
+        s, p, o = m.groups()
         if predicate_prefixes and not p.startswith(predicate_prefixes):
             continue
         if s and p and o:
@@ -329,10 +296,17 @@ def build_document_graph(concepts: Iterable[str], source: TripleSource) -> Knowl
 # --- serialization -----------------------------------------------------
 
 def graph_to_text(graph: KnowledgeGraph) -> str:
-    lines = [f"nodes {len(graph.nodes)}"]
-    lines.extend(sorted(graph.nodes))
-    lines.append(f"edges {len(graph.edges)}")
-    lines.extend(f"{u}\t{v}" for u, v in sorted(graph.edges))
+    return sections_to_text(("nodes", sorted(graph.nodes)),
+                            ("edges", [f"{u}\t{v}" for u, v in sorted(graph.edges)]))
+
+
+def sections_to_text(*sections: tuple[str, list[str]]) -> str:
+    """The text `read_sections` reads: each (name, body) as a
+    `<name> <count>` line followed by its `count` body lines."""
+    lines = []
+    for name, body in sections:
+        lines.append(f"{name} {len(body)}")
+        lines.extend(body)
     return "\n".join(lines) + "\n"
 
 

@@ -394,7 +394,7 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
 
     art.aggregate_dir.mkdir(parents=True, exist_ok=True)
     write_aggregated(agg, art.aggregated)
-    X = build_feature_matrix(agg, node_sets, cfg.entity_features)
+    X = build_feature_matrix(agg, cfg.entity_features)
     buf = io.BytesIO()
     sp.save_npz(buf, X)
     _write_atomically(art.features, buf.getvalue())
@@ -484,12 +484,8 @@ def plan_stacks(tasks: list, train_sizes: list[int], jobs: int, cap: int) -> lis
     for group in groups.values():
         count = -(-len(group) // cap)
         count = min(len(group), -(-count // jobs) * jobs)
-        per, extra = divmod(len(group), count)
-        start = 0
-        for k in range(count):
-            end = start + per + (k < extra)
-            stacks.append(group[start:end])
-            start = end
+        stacks.extend([group[i] for i in part]
+                      for part in np.array_split(np.arange(len(group)), count))
     return stacks
 
 

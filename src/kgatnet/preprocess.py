@@ -63,13 +63,11 @@ class GazetteerRecognizer:
 
     def __init__(self, entries: Iterable[str]):
         self._by_first: dict[str, list[tuple[str, ...]]] = {}
-        self.max_len = 1
         for entry in entries:
             words = tuple(entry.strip().split())
             if not words:
                 continue
             self._by_first.setdefault(words[0], []).append(words)
-            self.max_len = max(self.max_len, len(words))
         # longest candidates first so the first hit wins
         for cands in self._by_first.values():
             cands.sort(key=len, reverse=True)

@@ -57,7 +57,7 @@ def generate_walks(agg: AggregatedGraph, max_depth: int, walks_per_node: int,
         raise ConfigError("max_depth and walks_per_node must be >= 1")
     names = list(agg.entity_nodes) + list(agg.essay_nodes)
     nbrs: list[list[int]] = [[] for _ in names]
-    for i, j in sorted(agg.index_edges()):
+    for i, j in agg.index_edges():
         nbrs[i].append(j)
         nbrs[j].append(i)
     for lst in nbrs:

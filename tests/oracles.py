@@ -12,7 +12,9 @@ layer's block-diagonal SpMMs must match it.  The skip-gram trainer at the
 end makes each center's step one target at a time; the batched kernel
 must match it to rounding.
 The document graph is built the long way: every concept's description
-unioned into one graph, then filtered down to the concepts.  The
+unioned into one graph, then filtered down to the concepts.  N-Triples
+lines are scanned term by term, literals and blank nodes included, and
+only the statements of three IRIs kept.  The
 weight-decayed loss adds the L2 term's gradient per parameter, the
 reference for Adam's flat-buffer decay.  The single-mechanism operations are
 small helpers only tests use.
@@ -40,7 +42,7 @@ from kgatnet.gat import (
     loss_and_gradients,
     new_model,
 )
-from kgatnet.kg_builder import KnowledgeGraph, norm_edge, title_case
+from kgatnet.kg_builder import KnowledgeGraph, RdfTriple, local_name, norm_edge, title_case
 
 
 def neighbors_from_pairs(n_nodes, pairs):
@@ -467,3 +469,57 @@ def union_then_filter(triples, concepts):
     edges = {e for e in union_edges if e[0] in resolved and e[1] in resolved}
     nodes = {u for e in edges for u in e} | (resolved & union_nodes)
     return KnowledgeGraph(frozenset(nodes), frozenset(edges))
+
+
+def _nt_terms(body):
+    """Yield (kind, value) terms from one N-Triples statement body."""
+    i, n = 0, len(body)
+    while i < n:
+        ch = body[i]
+        if ch in " \t":
+            i += 1
+        elif ch == "<":
+            j = body.index(">", i)
+            yield ("uri", body[i + 1 : j])
+            i = j + 1
+        elif ch == '"':
+            j = i + 1
+            while j < n and body[j] != '"':
+                j += 2 if body[j] == "\\" else 1
+            k = j + 1
+            while k < n and body[k] not in " \t":
+                k += 1  # language tag / datatype suffix
+            yield ("literal", body[i + 1 : j])
+            i = k
+        else:
+            j = i
+            while j < n and body[j] not in " \t":
+                j += 1
+            yield ("blank", body[i:j])
+            i = j
+
+
+def scanned_ntriples(lines, predicate_prefixes=()):
+    """RdfTriple for each statement whose three terms, tokenized one by one
+    (IRIs, escaped literals with their suffix, blank nodes), are all IRIs;
+    predicates outside the allowlist (when given) and malformed lines are
+    skipped."""
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not line.endswith("."):
+            continue
+        try:
+            terms = list(_nt_terms(line[:-1].rstrip()))
+        except ValueError:
+            continue  # unterminated IRI
+        if len(terms) != 3:
+            continue
+        if any(kind != "uri" for kind, _ in terms):
+            continue  # literal object or blank node
+        s, p, o = (value for _, value in terms)
+        if predicate_prefixes and not p.startswith(predicate_prefixes):
+            continue
+        if s and p and o:
+            yield RdfTriple(local_name(s), local_name(p), local_name(o))

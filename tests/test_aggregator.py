@@ -127,7 +127,7 @@ def two_entity_graph():
 
 def test_feature_matrix_basic():
     agg = attach_essay_nodes(two_entity_graph(), [(Document("d", ""), frozenset({"A"}))])
-    X = build_feature_matrix(agg, [frozenset({"A"})]).toarray()
+    X = build_feature_matrix(agg).toarray()
     assert X.shape == (3, 2)
     assert X[0].tolist() == [1, 0]  # entity A self-indicator
     assert X[1].tolist() == [0, 1]  # entity B
@@ -136,13 +136,13 @@ def test_feature_matrix_basic():
 
 def test_feature_matrix_both_entities():
     agg = attach_essay_nodes(two_entity_graph(), [(Document("d", ""), frozenset({"A", "B"}))])
-    X = build_feature_matrix(agg, [frozenset({"A", "B"})]).toarray()
+    X = build_feature_matrix(agg).toarray()
     assert X[2].tolist() == [1, 1]
 
 
 def test_feature_matrix_zero_mode():
     agg = attach_essay_nodes(two_entity_graph(), [(Document("d", ""), frozenset({"A"}))])
-    X = build_feature_matrix(agg, [frozenset({"A"})], entity_features="zero").toarray()
+    X = build_feature_matrix(agg, entity_features="zero").toarray()
     assert X[0].tolist() == [0, 0] and X[1].tolist() == [0, 0]
     assert X[2].tolist() == [1, 0]
 
@@ -150,7 +150,7 @@ def test_feature_matrix_zero_mode():
 def test_feature_matrix_rejects_unknown_mode():
     agg = two_entity_graph()
     with pytest.raises(ValueError):
-        build_feature_matrix(agg, [], entity_features="degree")
+        build_feature_matrix(agg, entity_features="degree")
 
 
 @given(
@@ -165,7 +165,7 @@ def test_feature_row_sums_are_intersection_sizes(concept_sets):
     agg = AggregatedGraph(entities, (), frozenset(), frozenset())
     corpus = [(Document(f"d{i}", ""), frozenset(cs)) for i, cs in enumerate(concept_sets)]
     agg = attach_essay_nodes(agg, corpus)
-    X = build_feature_matrix(agg, [cs for _, cs in corpus])
+    X = build_feature_matrix(agg)
     sums = np.asarray(X.sum(axis=1)).ravel()
     n_ent = len(entities)
     assert np.all((X.data == 1.0))

@@ -367,8 +367,8 @@ def test_init_draws_each_head_in_order(seed, heads):
             assert np.array_equal(model.params[key], want[key]), key
         assert model.params["att1.W"].shape == (heads, 3, 3)
         assert model.params["att1.a"].shape == (heads, 6)
-        assert (model.n_features, model.dense_units, model.hidden_units, model.heads,
-                model.n_layers, model.embed_dim) == (6, 5, 3, heads, 2, embed_dim)
+        assert (model.n_features, model.dense_units, model.hidden_units,
+                model.n_layers, model.embed_dim) == (6, 5, 3, 2, embed_dim)
 
 
 # --- forward -------------------------------------------------------------

@@ -27,7 +27,7 @@ from kgatnet.kg_builder import (
     safe_filename,
     title_case,
 )
-from oracles import union_then_filter
+from oracles import scanned_ntriples, union_then_filter
 
 DUMP = """\
 <http://x/Dog> <http://x/relatedTo> <http://x/Wolf> .
@@ -79,6 +79,45 @@ def test_parse_predicate_allowlist():
     ]
     got = list(parse_ntriples(lines, predicate_prefixes=("http://good/",)))
     assert got == [RdfTriple("A", "p", "B")]
+    assert got == list(scanned_ntriples(lines, predicate_prefixes=("http://good/",)))
+
+
+@pytest.mark.parametrize("line, want", [
+    ("<a><b><c>.", [("a", "b", "c")]),  # no spaces
+    ("<a> <b> <c>\x0b.", [("a", "b", "c")]),  # any whitespace before the dot
+    ("\xa0<a>\t<b>\t<c>\xa0.\xa0", [("a", "b", "c")]),
+    ("<> <b> <c> .", []),  # empty IRIs
+    ("<a> <> <c> .", []),
+    ("<a> <b> <> .", []),
+    ('<a> <b> "see <x>" .', []),  # a literal that contains an IRI
+    ('<a> <b> "<x>"^^<c> .', []),
+    ("<a> <b> <c> . # comment", []),
+    ("# <a> <b> <c> .", []),
+    ("<a> <b> _:c .", []),
+    ("<a>\x0b<b> <c> .", []),  # only spaces and tabs separate terms
+    ("<a> <b> <c> <d> .", []),
+    ("<a> <b> <c .", []),
+])
+def test_parse_statement_cases(line, want):
+    got = list(parse_ntriples([line]))
+    assert got == [RdfTriple(*t) for t in want]
+    assert got == list(scanned_ntriples([line]))
+
+
+NT_CHARS = '<>"\\ .#_:@/ab\t\x0b\xa0'
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(["", "<a> <b> ", "<a/b>\t<#a>", "<a><b> <c>"]),
+                          st.text(NT_CHARS, max_size=12), st.text(" \t\x0b\xa0", max_size=2),
+                          st.sampled_from(["", ".", ". #c"])), max_size=6),
+       st.sampled_from([(), ("a",), ("#", "a/")]))
+def test_parse_matches_term_scanner(parts, prefixes):
+    """On random lines (none, two or three leading IRIs, random characters,
+    then whitespace and a dot or not), the pattern keeps exactly the
+    statements the term-by-term scanner keeps."""
+    lines = ["".join(part) for part in parts]
+    assert list(parse_ntriples(lines, prefixes)) == list(scanned_ntriples(lines, prefixes))
 
 
 def test_render_parse_round_trip():
