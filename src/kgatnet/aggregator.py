@@ -11,16 +11,18 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DuplicateDocumentId, MissingLabel
 from .evaluation import TRAITS
 from .gat import _write_atomically
 from .kg_builder import KnowledgeGraph, read_sections, sections_to_text
 from .preprocess import Document
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ def build_feature_matrix(agg: AggregatedGraph, entity_features: str = "self") ->
     all-zero variant leaves entity nodes featureless and relies on attention
     over essay neighbours alone.
     """
+    # imported here so that commands that build no matrix never load it
+    import scipy.sparse as sp
+
     if entity_features not in ("self", "zero"):
         raise ValueError(f"entity_features must be 'self' or 'zero', got {entity_features!r}")
     n_ent = len(agg.entity_nodes)

@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConfigError,
@@ -192,6 +191,8 @@ class GraphTensors:
         n = self.n_nodes
 
         def build():
+            # imported here so that commands that train nothing never load it
+            import scipy.sparse as sp
             offsets = np.arange(B)[:, None]
             return sp.csr_matrix(
                 (np.empty(B * E), (self.src + n * offsets).ravel(),
@@ -212,6 +213,7 @@ class GraphTensors:
         n = self.n_nodes
 
         def build():
+            import scipy.sparse as sp
             # edge src_order[e] is edge e reversed, so its dst is src[e]
             cols = self.src + n * np.repeat(np.arange(B), L)[:, None]
             return sp.csr_matrix(

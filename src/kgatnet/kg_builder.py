@@ -51,6 +51,14 @@ def local_name(uri: str) -> str:
     return uri.rsplit("/", 1)[-1].rsplit("#", 1)[-1]
 
 
+def resource_triple(s: str, p: str, o: str) -> RdfTriple | None:
+    """The triple of the local names of three IRIs, or None if any of them
+    is empty (an empty IRI, or one ending in '/' or '#'): such a triple
+    cannot be written as N-Triples and read back, so both sources drop it."""
+    t = RdfTriple(local_name(s), local_name(p), local_name(o))
+    return t if all(t) else None
+
+
 def title_case(concept: str) -> str:
     """Uppercase the first letter of every underscore-separated part."""
     return "_".join(p[:1].upper() + p[1:] for p in concept.split("_"))
@@ -67,7 +75,7 @@ def parse_ntriples(lines: Iterable[str], predicate_prefixes: tuple[str, ...] = (
     """Yield RdfTriple for each resource-only statement, three `<IRI>` terms,
     whose predicate is in the allowlist (when given).  Every other line is
     skipped silently: comments, statements with a literal or a blank node,
-    and malformed lines."""
+    and malformed lines, as well as triples with an empty local name."""
     for line in lines:
         m = _RESOURCE_STATEMENT.fullmatch(line.strip())
         if m is None:
@@ -75,8 +83,9 @@ def parse_ntriples(lines: Iterable[str], predicate_prefixes: tuple[str, ...] = (
         s, p, o = m.groups()
         if predicate_prefixes and not p.startswith(predicate_prefixes):
             continue
-        if s and p and o:
-            yield RdfTriple(local_name(s), local_name(p), local_name(o))
+        t = resource_triple(s, p, o)
+        if t is not None:
+            yield t
 
 
 def render_ntriples(triples: Iterable[RdfTriple]) -> str:
@@ -205,7 +214,9 @@ class SparqlEndpointSource:
             pred = p["value"]
             if self.predicate_prefixes and not pred.startswith(self.predicate_prefixes):
                 continue
-            triples.add(RdfTriple(local_name(s["value"]), local_name(pred), local_name(o["value"])))
+            t = resource_triple(s["value"], pred, o["value"])
+            if t is not None:
+                triples.add(t)
         return frozenset(triples)
 
 

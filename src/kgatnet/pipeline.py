@@ -4,7 +4,14 @@ The six stages (preprocess, build, aggregate, embed, train, evaluate) each
 read only upstream artifacts and write only their own outputs under the
 configured output directory, so any stage can be rerun in isolation.
 Existing outputs are skipped unless --force; every stage refreshes a
-manifest.json recording the resolved config, input digests, and versions.
+manifest.json recording the resolved config, input digests, versions, and
+its own wall time and peak memory.
+
+`scipy.sparse` is imported only where a sparse matrix is built, multiplied
+or (de)serialised: by `aggregate` when it writes features.npz, by `train`
+when a model is left to fit and by `evaluate` when it scores. A command
+whose stages all skip never loads it: the import alone took about two
+fifths of such a command's time.
 """
 
 from __future__ import annotations
@@ -18,13 +25,14 @@ import logging
 import os
 import platform
 import re
+import resource
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from . import __version__
 from .aggregator import (
@@ -395,6 +403,8 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
     art.aggregate_dir.mkdir(parents=True, exist_ok=True)
     write_aggregated(agg, art.aggregated)
     X = build_feature_matrix(agg, cfg.entity_features)
+    # imported here so that a skipped aggregate never loads it
+    import scipy.sparse as sp
     buf = io.BytesIO()
     sp.save_npz(buf, X)
     _write_atomically(art.features, buf.getvalue())
@@ -434,9 +444,11 @@ def _make_folds(n_essays: int, cfg: PipelineConfig) -> list[np.ndarray]:
 
 
 def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
+    """Everything `train` and `evaluate` read but the feature matrix, which
+    is returned as the path that `_load_features` reads it from."""
     agg = read_aggregated(_require(art.aggregated, "aggregate"))
     tensors = tensors_from_aggregated(agg)
-    X = sp.load_npz(_require(art.features, "aggregate"))
+    features = _require(art.features, "aggregate")
     doc_ids, labels = read_labels_csv(_require(art.labels, "aggregate"))
     if tuple(doc_ids) != agg.essay_nodes:
         raise ConfigError("labels.csv order does not match the aggregated graph")
@@ -449,7 +461,13 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
         norms = np.linalg.norm(essay_vecs, axis=1, keepdims=True)
         essay_vecs = np.divide(essay_vecs, norms, out=np.zeros_like(essay_vecs),
                                where=norms > 0)
-    return agg, tensors, X, labels, essay_vecs
+    return agg, tensors, features, labels, essay_vecs
+
+
+def _load_features(path: Path):
+    # imported here so that a train with nothing left to fit never loads it
+    import scipy.sparse as sp
+    return sp.load_npz(path)
 
 
 # what every (fold, trait) training reads: set in this process before the
@@ -539,7 +557,7 @@ def _run_trainings(inputs: tuple, stacks: list[list[tuple[int, int]]], jobs: int
 
 def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
     art = Artifacts(cfg.output_dir)
-    agg, tensors, X, labels, essay_vecs = _load_graph_inputs(cfg, art)
+    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art)
     folds = _make_folds(len(agg.essay_nodes), cfg)
     art.models_dir.mkdir(parents=True, exist_ok=True)
 
@@ -573,13 +591,16 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
         # `evaluate` from scoring the new ones
         for p in (art.metrics, art.long, art.correlations):
             p.unlink(missing_ok=True)
-    # stacks as large as memory allows: each of `jobs` processes holds one
-    one_model = model_bytes(tensors.n_nodes, len(tensors.src), X.shape[1], cfg.train,
+    # stacks as large as memory allows: each of `jobs` processes holds one;
+    # the feature matrix has one column per entity
+    one_model = model_bytes(tensors.n_nodes, len(tensors.src), len(agg.entity_nodes), cfg.train,
                             0 if essay_vecs is None else essay_vecs.shape[1])
     budget = memory_budget()
     stacks = plan_stacks(todo, [len(labels) - len(folds[i]) for i, _ in todo], jobs,
                          stack_cap(one_model, jobs, budget))
-    _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs)
+    if todo:
+        X = _load_features(features)
+        _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs)
 
     info = {"folds": len(folds), "trained": len(todo),
             "stack_sizes": [len(s) for s in stacks],
@@ -613,7 +634,8 @@ def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
     if not force and all(p.exists() for p in outputs):
         log.info("evaluate: reports present, skipping")
         return {"skipped": True}
-    agg, tensors, X, labels, essay_vecs = _load_graph_inputs(cfg, art)
+    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art)
+    X = _load_features(features)
 
     fold_rows: dict[str, list[dict[str, float | None]]] = {t: [] for t in TRAITS}
     for i, test_idx in enumerate(splits["folds"]):
@@ -658,6 +680,15 @@ def _digest(path: Path) -> str:
     if key not in _digests:
         _digests[key] = _file_digest(path)
     return _digests[key]
+
+
+def _peak_rss_mb() -> float:
+    """The peak resident set size of this process, or of its largest
+    finished child (the training workers), in MB: a high-water mark of the
+    run so far, not of the current stage alone.  Linux reports it in KiB."""
+    kib = max(resource.getrusage(who).ru_maxrss
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(kib / 1024, 1)
 
 
 def _config_echo(cfg: PipelineConfig) -> dict:
@@ -716,5 +747,8 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False, jobs: int = 
     _check_config_paths(cfg)
     # only training runs in worker processes
     func = _STAGE_FUNCS[stage]
+    start = time.perf_counter()
     info = func(cfg, force=force, jobs=jobs) if stage == "train" else func(cfg, force=force)
+    info = {**info, "seconds": round(time.perf_counter() - start, 6),
+            "peak_rss_mb": _peak_rss_mb()}
     update_manifest(cfg, stage, info)

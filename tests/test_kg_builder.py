@@ -97,11 +97,20 @@ def test_parse_predicate_allowlist():
     ("<a>\x0b<b> <c> .", []),  # only spaces and tabs separate terms
     ("<a> <b> <c> <d> .", []),
     ("<a> <b> <c .", []),
+    ("<http://x/> <b> <c> .", []),  # empty local names
+    ("<a> <http://x/ns#> <c> .", []),
+    ("<a> <b> <http://x/> .", []),
 ])
 def test_parse_statement_cases(line, want):
     got = list(parse_ntriples([line]))
     assert got == [RdfTriple(*t) for t in want]
-    assert got == list(scanned_ntriples([line]))
+    assert got == scanned_resources([line])
+
+
+def scanned_resources(lines, prefixes=()):
+    """The scanner's triples but those with an empty local name, which it
+    keeps and the parser drops."""
+    return [t for t in scanned_ntriples(lines, prefixes) if all(t)]
 
 
 NT_CHARS = '<>"\\ .#_:@/ab\t\x0b\xa0'
@@ -117,7 +126,7 @@ def test_parse_matches_term_scanner(parts, prefixes):
     then whitespace and a dot or not), the pattern keeps exactly the
     statements the term-by-term scanner keeps."""
     lines = ["".join(part) for part in parts]
-    assert list(parse_ntriples(lines, prefixes)) == list(scanned_ntriples(lines, prefixes))
+    assert list(parse_ntriples(lines, prefixes)) == scanned_resources(lines, prefixes)
 
 
 def test_render_parse_round_trip():
@@ -491,3 +500,18 @@ def test_endpoint_predicate_allowlist(endpoint):
     CannedHandler.responses = [(200, payload)]
     client = fast_client(endpoint, predicate_prefixes=("http://x/good/",))
     assert client.lookup("A") == frozenset({RdfTriple("A", "p", "B")})
+
+
+def test_cache_hit_returns_what_the_endpoint_lookup_returned(endpoint, tmp_path):
+    # an IRI ending in '/' has an empty local name, which the cache entry
+    # could not hold, so the endpoint source drops its triple up front
+    payload = bindings_payload([("A", "q", {"type": "uri", "value": "http://x/B"})])
+    payload["results"]["bindings"].append({
+        "s": {"type": "uri", "value": "http://x/"},
+        "p": {"type": "uri", "value": "http://x/p"},
+        "o": {"type": "uri", "value": "http://x/A"},
+    })
+    CannedHandler.responses = [(200, payload)]
+    src = CachingSource(fast_client(endpoint), tmp_path)
+    first = src.lookup("A")
+    assert first == src.lookup("A") == frozenset({RdfTriple("A", "q", "B")})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -657,15 +658,60 @@ def test_train_force_then_evaluate_rewrites_the_reports(workdir):
     assert "skipped" not in json.loads(art.manifest.read_text())["stages"]["evaluate"]
 
 
-def test_importing_cli_leaves_requests_unloaded():
+def _source_env() -> dict:
+    """The environment of a subprocess that imports kgatnet from this tree."""
     src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    # scipy loads the concurrent.futures package itself; its thread pool
-    # module must stay unloaded, since no stage runs on threads
-    code = ("import sys, kgatnet.cli; sys.exit('requests' in sys.modules"
-            " or 'concurrent.futures.thread' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_importing_cli_leaves_requests_unloaded():
+    # each is loaded only by the stages that need it: requests by endpoint
+    # lookups, scipy.sparse by the stages that build or read a feature
+    # matrix, and concurrent.futures by training with --jobs
+    code = ("import sys, kgatnet.cli; sys.exit(any(m in sys.modules for m in"
+            " ('requests', 'scipy.sparse', 'concurrent.futures')))")
+    assert subprocess.run([sys.executable, "-c", code], env=_source_env(),
+                          timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["--enriched"]])
+def test_rerun_with_every_stage_skipped_leaves_scipy_sparse_unloaded(workdir, flags):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path, *flags]) == 0
+    manifest = Artifacts(workdir / "out").manifest
+    first = json.loads(manifest.read_text())["stages"]["train"]
+    code = ("import sys; from kgatnet.cli import main; rc = main(sys.argv[1:]);"
+            " print('scipy.sparse' in sys.modules); sys.exit(rc)")
+    done = subprocess.run([sys.executable, "-c", code, "run-all", "--config", cfg_path, *flags],
+                          env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "False\n"
+    second = json.loads(manifest.read_text())["stages"]["train"]
+    assert second["trained"] == 0
+    assert second["model_bytes"] == first["model_bytes"]
+
+
+def test_train_over_finished_models_still_requires_the_features(workdir):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path]) == 0
+    # train alone, since a run-all would rebuild them at aggregate
+    Artifacts(workdir / "out").features.unlink()
+    assert main(["train", "--config", cfg_path]) == 3
+
+
+def test_every_manifest_entry_records_wall_time_and_peak_memory(workdir):
+    cfg = load_config(workdir / "run.cfg")
+    run_stage("run-all", cfg)
+    stages = json.loads(Artifacts(cfg.output_dir).manifest.read_text())["stages"]
+    order = ["preprocess", "build", "aggregate", "train", "evaluate"]
+    assert set(stages) == set(order)
+    for entry in stages.values():
+        for key in ("seconds", "peak_rss_mb"):
+            assert math.isfinite(entry[key]) and entry[key] >= 0
+    # a high-water mark of the process so far
+    peaks = [stages[name]["peak_rss_mb"] for name in order]
+    assert peaks == sorted(peaks) and peaks[-1] > 0
 
 
 # --- determinism ------------------------------------------------------------
