@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .atomic import write_atomically
 from .errors import DuplicateDocumentId, MissingLabel
 from .evaluation import TRAITS
-from .gat import _write_atomically
 from .kg_builder import KnowledgeGraph, read_sections, sections_to_text
 from .preprocess import Document
 
@@ -147,7 +147,7 @@ def aggregated_from_text(text: str) -> AggregatedGraph:
 
 
 def write_aggregated(agg: AggregatedGraph, path: Path | str) -> None:
-    _write_atomically(path, aggregated_to_text(agg).encode("utf-8"))
+    write_atomically(path, aggregated_to_text(agg).encode("utf-8"))
 
 
 def read_aggregated(path: Path | str) -> AggregatedGraph:
@@ -160,7 +160,7 @@ def write_labels_csv(doc_ids: Sequence[str], labels: np.ndarray, path: Path | st
     w.writerow(["doc_id", *TRAITS])
     for doc_id, row in zip(doc_ids, labels):
         w.writerow([doc_id, *(int(x) for x in row)])
-    _write_atomically(path, buf.getvalue().encode("utf-8"))
+    write_atomically(path, buf.getvalue().encode("utf-8"))
 
 
 def read_labels_csv(path: Path | str) -> tuple[list[str], np.ndarray]:

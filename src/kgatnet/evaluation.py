@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_atomically
 from .errors import InvalidK, LengthMismatch, UndefinedMetric
-from .gat import _write_atomically
 
 TRAITS = ("O", "C", "E", "A", "N")
 METRICS = ("precision", "recall", "f_measure", "accuracy")
@@ -144,7 +144,7 @@ def write_metric_report(per_trait: dict[str, dict[str, float | None]],
         defined = [c for c in cells if c is not None]
         avg = sum(defined) / len(defined) if defined else None
         lines.append(",".join([name, *(_fmt(c) for c in cells), _fmt(avg)]))
-    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_long_report(fold_rows: dict[str, list[dict[str, float | None]]],
@@ -159,4 +159,4 @@ def write_long_report(fold_rows: dict[str, list[dict[str, float | None]]],
             for name in METRICS:
                 if row.get(name) is not None:
                     w.writerow([trait, name, f"{row[name]:.6f}", fold_i])
-    _write_atomically(path, buf.getvalue().encode("utf-8"))
+    write_atomically(path, buf.getvalue().encode("utf-8"))

@@ -54,13 +54,12 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomically
 from .errors import (
     ConfigError,
     MissingEmbedding,
@@ -760,7 +759,7 @@ def save_model(model: GatModel, path):
     meta = {"version": CHECKPOINT_VERSION}
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.array(json.dumps(meta)), **model.params)
-    _write_atomically(path, buf.getvalue())
+    write_atomically(path, buf.getvalue())
 
 
 def load_model(path) -> GatModel:
@@ -784,16 +783,4 @@ def write_history(history, path):
     lines = ["epoch,train_loss,val_loss,val_accuracy"]
     for epoch, tr, vl, va in history:
         lines.append(f"{epoch},{tr:.6f},{vl:.6f},{va:.6f}")
-    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _write_atomically(path, data: bytes) -> None:
-    """Write through a temp file next to `path` and rename it into place, so
-    an interrupted write never leaves a partial file that looks finished."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))

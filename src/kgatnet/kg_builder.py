@@ -7,13 +7,15 @@ the triples fetched only the edges between two of the document's concepts
 are kept, with predicates dropped and parallel edges merged into a simple
 undirected graph.  A dump is indexed in memory when it is loaded; only
 endpoint lookups, which are network round trips, go through the per-concept
-disk cache.  Of an N-Triples file only the resource-only statements, three
+disk cache.  The endpoint is queried with the standard library's
+`urllib.request`, one GET per lookup.  Of an N-Triples file only the resource-only statements, three
 `<IRI>` terms, are recognised: the graph keeps no literal or blank node.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import re
 import time
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol
 
+from .atomic import write_atomically
 from .errors import NetworkError
-from .gat import _write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -126,6 +128,7 @@ class NTriplesSource:
 
 RESOURCE_BASE = "http://dbpedia.org/resource/"
 MAX_TRIPLES = 10000  # per lookup; the query's LIMIT
+SPARQL_JSON = "application/sparql-results+json"
 
 
 class SparqlEndpointSource:
@@ -147,7 +150,10 @@ class SparqlEndpointSource:
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.min_interval = min_interval
-        self.source_id = "sparql-" + hashlib.sha256(endpoint_url.encode()).hexdigest()[:12]
+        # the allowlist filters what the cache stores, so it keys the cache
+        # too; with none, the id is the URL's digest alone
+        key = "\n".join((endpoint_url, *predicate_prefixes))
+        self.source_id = "sparql-" + hashlib.sha256(key.encode()).hexdigest()[:12]
         self._last_request = 0.0
 
     def _throttle(self):
@@ -166,36 +172,40 @@ class SparqlEndpointSource:
         )
 
     def lookup(self, name: str) -> frozenset[RdfTriple]:
-        # imported here: only endpoint runs need it, and it slows every
+        # imported here: only endpoint runs need them, and they slow every
         # start of the command line by tens of milliseconds
-        import requests
+        import http.client
+        import urllib.request
+        import zlib
 
-        params = {"query": self._query_for(name), "format": "application/sparql-results+json"}
-        headers = {"Accept": "application/sparql-results+json", "User-Agent": "kgatnet/0.1"}
+        query = urllib.parse.urlencode({"query": self._query_for(name), "format": SPARQL_JSON})
+        request = urllib.request.Request(
+            self.endpoint_url + ("&" if "?" in self.endpoint_url else "?") + query,
+            headers={"Accept": SPARQL_JSON, "User-Agent": "kgatnet/0.1", "Accept-Encoding": "gzip"})
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.backoff * attempt)
             self._throttle()
             try:
-                resp = requests.get(
-                    self.endpoint_url, params=params, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    status, body = resp.status, resp.read()
+                    if resp.headers.get("Content-Encoding") == "gzip":
+                        body = zlib.decompress(body, 16 + zlib.MAX_WBITS)
+                    payload = json.loads(body) if status == 200 else None
+            except urllib.request.HTTPError as exc:  # a 4xx or 5xx status
+                status = exc.code
+            except (OSError, ValueError, zlib.error, http.client.HTTPException) as exc:
+                # refused, reset, timed out or cut short, or not gzip or JSON
                 last_error = exc
                 log.warning("request for %r failed (%s), attempt %d", name, exc, attempt + 1)
                 continue
-            if resp.status_code == 200:
-                try:
-                    payload = resp.json()
-                except ValueError as exc:
-                    last_error = exc
-                    continue
+            if status == 200:
                 return self._parse_bindings(payload)
-            if resp.status_code in (429,) or resp.status_code >= 500:
-                last_error = NetworkError(f"endpoint returned {resp.status_code}")
+            if status == 429 or status >= 500:
+                last_error = NetworkError(f"endpoint returned {status}")
                 continue
-            raise NetworkError(f"endpoint returned {resp.status_code} for {name!r}")
+            raise NetworkError(f"endpoint returned {status} for {name!r}")
         raise NetworkError(f"endpoint unreachable after {self.max_attempts} attempts") from last_error
 
     def _parse_bindings(self, payload) -> frozenset[RdfTriple]:
@@ -255,7 +265,7 @@ class CachingSource:
             with open(path, encoding="utf-8") as fh:
                 return frozenset(parse_ntriples(fh))
         triples = self.inner.lookup(name)
-        _write_atomically(path, render_ntriples(triples).encode("utf-8"))
+        write_atomically(path, render_ntriples(triples).encode("utf-8"))
         return triples
 
 

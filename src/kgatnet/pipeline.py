@@ -45,6 +45,7 @@ from .aggregator import (
     write_aggregated,
     write_labels_csv,
 )
+from .atomic import write_atomically
 from .errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss
 from .evaluation import (
     TRAITS,
@@ -58,7 +59,6 @@ from .evaluation import (
 )
 from .gat import (
     TrainConfig,
-    _write_atomically,
     load_model,
     model_bytes,
     predict,
@@ -360,7 +360,7 @@ def stage_preprocess(cfg: PipelineConfig, force: bool = False) -> dict:
         if not concepts:
             log.warning("document %s produced an empty concept set", doc.id)
         body = "\n".join(sorted(concepts))
-        _write_atomically(art.concept_path(doc.id), (body + "\n" if body else "").encode("utf-8"))
+        write_atomically(art.concept_path(doc.id), (body + "\n" if body else "").encode("utf-8"))
     log.info("preprocess: %d concept sets written, %d already present",
              len(todo), len(corpus) - len(todo))
     return {"documents": len(corpus), "written": len(todo)}
@@ -376,7 +376,7 @@ def stage_build(cfg: PipelineConfig, force: bool = False) -> dict:
     source = make_source(cfg) if todo else None
     for doc in todo:
         graph = build_document_graph(read_concept_file(art.concept_path(doc.id)), source)
-        _write_atomically(art.graph_path(doc.id), graph_to_text(graph).encode("utf-8"))
+        write_atomically(art.graph_path(doc.id), graph_to_text(graph).encode("utf-8"))
     log.info("build: %d graphs written, %d already present",
              len(todo), len(corpus) - len(todo))
     return {"documents": len(corpus), "written": len(todo)}
@@ -407,7 +407,7 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
     import scipy.sparse as sp
     buf = io.BytesIO()
     sp.save_npz(buf, X)
-    _write_atomically(art.features, buf.getvalue())
+    write_atomically(art.features, buf.getvalue())
     labels = build_label_matrix(corpus)
     write_labels_csv([d.id for d in corpus], labels, art.labels)
     log.info("aggregate: %d entities, %d essays, %d features",
@@ -579,7 +579,7 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
                   *art.models_dir.glob("history_fold*_*.csv")]:
             p.unlink()
     if recorded != text:
-        _write_atomically(art.splits, text.encode("utf-8"))
+        write_atomically(art.splits, text.encode("utf-8"))
 
     # every training seeds its own generator with [seed, fold, trait], and
     # a stack computes each model as if alone, so the outputs depend neither
@@ -616,7 +616,7 @@ def _write_correlations(matrix: np.ndarray, path: Path) -> None:
     for trait, row in zip(TRAITS, matrix):
         cells = ("" if np.isnan(v) else f"{v:.6f}" for v in row)
         lines.append(trait + "," + ",".join(cells))
-    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
@@ -720,7 +720,7 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
     entry["completed"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     data.setdefault("stages", {})[stage] = entry
     art.root.mkdir(parents=True, exist_ok=True)
-    _write_atomically(art.manifest,
+    write_atomically(art.manifest,
                       (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 

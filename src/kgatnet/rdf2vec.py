@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .aggregator import AggregatedGraph
+from .atomic import write_atomically
 from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, UnknownNode
-from .gat import _write_atomically
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def write_embeddings(matrix: EmbeddingMatrix, path: Path | str) -> None:
     lines = [f"{len(matrix.node_ids)} {matrix.dim}"]
     for node_id, row in zip(matrix.node_ids, matrix.vectors):
         lines.append(node_id + " " + " ".join(repr(float(v)) for v in row))
-    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_embeddings(path: Path | str) -> EmbeddingMatrix:

@@ -1,15 +1,22 @@
 """Triple sources, graph building, caching, serialization."""
 
+import contextlib
+import gzip
+import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
+import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgatnet.cli import main
 from kgatnet.errors import NetworkError
 from kgatnet.kg_builder import (
     CachingSource,
@@ -28,6 +35,8 @@ from kgatnet.kg_builder import (
     title_case,
 )
 from oracles import scanned_ntriples, union_then_filter
+
+FIXTURE = Path(__file__).parent.parent / "src" / "kgatnet" / "data" / "fixture"
 
 DUMP = """\
 <http://x/Dog> <http://x/relatedTo> <http://x/Wolf> .
@@ -407,34 +416,62 @@ def bindings_payload(rows):
 
 
 class CannedHandler(BaseHTTPRequestHandler):
-    responses = []  # list of (status, payload or None); popped per request
+    # each response is (status, payload) or (status, payload, delay in
+    # seconds); a bytes payload is sent as it is and any other as JSON, and
+    # the body is gzipped when the request accepts gzip
+    responses = []  # popped per request
+    seen = []  # (path, headers) of every request, in order
     lock = threading.Lock()
 
     def do_GET(self):
         with CannedHandler.lock:
-            status, payload = (
-                CannedHandler.responses.pop(0) if CannedHandler.responses else (200, {"results": {"bindings": []}})
+            CannedHandler.seen.append((self.path, self.headers))
+            status, payload, delay = (
+                (*CannedHandler.responses.pop(0), 0.0)[:3] if CannedHandler.responses
+                else (200, {"results": {"bindings": []}}, 0.0)
             )
-        body = json.dumps(payload or {}).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/sparql-results+json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        time.sleep(delay)
+        body = payload if isinstance(payload, bytes) else json.dumps(payload or {}).encode()
+        send_body(self, status, body)
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture
-def endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), CannedHandler)
+def send_body(handler, status, body):
+    gzipped = "gzip" in handler.headers.get("Accept-Encoding", "")
+    if gzipped:
+        body = gzip.compress(body)
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/sparql-results+json")
+    if gzipped:
+        handler.send_header("Content-Encoding", "gzip")
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+@contextlib.contextmanager
+def serving(handler):
+    """The URL of a local SPARQL stand-in served by `handler` meanwhile."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/sparql"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def endpoint():
     CannedHandler.responses = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/sparql"
-    server.shutdown()
-    thread.join(timeout=5)
+    CannedHandler.seen = []
+    with serving(CannedHandler) as url:
+        yield url
 
 
 def fast_client(url, **kw):
@@ -515,3 +552,154 @@ def test_cache_hit_returns_what_the_endpoint_lookup_returned(endpoint, tmp_path)
     src = CachingSource(fast_client(endpoint), tmp_path)
     first = src.lookup("A")
     assert first == src.lookup("A") == frozenset({RdfTriple("A", "q", "B")})
+
+
+@pytest.mark.parametrize("url_query", ["", "?default-graph-uri=http%3A%2F%2Fdbpedia.org"])
+def test_endpoint_request_wire_shape(endpoint, url_query):
+    rows = [("New_York", "p", {"type": "uri", "value": "http://x/Usa"})]
+    CannedHandler.responses = [(200, bindings_payload(rows))]
+    got = fast_client(endpoint + url_query).lookup("New_York")
+    # the stand-in gzips its body, since the client accepts gzip
+    assert got == frozenset({RdfTriple("New_York", "p", "Usa")})
+    [(path, headers)] = CannedHandler.seen
+    url = urllib.parse.urlsplit(path)
+    assert url.path == "/sparql"
+    params = urllib.parse.parse_qs(url.query)
+    assert params["format"] == ["application/sparql-results+json"]
+    assert "<http://dbpedia.org/resource/New_York>" in params["query"][0]
+    if url_query:  # the endpoint's own parameters are kept
+        assert params["default-graph-uri"] == ["http://dbpedia.org"]
+    assert headers["Accept"] == "application/sparql-results+json"
+    assert headers["User-Agent"] == "kgatnet/0.1"
+    assert "gzip" in headers["Accept-Encoding"]
+
+
+@pytest.mark.parametrize("first", [
+    (429, None),  # rate limited
+    (200, b"not json"),
+    (200, {"results": {"bindings": []}}, 1.0),  # past the client's timeout
+])
+def test_endpoint_retries_transient_failures(endpoint, first):
+    rows = [("A", "p", {"type": "uri", "value": "http://x/B"})]
+    CannedHandler.responses = [first, (200, bindings_payload(rows))]
+    got = fast_client(endpoint, timeout=0.5).lookup("A")
+    assert got == frozenset({RdfTriple("A", "p", "B")})
+    assert len(CannedHandler.seen) == 2
+
+
+class BrokenBodyHandler(BaseHTTPRequestHandler):
+    """Answers its first request with a broken body, as `broken` says, and
+    every later one with a good answer."""
+
+    broken = ""  # "gzip": not a gzip stream; "short": cut before its length
+    answered = 0
+
+    def do_GET(self):
+        BrokenBodyHandler.answered += 1
+        if BrokenBodyHandler.answered > 1:
+            rows = [("A", "p", {"type": "uri", "value": "http://x/B"})]
+            return send_body(self, 200, json.dumps(bindings_payload(rows)).encode())
+        body = b'{"results": {"bindings": []}}'
+        self.send_response(200)
+        if BrokenBodyHandler.broken == "gzip":
+            self.send_header("Content-Encoding", "gzip")
+        self.send_header("Content-Length", str(len(body) * (2 if BrokenBodyHandler.broken == "short" else 1)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("broken", ["gzip", "short"])
+def test_endpoint_retries_broken_bodies(monkeypatch, broken):
+    monkeypatch.setattr(BrokenBodyHandler, "broken", broken)
+    monkeypatch.setattr(BrokenBodyHandler, "answered", 0)
+    with serving(BrokenBodyHandler) as url:
+        got = fast_client(url, timeout=0.5).lookup("A")
+    assert got == frozenset({RdfTriple("A", "p", "B")})
+    assert BrokenBodyHandler.answered == 2
+
+
+def test_endpoint_success_other_than_200_is_immediate(endpoint):
+    CannedHandler.responses = [(203, bindings_payload([]))]
+    with pytest.raises(NetworkError, match="203"):
+        fast_client(endpoint).lookup("A")
+    assert len(CannedHandler.seen) == 1
+
+
+def test_endpoint_cache_keyed_by_predicate_allowlist(endpoint, tmp_path):
+    # the allowlist filters before the cache stores, so sources with
+    # different allowlists must not share entries
+    payload = bindings_payload([("A", "good/p", {"type": "uri", "value": "http://x/B"}),
+                                ("A", "q", {"type": "uri", "value": "http://x/C"})])
+    CannedHandler.responses = [(200, payload), (200, payload)]
+    filtered = fast_client(endpoint, predicate_prefixes=("http://x/good/",))
+    assert CachingSource(filtered, tmp_path).lookup("A") == {RdfTriple("A", "p", "B")}
+    assert CachingSource(fast_client(endpoint), tmp_path).lookup("A") == {
+        RdfTriple("A", "p", "B"), RdfTriple("A", "q", "C")}
+    assert len(CannedHandler.seen) == 2
+
+
+def test_endpoint_source_id_without_allowlist_is_the_url_digest():
+    # so caches written before the allowlist was part of the id stay valid
+    url = "http://127.0.0.1:1/sparql"
+    assert fast_client(url).source_id == "sparql-" + hashlib.sha256(url.encode()).hexdigest()[:12]
+
+
+class DumpEndpointHandler(BaseHTTPRequestHandler):
+    """A SPARQL stand-in that answers each lookup query from the fixture
+    dump by the local name it asks about, adding a literal and a blank-node
+    binding, which the client must drop, to every answer it has."""
+
+    by_name: dict = {}
+    names = []  # the local name of every request, in order
+
+    def do_GET(self):
+        query = urllib.parse.parse_qs(urllib.parse.urlsplit(self.path).query)["query"][0]
+        name = urllib.parse.unquote(
+            re.search(r"<http://dbpedia\.org/resource/([^>]*)>", query).group(1))
+        DumpEndpointHandler.names.append(name)
+        rows = [{k: {"type": "uri", "value": v} for k, v in zip("spo", t)}
+                for t in DumpEndpointHandler.by_name.get(name, [])]
+        if rows:
+            s = rows[0]["s"]
+            rows.append({"s": s, "p": s, "o": {"type": "literal", "value": name}})
+            rows.append({"s": s, "p": s, "o": {"type": "bnode", "value": "b0"}})
+        send_body(self, 200, json.dumps({"results": {"bindings": rows}}).encode())
+
+    def log_message(self, *args):
+        pass
+
+
+def test_endpoint_build_matches_dump_build(tmp_path, monkeypatch):
+    monkeypatch.setattr(SparqlEndpointSource, "_throttle", lambda self: None)
+    by_name = {}
+    for line in (FIXTURE / "dump.nt").read_text(encoding="utf-8").splitlines():
+        m = re.fullmatch(r"<([^>]*)> <([^>]*)> <([^>]*)> \.", line)
+        if m:
+            for term in (m[1], m[3]):
+                by_name.setdefault(local_name(term), []).append(m.groups())
+    monkeypatch.setattr(DumpEndpointHandler, "by_name", by_name)
+    monkeypatch.setattr(DumpEndpointHandler, "names", [])
+
+    def built(name, source_line):
+        work = tmp_path / name
+        work.mkdir()
+        for f in ("corpus.csv", "dump.nt", "gazetteer.txt"):
+            (work / f).write_bytes((FIXTURE / f).read_bytes())
+        (work / "run.cfg").write_text(
+            f"corpus = corpus.csv\ngazetteer = gazetteer.txt\n{source_line}\n", encoding="utf-8")
+        for stage in ("preprocess", "build"):
+            assert main([stage, "--config", str(work / "run.cfg")]) == 0
+        graphs = sorted((work / "out" / "graphs").iterdir())
+        return {p.name: p.read_bytes() for p in graphs}
+
+    from_dump = built("dump", "dump = dump.nt")
+    with serving(DumpEndpointHandler) as url:
+        assert built("endpoint", f"endpoint = {url}") == from_dump
+        asked = len(DumpEndpointHandler.names)
+        assert len(from_dump) == 30 and asked > 30
+        # every lookup is now in the disk cache
+        assert main(["build", "--config", str(tmp_path / "endpoint" / "run.cfg"), "--force"]) == 0
+        assert len(DumpEndpointHandler.names) == asked

@@ -666,11 +666,18 @@ def _source_env() -> dict:
 
 
 def test_importing_cli_leaves_requests_unloaded():
-    # each is loaded only by the stages that need it: requests by endpoint
-    # lookups, scipy.sparse by the stages that build or read a feature
-    # matrix, and concurrent.futures by training with --jobs
+    # each is loaded only by the stages that need it: urllib.request by
+    # endpoint lookups, scipy.sparse by the stages that build or read a
+    # feature matrix, and concurrent.futures by training with --jobs
     code = ("import sys, kgatnet.cli; sys.exit(any(m in sys.modules for m in"
-            " ('requests', 'scipy.sparse', 'concurrent.futures')))")
+            " ('urllib.request', 'scipy.sparse', 'concurrent.futures')))")
+    assert subprocess.run([sys.executable, "-c", code], env=_source_env(),
+                          timeout=60).returncode == 0
+
+
+def test_importing_kg_builder_loads_only_the_standard_library():
+    code = ("import sys, kgatnet.kg_builder; sys.exit(any(m in sys.modules for m in"
+            " ('numpy', 'requests', 'urllib.request')))")
     assert subprocess.run([sys.executable, "-c", code], env=_source_env(),
                           timeout=60).returncode == 0
 
