@@ -19,12 +19,14 @@ on the fly.
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from kgatnet.atomic import write_atomically
 from kgatnet.cli import main as cli_main
 
 REFERENCE = {"plain": 0.7026, "enriched": 0.7241}
@@ -38,32 +40,39 @@ SUBSTITUTION_NOTES = (
 
 ESSAYS_HEADER = ["#AUTHID", "TEXT", "cEXT", "cNEU", "cAGR", "cCON", "cOPN"]
 OURS_HEADER = ["doc_id", "text", "O", "C", "E", "A", "N"]
+TRAIT_COLUMNS = {"O": "cOPN", "C": "cCON", "E": "cEXT", "A": "cAGR", "N": "cNEU"}
 
 
 def convert_corpus(src: Path, dest: Path) -> Path:
-    """Accept either corpus layout; rewrite essays.csv into ours."""
+    """Accept either corpus layout; rewrite essays.csv into ours.  Every row
+    is checked (seven fields, y/n flags) before `dest` is written, and a bad
+    row exits with a message naming its line."""
     with src.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header == OURS_HEADER:
             return src
         if header != ESSAYS_HEADER:
             sys.exit(f"unrecognized corpus header: {header}")
-        rows = list(reader)
-
-    def flag(value: str) -> str:
-        value = value.strip().lower()
-        if value not in ("y", "n"):
-            sys.exit(f"expected y/n label, got {value!r}")
-        return "1" if value == "y" else "0"
-
-    with dest.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
         writer.writerow(OURS_HEADER)
-        for authid, text, ext, neu, agr, con, opn in rows:
-            writer.writerow([authid, text, flag(opn), flag(con), flag(ext),
-                             flag(agr), flag(neu)])
-    print(f"converted {len(rows)} essays -> {dest}")
+        count = 0
+        for row in reader:
+            where = f"{src}, line {reader.line_num}"
+            if len(row) != len(ESSAYS_HEADER):
+                sys.exit(f"{where}: expected {len(ESSAYS_HEADER)} fields, got {len(row)}")
+            cells = dict(zip(ESSAYS_HEADER, row))
+            labels = []
+            for trait in OURS_HEADER[2:]:
+                value = cells[TRAIT_COLUMNS[trait]].strip().lower()
+                if value not in ("y", "n"):
+                    sys.exit(f"{where}: expected y/n in {TRAIT_COLUMNS[trait]}, got {value!r}")
+                labels.append("1" if value == "y" else "0")
+            writer.writerow([row[0], row[1], *labels])
+            count += 1
+    write_atomically(dest, out.getvalue().encode("utf-8"))
+    print(f"converted {count} essays -> {dest}")
     return dest
 
 
@@ -86,8 +95,7 @@ def annotate_manifest(outdir: Path, mode: str, accs: dict[str, float]) -> None:
         "within_tolerance": abs(deviation) <= TOLERANCE,
         "notes": SUBSTITUTION_NOTES,
     }
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_atomically(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def run_mode(mode: str, work: Path, corpus: Path, args) -> dict[str, float]:

@@ -38,7 +38,11 @@ attention-weight gradient loops, once per model over its heads.
 `train_stack` fits the (fold, trait) classifiers that share a graph and a
 training-set size this way, each model with its own generator, split,
 batch order, early stopping and snapshot; a model that stops leaves the
-stack.
+stack.  The stack's state is held flat, one row of P values per model:
+its parameters, the two Adam moments and the best snapshots are (M, P)
+arrays, `model.params` are views into the parameter rows, Adam is
+elementwise arithmetic over whole rows, and a model leaves by row
+selection.
 
 Every kernel adds in the same order as the per-head layer that
 `tests/oracles.py` keeps as a reference (one head at a time, scattering
@@ -473,7 +477,7 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
     batch per model, and the loss is one per model.  `X_T`, when given, is
     `X.T` built once by a caller that takes many steps over the same X.
     Weight decay is left to the caller: `l2_penalty` for the loss and
-    `adam_step` for its gradient.  A non-finite loss raises
+    `l2_gradient` for its gradient.  A non-finite loss raises
     `NonFiniteLoss`, whose `model` is the flat index of the first model
     whose loss diverged."""
     batch = np.asarray(batch_positions, dtype=np.int64)
@@ -547,6 +551,13 @@ def l2_penalty(loss, params, weight_decay):
     return loss
 
 
+def l2_gradient(grads, params, weight_decay):
+    """`grads` plus the gradient of `l2_penalty`, `2 * weight_decay * value`,
+    for every non-bias parameter."""
+    return {name: g + 2.0 * weight_decay * params[name] if _decays(name) else g
+            for name, g in grads.items()}
+
+
 def predict(model, tensors, X, positions=None, embeddings=None):
     """Binary predictions (argmax; an exact tie goes to class 0)."""
     probs = forward(model, tensors, X, embeddings)
@@ -568,68 +579,21 @@ def _split(flat, shapes):
     return out
 
 
-@dataclass
-class AdamState:
-    """First and second moments of every parameter, each held in one flat
-    buffer; `m` and `v` map parameter names to views into them.  The
-    parameters that weight decay applies to, `decayed`, come first in the
-    buffers, so their entries form one leading slice.  For a stack of
-    models the buffers have one row per model."""
-
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
-    decayed: tuple[str, ...] = ()
-
-    @classmethod
-    def for_params(cls, params, lead=()):
-        """Zero moments for `params`, whose leading axes `lead` are models."""
-        decayed = tuple(k for k in params if _decays(k))
-        order = [*decayed, *(k for k in params if not _decays(k))]
-        shapes = {k: params[k].shape[len(lead):] for k in order}
-        size = sum(math.prod(s) for s in shapes.values())
-        return cls._over(np.zeros((*lead, size)), np.zeros((*lead, size)), shapes, 0, decayed)
-
-    @classmethod
-    def _over(cls, m_flat, v_flat, shapes, t, decayed):
-        return cls(m_flat, v_flat, _split(m_flat, shapes), _split(v_flat, shapes), t, decayed)
-
-    def shapes(self):
-        """Each parameter's shape without the leading model axes."""
-        return {k: v.shape[self.m_flat.ndim - 1:] for k, v in self.m.items()}
-
-    def take(self, rows):
-        """The state of the models `rows` of a one-axis stack."""
-        return AdamState._over(self.m_flat[rows], self.v_flat[rows], self.shapes(),
-                               self.t, self.decayed)
+def _flatten(arrays, shapes, lead=()):
+    """The inverse of `_split`: `arrays` concatenated along one last axis,
+    taken in `shapes` order whatever the order of their dict."""
+    return np.concatenate([arrays[key].reshape(*lead, -1) for key in shapes], axis=-1)
 
 
-def adam_step(params, grads, state: AdamState, lr,
-              beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS, weight_decay=0.0):
-    """In-place Adam update with bias correction, over every parameter of
-    `state` at once; `grads` must hold a gradient for each of them.  A
-    `weight_decay` first adds the gradient of `l2_penalty`,
-    `2 * weight_decay * value`, to every non-bias gradient."""
-    state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
-    lead = state.m_flat.shape[:-1]
-    g = np.concatenate([grads[key].reshape(*lead, -1) for key in state.m], axis=-1)
-    if weight_decay:
-        decayed = np.concatenate([params[key].reshape(*lead, -1) for key in state.decayed],
-                                 axis=-1)
-        g[..., : decayed.shape[-1]] += 2.0 * weight_decay * decayed
-    m, v = state.m_flat, state.v_flat
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    for key, delta in _split(step, state.shapes()).items():
-        params[key] -= delta
-    return params, state
+def adam_step(flat, g, m, v, t, lr):
+    """In-place Adam update with bias correction of the flat parameters
+    `flat` by the flat gradient `g`, over moments `m` and `v` of the same
+    shape; `t` is the step number after this update."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    flat -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
 
 
 # --- training loop -------------------------------------------------------
@@ -699,13 +663,18 @@ def train_stack(tensors, X, ys, config: TrainConfig,
     Y = np.stack([np.asarray(y, dtype=np.int64) for y in ys])
     V = np.stack(vals)
     YV = np.take_along_axis(Y, V, axis=1)
-    model = GatModel({k: np.stack([p[k] for p in best]) for k in best[0]})
-    state = AdamState.for_params(model.params, lead=(M,))
+    # the stack's state, one row per model: snapshots, parameters and Adam
+    # moments; model.params are views into `flat`
+    shapes = {k: a.shape for k, a in best[0].items()}
+    best = np.stack([_flatten(p, shapes) for p in best])
+    flat, m, v = best.copy(), np.zeros(best.shape), np.zeros(best.shape)
+    model = GatModel(_split(flat, shapes))
     X_T = X.T
 
     best_acc, best_loss, since = [-np.inf] * M, [np.inf] * M, [0] * M
     histories = [[] for _ in range(M)]
     active = list(range(M))   # the index in ys of each row of the stack
+    t = 0
     for epoch in range(1, config.epochs + 1):
         order = np.stack([rngs[i].permutation(fits[i]) for i in active])
         Y_active = Y[active]
@@ -720,8 +689,10 @@ def train_stack(tensors, X, ys, config: TrainConfig,
                 raise NonFiniteLoss(str(exc), model=active[exc.model]) from None
             if config.weight_decay:
                 loss = l2_penalty(loss, model.params, config.weight_decay)
-            adam_step(model.params, grads, state, config.learning_rate,
-                      weight_decay=config.weight_decay)
+                grads = l2_gradient(grads, model.params, config.weight_decay)
+            t += 1
+            adam_step(flat, _flatten(grads, shapes, (len(active),)), m, v, t,
+                      config.learning_rate)
             batch_losses.append(loss)
         val_loss, val_acc = evaluate_split(model, tensors, X, V[active], YV[active], embeddings)
         # one model's mean over its batches, as a contiguous row
@@ -735,22 +706,22 @@ def train_stack(tensors, X, ys, config: TrainConfig,
             if val_acc[row] > best_acc[i] or (
                     val_acc[row] == best_acc[i] and val_loss[row] < best_loss[i]):
                 best_acc[i], best_loss[i] = val_acc[row], val_loss[row]
-                best[i] = {k: v[row].copy() for k, v in model.params.items()}
+                best[i] = flat[row]
                 since[i] = 0
             else:
                 since[i] += 1
             if since[i] < config.patience:
                 stay.append(row)
             else:
-                yield i, GatModel(best[i]), histories[i]
+                yield i, GatModel(_split(best[i], shapes)), histories[i]
         if len(stay) < len(active):
             active = [active[row] for row in stay]
             if not active:
                 return
-            model.params = {k: v[stay] for k, v in model.params.items()}
-            state = state.take(stay)
+            flat, m, v = flat[stay], m[stay], v[stay]
+            model.params = _split(flat, shapes)
     for i in active:
-        yield i, GatModel(best[i]), histories[i]
+        yield i, GatModel(_split(best[i], shapes)), histories[i]
 
 
 # --- persistence ---------------------------------------------------------

@@ -271,7 +271,7 @@ class CachingSource:
 
 # benchmark/tracer.py still looks this name up to wrap the old cache's get
 # and put, which it then reports as not found; drop it when the tracer
-# stops asking (ROADMAP item 7)
+# stops asking (ROADMAP item 8)
 TripleCache = CachingSource
 
 

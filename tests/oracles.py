@@ -15,9 +15,10 @@ The document graph is built the long way: every concept's description
 unioned into one graph, then filtered down to the concepts.  N-Triples
 lines are scanned term by term, literals and blank nodes included, and
 only the statements of three IRIs kept.  The
-weight-decayed loss adds the L2 term's gradient per parameter, the
-reference for Adam's flat-buffer decay.  The single-mechanism operations are
-small helpers only tests use.
+weight-decayed loss adds the L2 term's gradient per parameter in place.
+The one-model training loop shares no optimizer code with `train_stack`:
+it decays and steps one parameter at a time, over dict moments.  The
+single-mechanism operations are small helpers only tests use.
 """
 
 import bisect
@@ -28,12 +29,10 @@ import numpy as np
 from kgatnet.errors import ConfigError, MissingEmbedding, ShapeMismatch
 from kgatnet.gat import (
     LEAKY_SLOPE,
-    AdamState,
     TrainConfig,
     _decays,
     _elu_grad,
     _tree_sum,
-    adam_step,
     attention_layer_forward,
     elu,
     evaluate_split,
@@ -281,10 +280,13 @@ def drawn_in_order(n_features, config, embed_dim=0):
 
 
 def weight_decayed_loss_and_gradients(model, tensors, X, batch, targets, weight_decay,
-                                      embeddings=None):
+                                      embeddings=None, X_T=None):
     """`loss_and_gradients` with an L2 penalty of `weight_decay` on every
-    non-bias parameter, its gradient added one parameter at a time."""
-    loss, grads = loss_and_gradients(model, tensors, X, batch, targets, embeddings)
+    non-bias parameter, its gradient added one parameter at a time; a zero
+    `weight_decay` adds nothing."""
+    loss, grads = loss_and_gradients(model, tensors, X, batch, targets, embeddings, X_T=X_T)
+    if not weight_decay:
+        return loss, grads
     loss = l2_penalty(loss, model.params, weight_decay)
     for name, value in model.params.items():
         if _decays(name):
@@ -340,7 +342,9 @@ def train_trait(tensors, X, y, config: TrainConfig,
 
     embed_dim = embeddings.shape[1] if config.enriched else 0
     model = new_model(X.shape[1], config, embed_dim=embed_dim, rng=rng)
-    state = AdamState.for_params(model.params)
+    m = {k: np.zeros_like(p) for k, p in model.params.items()}
+    v = {k: np.zeros_like(p) for k, p in model.params.items()}
+    t = 0
     X_T = X.T
 
     best_acc = -np.inf
@@ -353,12 +357,10 @@ def train_trait(tensors, X, y, config: TrainConfig,
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(
-                model, tensors, X, batch, y[batch], embeddings, X_T=X_T)
-            if config.weight_decay:
-                loss = l2_penalty(loss, model.params, config.weight_decay)
-            adam_step(model.params, grads, state, config.learning_rate,
-                      weight_decay=config.weight_decay)
+            loss, grads = weight_decayed_loss_and_gradients(
+                model, tensors, X, batch, y[batch], config.weight_decay, embeddings, X_T=X_T)
+            t += 1
+            per_key_adam_step(model.params, grads, m, v, t, config.learning_rate)
             batch_losses.append(loss)
         val_loss, val_acc = evaluate_split(model, tensors, X, val_idx, y[val_idx], embeddings)
         history.append((epoch, float(np.mean(batch_losses)), val_loss, val_acc))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 from kgatnet.errors import (
     ConfigError,
@@ -16,16 +17,18 @@ from kgatnet.errors import (
 )
 from kgatnet import gat
 from kgatnet.gat import (
-    AdamState,
     GatModel,
     GraphTensors,
     TrainConfig,
+    _flatten,
+    _split,
     adam_step,
     attention_layer_backward,
     attention_layer_forward,
     elu,
     evaluate_split,
     forward,
+    l2_gradient,
     l2_penalty,
     load_model,
     loss_and_gradients,
@@ -476,10 +479,9 @@ def test_weight_decay_adds_exact_l2_term():
             assert np.allclose(extra, 2 * wd * model.params[name], rtol=1e-12, atol=0)
 
 
-def test_weight_decay_in_adam_matches_per_parameter_term():
-    # train_stack adds the penalty to the loss and leaves its gradient to
-    # Adam's flat buffer; both must give the bits of the per-parameter
-    # reference
+def test_l2_gradient_matches_per_parameter_term():
+    # train_stack adds the penalty with l2_penalty and its gradient with
+    # l2_gradient; both must give the bits of the per-parameter reference
     tensors, X, _ = tiny_instance()
     model = new_model(X.shape[1], small_config())
     wd = 0.02
@@ -487,14 +489,11 @@ def test_weight_decay_in_adam_matches_per_parameter_term():
     reg_loss, reg_grads = weight_decayed_loss_and_gradients(
         model, tensors, X, [0, 1], [0, 1], wd)
     assert l2_penalty(plain_loss, model.params, wd) == reg_loss
-    flat = {k: v.copy() for k, v in model.params.items()}
-    state = AdamState.for_params(flat)
-    adam_step(flat, plain_grads, state, lr=0.01, weight_decay=wd)
-    per_key = {k: v.copy() for k, v in model.params.items()}
-    adam_step(per_key, reg_grads, AdamState.for_params(per_key), lr=0.01)
-    for name in model.params:
-        assert np.array_equal(flat[name], per_key[name])
-    assert state.decayed == tuple(k for k in model.params if not k.endswith(".b"))
+    decayed = l2_gradient(plain_grads, model.params, wd)
+    assert decayed.keys() == reg_grads.keys()
+    for name in reg_grads:
+        assert np.array_equal(decayed[name], reg_grads[name])
+    assert decayed["proj.b"] is plain_grads["proj.b"]  # biases pass through
 
 
 def test_loss_nonfinite_raises():
@@ -574,18 +573,15 @@ def test_masking_soundness_outside_receptive_field():
 # --- Adam -----------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
-    state = AdamState.for_params(params)
-    adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    assert np.array_equal(params["w"], [1.0, -2.0])
-    assert state.t == 1
+    flat, m, v = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
+    adam_step(flat, np.zeros(2), m, v, 1, lr=0.1)
+    assert np.array_equal(flat, [1.0, -2.0])
 
 
 def test_adam_first_step_is_signed_lr():
-    params = {"w": np.array([0.0, 0.0])}
-    state = AdamState.for_params(params)
-    adam_step(params, {"w": np.array([2.5, -0.3])}, state, lr=0.01)
-    assert np.allclose(params["w"], [-0.01, 0.01], rtol=1e-6)
+    flat, m, v = np.zeros(2), np.zeros(2), np.zeros(2)
+    adam_step(flat, np.array([2.5, -0.3]), m, v, 1, lr=0.01)
+    assert np.allclose(flat, [-0.01, 0.01], rtol=1e-6)
 
 
 def test_adam_matches_reference_trace():
@@ -600,32 +596,56 @@ def test_adam_matches_reference_trace():
         p_ref = p_ref - lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         trace.append(p_ref)
 
-    params = {"p": np.array([0.0])}
-    state = AdamState.for_params(params)
-    for t in range(10):
-        g = params["p"] - 3.0
-        adam_step(params, {"p": g}, state, lr=lr)
-        assert params["p"][0] == pytest.approx(trace[t], abs=1e-15)
+    flat, m, v = np.array([0.0]), np.zeros(1), np.zeros(1)
+    for t in range(1, 11):
+        adam_step(flat, flat - 3.0, m, v, t, lr=lr)
+        assert flat[0] == pytest.approx(trace[t - 1], abs=1e-15)
 
 
 def test_adam_flat_buffer_matches_per_key_reference():
     rng = np.random.default_rng(4)
     shapes = {"a.W": (3, 4), "a.b": (3,), "c.W": (2, 5, 1)}
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
-    ref = {k: v.copy() for k, v in params.items()}
-    m = {k: np.zeros(s) for k, s in shapes.items()}
-    v = {k: np.zeros(s) for k, s in shapes.items()}
-    state = AdamState.for_params(params)
-    for t in range(1, 11):
-        # keys in another order than the parameters, as loss_and_gradients returns them
-        grads = {k: rng.normal(size=shapes[k]) for k in reversed(shapes)}
-        adam_step(params, grads, state, lr=0.03)
-        per_key_adam_step(ref, grads, m, v, t, lr=0.03)
-        assert state.t == t
-        for k in shapes:
-            assert np.array_equal(params[k], ref[k])
-            assert np.array_equal(state.m[k], m[k])
-            assert np.array_equal(state.v[k], v[k])
+    for lead in ((), (3,)):  # one model, and a stack of three
+        ref = {k: rng.normal(size=(*lead, *s)) for k, s in shapes.items()}
+        flat = _flatten(ref, shapes, lead)
+        m_ref = {k: np.zeros_like(p) for k, p in ref.items()}
+        v_ref = {k: np.zeros_like(p) for k, p in ref.items()}
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        for t in range(1, 11):
+            # keys in another order than the parameters, as loss_and_gradients returns them
+            grads = {k: rng.normal(size=(*lead, *shapes[k])) for k in reversed(shapes)}
+            adam_step(flat, _flatten(grads, shapes, lead), m, v, t, lr=0.03)
+            per_key_adam_step(ref, grads, m_ref, v_ref, t, lr=0.03)
+            for got, want in ((flat, ref), (m, m_ref), (v, v_ref)):
+                views = _split(got, shapes)
+                for k in shapes:
+                    assert np.array_equal(views[k], want[k])
+
+
+@st.composite
+def shape_dicts(draw):
+    """A dict of 1 to 4 named shapes of 1 to 3 axes, and a lead of () or (M,)."""
+    names = draw(st.lists(st.text("abcdefW.", min_size=1, max_size=4),
+                          min_size=1, max_size=4, unique=True))
+    shapes = {n: tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+              for n in names}
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    return shapes, lead
+
+
+@given(shape_dicts(), st.randoms(use_true_random=False))
+def test_flatten_inverts_split_in_shapes_order(case, random):
+    shapes, lead = case
+    rng = np.random.default_rng(random.getrandbits(32))
+    arrays = {k: rng.normal(size=(*lead, *s)) for k, s in shapes.items()}
+    shuffled = dict(random.sample(list(arrays.items()), len(arrays)))
+    flat = _flatten(shuffled, shapes, lead)
+    assert flat.shape == (*lead, sum(math.prod(s) for s in shapes.values()))
+    back = _split(flat, shapes)
+    assert list(back) == list(shapes)
+    for k in shapes:
+        assert np.array_equal(back[k], arrays[k])
+    assert np.array_equal(_flatten(back, shapes, lead), flat)
 
 
 # --- training ---------------------------------------------------------------
