@@ -17,14 +17,17 @@ them batched along that leading head axis where that needs only
 (L, N, F) or (L, E) arrays it keeps anyway: the projection, the attention
 scores, the segment softmax and its backward, the aggregation and the two
 scatters (block-diagonal SpMMs with one block per head) and the gradient
-of W.  The rest loops over the heads of those arrays: the attention-weight
-gradient, an (E, F) product over edges and features that all heads at
-once would hold L of, and the gradients of the attention vectors, the
-projected input and the layer input, since batched they would need
-(L, N, F) temporaries.  Heads are combined by averaging (not
-concatenation), and the per-essay classifier input is the concatenation
-of every attention layer's output, optionally extended with a fixed
-per-essay embedding vector.
+of W.  The rest of the backward runs over chunks of (model, head) blocks:
+the attention-weight gradient, an (E, F) product over edges and features
+per block, and the gradients of the attention vectors, the projected
+input and the layer input, which need (N, F) and (N, D) temporaries per
+block.  A chunk holds whole models when one fits in `_CHUNK_BYTES`, and
+else some heads of one model, at least one, so its temporaries stay
+within that cap or one head's own; at the fixture's size a chunk holds
+several models, at paper width one head.  Heads are combined by
+averaging (not concatenation), and the per-essay classifier input is the
+concatenation of every attention layer's output, optionally extended
+with a fixed per-essay embedding vector.
 
 Every parameter may also carry leading model axes: a stack of M models
 has `proj.W` of shape (M, D, n_features), `att{k}.W` of shape
@@ -33,8 +36,7 @@ Adam take every model's step in the same numpy calls.  The kernels treat
 (M, L) as the batch axis that L is for one model; the input projection
 multiplies the shared features by every model's `proj.W` placed side by
 side, and the forward's aggregation and the backward's scatter are each
-one block-diagonal SpMM over every (model, head).  Only the
-attention-weight gradient loops, once per model over its heads.
+one block-diagonal SpMM over every (model, head).
 `train_stack` fits the (fold, trait) classifiers that share a graph and a
 training-set size this way, each model with its own generator, split,
 batch order, early stopping and snapshot; a model that stops leaves the
@@ -42,7 +44,10 @@ stack.  The stack's state is held flat, one row of P values per model:
 its parameters, the two Adam moments and the best snapshots are (M, P)
 arrays, `model.params` are views into the parameter rows, Adam is
 elementwise arithmetic over whole rows, and a model leaves by row
-selection.
+selection.  An epoch's validation forward is also the next epoch's first
+step's, as the parameters have not moved in between; only a departure,
+which changes the rows, makes the step run its own.  The process's heap
+keeps what a step frees for the next one (`_keep_freed_memory`).
 
 Every kernel adds in the same order as the per-head layer that
 `tests/oracles.py` keeps as a reference (one head at a time, scattering
@@ -55,6 +60,7 @@ per-model loop kept there.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import math
@@ -76,6 +82,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = 2
+# the most bytes of temporaries one chunk of the backward's (model, head)
+# loops makes, unless one head's block alone makes more
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -280,25 +289,46 @@ def attention_layer_forward(H, tensors, W, a):
     return out, (H, avg, out, Wh, pre, alpha)
 
 
+def _head_chunks(models, heads, per_model, per_head):
+    """A stack's (model, head) blocks in model-major order, in chunks of at
+    most `_CHUNK_BYTES`, counting `per_model` bytes per model and
+    `per_head` per block: (model slice, head slices) pairs, as many whole
+    models as fit, or else one model at a time, as many of its heads as
+    fit and at least one."""
+    k = _CHUNK_BYTES // (per_model + heads * per_head)
+    if k:
+        return [(slice(m, m + k), [slice(0, heads)]) for m in range(0, models, k)]
+    h = max(1, (_CHUNK_BYTES - per_model) // per_head)
+    return [(slice(m, m + 1), [slice(l, l + h) for l in range(0, heads, h)])
+            for m in range(models)]
+
+
 def attention_layer_backward(dOut, cache, tensors, W, a):
     """Returns the gradients wrt the layer input, W (..., L, F, D) and
     a (..., L, 2F)."""
-    H, avg, out, Wh, pre, alpha = cache
+    lead = W.shape[:-3]
+    models = math.prod(lead)
+    # one model axis in front of every array
+    H, avg, out, Wh, pre, alpha, dOut, W, a = (
+        x.reshape(models, *x.shape[len(lead):]) for x in (*cache, dOut, W, a))
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    n, (L, fh) = H.shape[-2], W.shape[-3:-1]
-    models = math.prod(W.shape[:-3])
-    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (..., N, F)
+    n, (L, fh, fin) = H.shape[-2], W.shape[-3:]
+    # the bytes a chunk makes: dalpha's (E, F) gathers, one per model and one
+    # per block, and the tail's products, three (N, F) or one (N, D) per block
+    gather, tail = 8 * len(src) * fh, 8 * n * max(3 * fh, fin)
+    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (M, N, F)
+    # dalpha[m, l, e] = <dHeadSum[m, dst[e]], Wh[m, l, src[e]]>, over the
+    # gathered rows of one chunk of blocks at a time
     dalpha = np.empty_like(alpha)
-    for dHS_m, Wh_m, dalpha_m in zip(dHeadSum.reshape(models, n, fh),
-                                     Wh.reshape(models, L, n, fh),
-                                     dalpha.reshape(models, L, -1)):
-        m = np.take(dHS_m, dst, axis=0)                             # (E, F)
-        for l in range(L):
-            dalpha_m[l] = np.einsum("ef,ef->e", m, np.take(Wh_m[l], src, axis=0))
-    # dWh[..., l, j] = sum over edges (i <- j) of alpha[..., l, e] * dHeadSum[..., i]:
+    for ms, head_slices in _head_chunks(models, L, gather, gather):
+        g = np.take(dHeadSum[ms], dst, axis=1)[:, None]               # (k, 1, E, F)
+        for ls in head_slices:
+            np.einsum("mlef,mlef->mle", g, np.take(Wh[ms, ls], src, axis=2),
+                      out=dalpha[ms, ls])
+    # dWh[m, l, j] = sum over edges (i <- j) of alpha[m, l, e] * dHeadSum[m, i]:
     # every model's and head's transposed attention matrix in one block-diagonal
     # CSR matrix, whose rows add their edges in the order a scatter over src would
-    A_T = tensors.transposed_attention(alpha.reshape(models, L, -1))
+    A_T = tensors.transposed_attention(alpha)
     dWh = (A_T @ dHeadSum.reshape(models * n, fh)).reshape(Wh.shape)
     # softmax backward within each destination segment
     t = alpha * dalpha
@@ -307,18 +337,22 @@ def attention_layer_backward(dOut, cache, tensors, W, a):
     dd = np.add.reduceat(dpre, seg, axis=-1)                        # per-destination term
     ds = np.bincount((src + n * np.arange(models * L)[:, None]).ravel(),
                      weights=dpre.ravel(), minlength=models * L * n).reshape(dd.shape)
-    # the rest one head at a time, so no (..., L, N, F) temporary is made
+    # the rest a chunk of blocks at a time, so no (M, L, N, F) temporary is made
     dH = np.zeros_like(H)
     da = np.empty_like(a)
-    for l in range(L):
-        Wh_T = Wh[..., l, :, :].swapaxes(-1, -2)
-        da[..., l, :fh] = np.matmul(Wh_T, dd[..., l, :, None])[..., 0]
-        da[..., l, fh:] = np.matmul(Wh_T, ds[..., l, :, None])[..., 0]
-        dWh[..., l, :, :] += (dd[..., l, :, None] * a[..., l, None, :fh]
-                              + ds[..., l, :, None] * a[..., l, None, fh:])
-        dH += np.matmul(dWh[..., l, :, :], W[..., l, :, :])
-    dW = np.matmul(dWh.swapaxes(-1, -2), H[..., None, :, :])
-    return dH, dW, da
+    for ms, head_slices in _head_chunks(models, L, 0, tail):
+        for ls in head_slices:
+            Wh_T = Wh[ms, ls].swapaxes(-1, -2)
+            da[ms, ls, :fh] = np.matmul(Wh_T, dd[ms, ls, :, None])[..., 0]
+            da[ms, ls, fh:] = np.matmul(Wh_T, ds[ms, ls, :, None])[..., 0]
+            dWh[ms, ls] += (dd[ms, ls, :, None] * a[ms, ls, None, :fh]
+                            + ds[ms, ls, :, None] * a[ms, ls, None, fh:])
+            # dH adds its heads one at a time, in order, from zeros
+            for part in np.moveaxis(np.matmul(dWh[ms, ls], W[ms, ls]), 1, 0):
+                dH[ms] += part
+    dW = np.matmul(dWh.swapaxes(-1, -2), H[:, None])
+    return (dH.reshape(*lead, *dH.shape[1:]), dW.reshape(*lead, *dW.shape[1:]),
+            da.reshape(*lead, *da.shape[1:]))
 
 
 # --- full model ----------------------------------------------------------
@@ -393,26 +427,38 @@ def new_model(n_features, config: TrainConfig, embed_dim=0, rng=None) -> GatMode
 def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) -> int:
     """Estimated peak bytes that one model adds to a training step over a
     graph of `n_nodes` nodes and `n_edges` directed edges (self-loops
-    included).  The peak is the backward of the last layer, while every
-    layer's forward cache is still held.  The graph and the features,
-    which a stack shares, are not counted.  The two (E, F) gathers of
-    `dalpha` are counted, though a stack makes them for one model at a
-    time, so a stack of M holds somewhat less than M times this."""
+    included).  The graph and the features, which a stack shares, are not
+    counted.  A step peaks at one of two points, and holds four copies of
+    the parameters at both: the parameters, the two Adam moments and the
+    best snapshot.
+
+    - The backward of the last layer, while every layer's forward cache is
+      held, with that layer's backward arrays, one chunk of its
+      (model, head) loops and a fifth copy, the gradients.
+    - `adam_step`, with four more copies: the flat gradient and Adam's
+      three temporaries.
+
+    Each model is counted one chunk, up to `_CHUNK_BYTES` or one head's
+    block, though a stack makes one chunk for all its models at a time,
+    so a stack of M holds somewhat less than M times this."""
     N, E = n_nodes, n_edges
     L, F, D = config.heads_per_layer, config.hidden_units, config.dense_units
     K = config.attention_layers
     # the projection's pre-activation and output, then each layer's cache:
     # avg and out (its H is the previous out), Wh, pre and alpha
     forward = 2 * N * D + K * (2 * N * F + L * N * F + 2 * L * E)
-    # one layer's backward: dWh, the softmax backward's four (L, E) arrays,
-    # and the two (E, F) gathers of dalpha
-    backward = L * N * F + 4 * L * E + 2 * E * F
+    # one layer's backward: dWh and the softmax backward's four (L, E) arrays
+    backward = L * N * F + 4 * L * E
+    # its chunk: dalpha's (E, F) gathers, one per model and one per block,
+    # or the tail's products, three (N, F) or one (N, D) per block
+    gather, tail = E * F, N * max(3 * F, D)
+    chunk = max(2 * gather, tail, min(_CHUNK_BYTES // 8, max((L + 1) * gather, L * tail)))
     n_params = (D * (n_features + 1) + L * F * D + (K - 1) * L * F * F + K * L * 2 * F
                 + 2 * (K * F + embed_dim + 1))
-    # the parameters, their gradients, the two Adam moments and the best
-    # snapshot, then the forward and transposed attention matrices' values
-    # and int32 column indices
-    return 8 * (forward + backward + 5 * n_params) + 2 * L * E * (8 + 4)
+    # then the forward and transposed attention matrices: float64 values,
+    # int32 column indices and int32 row pointers
+    return (8 * max(forward + backward + chunk + 5 * n_params, 8 * n_params)
+            + 2 * L * (E * (8 + 4) + N * 4))
 
 
 def _forward(model, tensors, X, embeddings):
@@ -470,12 +516,15 @@ def _picked(logp, y):
 
 
 def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=None,
-                       X_T=None):
+                       X_T=None, forward_cache=None):
     """Mean binary cross-entropy over the batch (positions index the essay
     axis) and the gradient for every parameter.  For a stack of models,
     `batch_positions` and `targets` carry the stack's leading axes, one
     batch per model, and the loss is one per model.  `X_T`, when given, is
     `X.T` built once by a caller that takes many steps over the same X.
+    `forward_cache`, when given, is what `_forward` returned for this
+    model, X and embeddings, from a caller that has just run it; the
+    forward is then not run again.
     Weight decay is left to the caller: `l2_penalty` for the loss and
     `l2_gradient` for its gradient.  A non-finite loss raises
     `NonFiniteLoss`, whose `model` is the flat index of the first model
@@ -488,7 +537,9 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
     if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise ValueError("batch positions must be unique")
 
-    logits, concat, caches, pre0, H0 = _forward(model, tensors, X, embeddings)
+    if forward_cache is None:
+        forward_cache = _forward(model, tensors, X, embeddings)
+    logits, concat, caches, pre0, H0 = forward_cache
     B = batch.shape[-1]
     logp = log_softmax_rows(_rows(logits, batch))
     loss = -_picked(logp, y).mean(axis=-1)
@@ -598,11 +649,13 @@ def adam_step(flat, g, m, v, t, lr):
 
 # --- training loop -------------------------------------------------------
 
-def evaluate_split(model, tensors, X, positions, y, embeddings=None):
+def evaluate_split(model, tensors, X, positions, y, embeddings=None, forward_cache=None):
     """(mean cross-entropy, accuracy) on the given essay positions.  For a
     stack, `positions` and `y` carry its leading axes, and so do both
-    results."""
-    logits, *_ = _forward(model, tensors, X, embeddings)
+    results.  `forward_cache` is as for `loss_and_gradients`."""
+    if forward_cache is None:
+        forward_cache = _forward(model, tensors, X, embeddings)
+    logits = forward_cache[0]
     pos = np.asarray(positions, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     logp = log_softmax_rows(_rows(logits, pos))
@@ -619,6 +672,25 @@ def _fit_and_validation(rng, train_idx, validation_split):
     if n_val >= len(train_idx):
         raise ConfigError("validation split leaves no training essays")
     return shuffled[n_val:], shuffled[:n_val]
+
+
+def _keep_freed_memory():
+    """Keep what a training step frees in the heap for the next step, where
+    the C library has glibc's `mallopt`.  By default glibc maps each block
+    above a threshold afresh and returns the free top of its heap to the
+    system once that exceeds twice the threshold, which it raises only to
+    the largest mapped block freed so far.  A step frees most of its arrays
+    when it ends, so by default the next step page-faults them back in:
+    about 200k minor faults in the fixture-cv train stage and 1.3M in the
+    shipped fixture's.  The threshold is fixed at glibc's own ceiling, 32 MiB, and
+    the heap keeps up to 16 MiB free, enough for a fixture step of 50
+    models; keeping 64 MiB raised the peak at paper width by 8 MB."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 16 << 20)   # M_TRIM_THRESHOLD
 
 
 def train_stack(tensors, X, ys, config: TrainConfig,
@@ -643,6 +715,7 @@ def train_stack(tensors, X, ys, config: TrainConfig,
     """
     if config.enriched and embeddings is None:
         raise MissingEmbedding("enriched config requires embeddings")
+    _keep_freed_memory()
     M = len(ys)
     train_idx = [np.arange(tensors.n_essays)] * M if train_idx is None else train_idx
     seeds = [config.seed] * M if seeds is None else seeds
@@ -674,6 +747,7 @@ def train_stack(tensors, X, ys, config: TrainConfig,
     best_acc, best_loss, since = [-np.inf] * M, [np.inf] * M, [0] * M
     histories = [[] for _ in range(M)]
     active = list(range(M))   # the index in ys of each row of the stack
+    fwd = None                # the forward of the current parameters, once run
     t = 0
     for epoch in range(1, config.epochs + 1):
         order = np.stack([rngs[i].permutation(fits[i]) for i in active])
@@ -684,17 +758,24 @@ def train_stack(tensors, X, ys, config: TrainConfig,
             try:
                 loss, grads = loss_and_gradients(
                     model, tensors, X, batch, np.take_along_axis(Y_active, batch, axis=1),
-                    embeddings, X_T=X_T)
+                    embeddings, X_T=X_T, forward_cache=fwd)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(str(exc), model=active[exc.model]) from None
+            fwd = None
             if config.weight_decay:
                 loss = l2_penalty(loss, model.params, config.weight_decay)
                 grads = l2_gradient(grads, model.params, config.weight_decay)
             t += 1
-            adam_step(flat, _flatten(grads, shapes, (len(active),)), m, v, t,
-                      config.learning_rate)
+            # flat, so that neither Adam nor the next backward holds the dict
+            grads = _flatten(grads, shapes, (len(active),))
+            adam_step(flat, grads, m, v, t, config.learning_rate)
+            del grads
             batch_losses.append(loss)
-        val_loss, val_acc = evaluate_split(model, tensors, X, V[active], YV[active], embeddings)
+        # the parameters stay as they are until the next step, which
+        # therefore reuses this forward
+        fwd = _forward(model, tensors, X, embeddings)
+        val_loss, val_acc = evaluate_split(model, tensors, X, V[active], YV[active], embeddings,
+                                           forward_cache=fwd)
         # one model's mean over its batches, as a contiguous row
         train_loss = np.stack(batch_losses, axis=-1).mean(axis=-1)
         stay = []
@@ -715,6 +796,7 @@ def train_stack(tensors, X, ys, config: TrainConfig,
             else:
                 yield i, GatModel(_split(best[i], shapes)), histories[i]
         if len(stay) < len(active):
+            fwd = None   # it holds rows of models that have left
             active = [active[row] for row in stay]
             if not active:
                 return

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,52 @@ def test_reused_tensors_keep_one_block_count():
             # the forward's and the backward's matrices, both of this block count
             assert {key[1] for key in tensors._stacked} == {models * heads}
             assert len(tensors._stacked) == 2
+
+
+CHUNK_SHAPES = {
+    # the cap, from a loop's bytes per model and per block, and the chunks it
+    # makes of three models of three heads: (models, [heads of each slice])
+    "one head": (lambda per_model, per_head: 1, [(1, [1, 1, 1])] * 3),
+    "some heads": (lambda per_model, per_head: per_model + 2 * per_head, [(1, [2, 1])] * 3),
+    "some models": (lambda per_model, per_head: 2 * (per_model + 3 * per_head),
+                    [(2, [3]), (1, [3])]),
+    "whole stack": (lambda per_model, per_head: 3 * (per_model + 3 * per_head), [(3, [3])]),
+}
+
+
+@pytest.mark.parametrize("loop", ["dalpha", "tail"])
+@pytest.mark.parametrize("shape", list(CHUNK_SHAPES))
+def test_every_chunk_shape_matches_per_head_reference_bitwise(monkeypatch, loop, shape):
+    rng = np.random.default_rng(43)
+    n = 20
+    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 40), np.array([], dtype=int))
+    layer = random_layer(rng, n, (3,), 3)
+    fh, fin = layer[1].shape[-2:]
+    # the bytes attention_layer_backward counts for each of its two loops
+    gather, tail = 8 * len(tensors.src) * fh, 8 * n * max(3 * fh, fin)
+    per_model, per_head = (gather, gather) if loop == "dalpha" else (0, tail)
+    cap, want = CHUNK_SHAPES[shape]
+    monkeypatch.setattr(gat, "_CHUNK_BYTES", cap(per_model, per_head))
+    chunks = gat._head_chunks(3, 3, per_model, per_head)
+    assert [(len(range(3)[ms]), [len(range(3)[ls]) for ls in head_slices])
+            for ms, head_slices in chunks] == want
+    assert_layer_matches_per_head_reference(tensors, *layer)
+
+
+def test_chunks_stay_within_the_cap_or_one_head():
+    for models, heads, per_model, per_head in [(8, 2, 90_000, 90_000), (3, 2, 935_000, 935_000),
+                                               (1, 8, 20_000_000, 20_000_000), (15, 2, 0, 25_000)]:
+        chunks = gat._head_chunks(models, heads, per_model, per_head)
+        covered = []
+        for ms, head_slices in chunks:
+            k = len(range(models)[ms])
+            for ls in head_slices:
+                h = len(range(heads)[ls])
+                assert k * (per_model + h * per_head) <= max(
+                    gat._CHUNK_BYTES, per_model + per_head)
+                covered += [(m, l) for m in range(models)[ms] for l in range(heads)[ls]]
+        # every block once, in model-major order
+        assert covered == [(m, l) for m in range(models) for l in range(heads)]
 
 
 def test_traced_gat_functions_exist():
@@ -799,6 +846,78 @@ def test_stack_divergence_names_the_model_by_its_index(monkeypatch):
     with pytest.raises(NonFiniteLoss) as info:
         list(train_stack(tensors, X, ys, cfg, seeds=seeds))
     assert info.value.model == min(i for i, n in lengths.items() if n > first_out)
+
+
+def count_forwards(monkeypatch):
+    calls = []
+    real = gat._forward
+
+    def counted(*args, **kw):
+        calls.append(np.shape(args[0].params["proj.b"])[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(gat, "_forward", counted)
+    return calls
+
+
+def test_stack_shares_each_validation_forward_with_the_next_step(monkeypatch):
+    # 14 essays, 4 held out and 10 fitted in batches of 4: three steps an
+    # epoch, and patience beyond the last epoch, so no model leaves early
+    tensors, X, ys, _ = stack_corpus()
+    cfg = small_config(epochs=6, patience=7, learning_rate=0.02)
+    calls = count_forwards(monkeypatch)
+    stacked = list(train_stack(tensors, X, ys[:3], cfg, seeds=[[5, i] for i in range(3)]))
+    assert all(len(history) == cfg.epochs for _, _, history in stacked)
+    assert len(calls) == cfg.epochs * 3 + 1
+    assert set(calls) == {3}
+
+
+def test_stack_runs_a_new_forward_after_a_departure(monkeypatch):
+    tensors, X, ys, _ = stack_corpus()
+    cfg = small_config(epochs=12, learning_rate=0.02, patience=2)
+    seeds = [[3, i] for i in range(5)]
+    calls = count_forwards(monkeypatch)
+    lengths = sorted(len(h) for _, _, h in train_stack(tensors, X, ys, cfg, seeds=seeds))
+    # each epoch runs a forward per step and one to validate, and each
+    # epoch after the first reuses the last one unless a model left
+    departures = len({n for n in lengths if n < lengths[-1]})
+    assert departures > 0
+    assert len(calls) == lengths[-1] * 4 - (lengths[-1] - 1 - departures)
+    # the forward that follows a departure is over the smaller stack
+    assert sorted(calls, reverse=True) == calls
+
+
+def test_model_bytes_bounds_the_peak_of_a_parameter_bound_stack():
+    # the reproduction's paper widths (8 heads x 128 units, dense 128,
+    # 5 layers) over a graph of the fixture's size (65 nodes, 35 entity
+    # features, 30 essays): parameters, not activations, set the peak
+    rng = np.random.default_rng(44)
+    n_ent, n_essays = 35, 30
+    n = n_ent + n_essays
+    pairs = [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(320)]
+    X = sp.csr_matrix((rng.random((n, n_ent)) < 0.2).astype(float))
+    ys = [(rng.random(n_essays) < 0.5).astype(int) for _ in range(5)]
+    cfg = TrainConfig(epochs=2, batch_size=8, patience=5, validation_split=0.2,
+                      weight_decay=0.02)
+    seeds = [[1, i] for i in range(5)]
+    # a first, smaller stack fills numpy's and the interpreter's caches
+    warm = GraphTensors.from_edges(n, pairs, np.arange(n_ent, n))
+    list(train_stack(warm, X, ys[:1], cfg, seeds=seeds[:1]))
+    tensors = GraphTensors.from_edges(n, pairs, np.arange(n_ent, n))
+    estimate = 5 * gat.model_bytes(n, len(tensors.src), n_ent, cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in train_stack(tensors, X, ys, cfg, seeds=seeds):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # tracemalloc also counts the interpreter's own objects, which the
+    # estimate leaves out: each model's generator, split and history, and
+    # freed tuples kept for reuse, some tens of KiB in all
+    assert peak <= estimate + (256 << 10)
+    assert peak >= 0.99 * estimate
 
 
 def test_predict_tie_goes_to_class_zero():
