@@ -17,14 +17,11 @@ them batched along that leading head axis where that needs only
 (L, N, F) or (L, E) arrays it keeps anyway: the projection, the attention
 scores, the segment softmax and its backward, the aggregation and the two
 scatters (block-diagonal SpMMs with one block per head) and the gradient
-of W.  The rest of the backward runs over chunks of (model, head) blocks:
+of W.  The rest of the backward loops over the heads of those arrays:
 the attention-weight gradient, an (E, F) product over edges and features
-per block, and the gradients of the attention vectors, the projected
-input and the layer input, which need (N, F) and (N, D) temporaries per
-block.  A chunk holds whole models when one fits in `_CHUNK_BYTES`, and
-else some heads of one model, at least one, so its temporaries stay
-within that cap or one head's own; at the fixture's size a chunk holds
-several models, at paper width one head.  Heads are combined by
+that all heads at once would hold L of, and the gradients of the
+attention vectors, the projected input and the layer input, since
+batched they would need (L, N, F) temporaries.  Heads are combined by
 averaging (not concatenation), and the per-essay classifier input is the
 concatenation of every attention layer's output, optionally extended
 with a fixed per-essay embedding vector.
@@ -36,7 +33,9 @@ Adam take every model's step in the same numpy calls.  The kernels treat
 (M, L) as the batch axis that L is for one model; the input projection
 multiplies the shared features by every model's `proj.W` placed side by
 side, and the forward's aggregation and the backward's scatter are each
-one block-diagonal SpMM over every (model, head).
+one block-diagonal SpMM over every (model, head).  The attention-weight
+gradient loops once per model over its heads, the backward's last
+products once per head over every model.
 `train_stack` fits the (fold, trait) classifiers that share a graph and a
 training-set size this way, each model with its own generator, split,
 batch order, early stopping and snapshot; a model that stops leaves the
@@ -44,10 +43,12 @@ stack.  The stack's state is held flat, one row of P values per model:
 its parameters, the two Adam moments and the best snapshots are (M, P)
 arrays, `model.params` are views into the parameter rows, Adam is
 elementwise arithmetic over whole rows, and a model leaves by row
-selection.  An epoch's validation forward is also the next epoch's first
-step's, as the parameters have not moved in between; only a departure,
-which changes the rows, makes the step run its own.  The process's heap
-keeps what a step frees for the next one (`_keep_freed_memory`).
+selection.  A step is `_forward`, then `loss_and_gradients` on its
+result, then `adam_step`.  An epoch's validation forward is also the
+next epoch's first step's, as the parameters have not moved in between;
+only a departure, which changes the rows, makes that step run its own.
+The process's heap keeps what a step frees for the next one
+(`_keep_freed_memory`).
 
 Every kernel adds in the same order as the per-head layer that
 `tests/oracles.py` keeps as a reference (one head at a time, scattering
@@ -82,9 +83,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = 2
-# the most bytes of temporaries one chunk of the backward's (model, head)
-# loops makes, unless one head's block alone makes more
-_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -289,46 +287,25 @@ def attention_layer_forward(H, tensors, W, a):
     return out, (H, avg, out, Wh, pre, alpha)
 
 
-def _head_chunks(models, heads, per_model, per_head):
-    """A stack's (model, head) blocks in model-major order, in chunks of at
-    most `_CHUNK_BYTES`, counting `per_model` bytes per model and
-    `per_head` per block: (model slice, head slices) pairs, as many whole
-    models as fit, or else one model at a time, as many of its heads as
-    fit and at least one."""
-    k = _CHUNK_BYTES // (per_model + heads * per_head)
-    if k:
-        return [(slice(m, m + k), [slice(0, heads)]) for m in range(0, models, k)]
-    h = max(1, (_CHUNK_BYTES - per_model) // per_head)
-    return [(slice(m, m + 1), [slice(l, l + h) for l in range(0, heads, h)])
-            for m in range(models)]
-
-
 def attention_layer_backward(dOut, cache, tensors, W, a):
     """Returns the gradients wrt the layer input, W (..., L, F, D) and
     a (..., L, 2F)."""
-    lead = W.shape[:-3]
-    models = math.prod(lead)
-    # one model axis in front of every array
-    H, avg, out, Wh, pre, alpha, dOut, W, a = (
-        x.reshape(models, *x.shape[len(lead):]) for x in (*cache, dOut, W, a))
+    H, avg, out, Wh, pre, alpha = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    n, (L, fh, fin) = H.shape[-2], W.shape[-3:]
-    # the bytes a chunk makes: dalpha's (E, F) gathers, one per model and one
-    # per block, and the tail's products, three (N, F) or one (N, D) per block
-    gather, tail = 8 * len(src) * fh, 8 * n * max(3 * fh, fin)
-    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (M, N, F)
-    # dalpha[m, l, e] = <dHeadSum[m, dst[e]], Wh[m, l, src[e]]>, over the
-    # gathered rows of one chunk of blocks at a time
+    n, (L, fh) = H.shape[-2], W.shape[-3:-1]
+    models = math.prod(W.shape[:-3])
+    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (..., N, F)
     dalpha = np.empty_like(alpha)
-    for ms, head_slices in _head_chunks(models, L, gather, gather):
-        g = np.take(dHeadSum[ms], dst, axis=1)[:, None]               # (k, 1, E, F)
-        for ls in head_slices:
-            np.einsum("mlef,mlef->mle", g, np.take(Wh[ms, ls], src, axis=2),
-                      out=dalpha[ms, ls])
-    # dWh[m, l, j] = sum over edges (i <- j) of alpha[m, l, e] * dHeadSum[m, i]:
+    for dHS_m, Wh_m, dalpha_m in zip(dHeadSum.reshape(models, n, fh),
+                                     Wh.reshape(models, L, n, fh),
+                                     dalpha.reshape(models, L, -1)):
+        m = np.take(dHS_m, dst, axis=0)                             # (E, F)
+        for l in range(L):
+            dalpha_m[l] = np.einsum("ef,ef->e", m, np.take(Wh_m[l], src, axis=0))
+    # dWh[..., l, j] = sum over edges (i <- j) of alpha[..., l, e] * dHeadSum[..., i]:
     # every model's and head's transposed attention matrix in one block-diagonal
     # CSR matrix, whose rows add their edges in the order a scatter over src would
-    A_T = tensors.transposed_attention(alpha)
+    A_T = tensors.transposed_attention(alpha.reshape(models, L, -1))
     dWh = (A_T @ dHeadSum.reshape(models * n, fh)).reshape(Wh.shape)
     # softmax backward within each destination segment
     t = alpha * dalpha
@@ -337,22 +314,18 @@ def attention_layer_backward(dOut, cache, tensors, W, a):
     dd = np.add.reduceat(dpre, seg, axis=-1)                        # per-destination term
     ds = np.bincount((src + n * np.arange(models * L)[:, None]).ravel(),
                      weights=dpre.ravel(), minlength=models * L * n).reshape(dd.shape)
-    # the rest a chunk of blocks at a time, so no (M, L, N, F) temporary is made
+    # the rest one head at a time, so no (..., L, N, F) temporary is made
     dH = np.zeros_like(H)
     da = np.empty_like(a)
-    for ms, head_slices in _head_chunks(models, L, 0, tail):
-        for ls in head_slices:
-            Wh_T = Wh[ms, ls].swapaxes(-1, -2)
-            da[ms, ls, :fh] = np.matmul(Wh_T, dd[ms, ls, :, None])[..., 0]
-            da[ms, ls, fh:] = np.matmul(Wh_T, ds[ms, ls, :, None])[..., 0]
-            dWh[ms, ls] += (dd[ms, ls, :, None] * a[ms, ls, None, :fh]
-                            + ds[ms, ls, :, None] * a[ms, ls, None, fh:])
-            # dH adds its heads one at a time, in order, from zeros
-            for part in np.moveaxis(np.matmul(dWh[ms, ls], W[ms, ls]), 1, 0):
-                dH[ms] += part
-    dW = np.matmul(dWh.swapaxes(-1, -2), H[:, None])
-    return (dH.reshape(*lead, *dH.shape[1:]), dW.reshape(*lead, *dW.shape[1:]),
-            da.reshape(*lead, *da.shape[1:]))
+    for l in range(L):
+        Wh_T = Wh[..., l, :, :].swapaxes(-1, -2)
+        da[..., l, :fh] = np.matmul(Wh_T, dd[..., l, :, None])[..., 0]
+        da[..., l, fh:] = np.matmul(Wh_T, ds[..., l, :, None])[..., 0]
+        dWh[..., l, :, :] += (dd[..., l, :, None] * a[..., l, None, :fh]
+                              + ds[..., l, :, None] * a[..., l, None, fh:])
+        dH += np.matmul(dWh[..., l, :, :], W[..., l, :, :])
+    dW = np.matmul(dWh.swapaxes(-1, -2), H[..., None, :, :])
+    return dH, dW, da
 
 
 # --- full model ----------------------------------------------------------
@@ -433,14 +406,14 @@ def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) 
     best snapshot.
 
     - The backward of the last layer, while every layer's forward cache is
-      held, with that layer's backward arrays, one chunk of its
-      (model, head) loops and a fifth copy, the gradients.
-    - `adam_step`, with four more copies: the flat gradient and Adam's
-      three temporaries.
+      held, with that layer's backward arrays, one turn of its loops and a
+      fifth copy, the gradients.
+    - `adam_step`, with three more copies: the flat gradient and Adam's
+      two temporaries.
 
-    Each model is counted one chunk, up to `_CHUNK_BYTES` or one head's
-    block, though a stack makes one chunk for all its models at a time,
-    so a stack of M holds somewhat less than M times this."""
+    A turn of the loops is counted for every model, though the
+    attention-weight gradient gathers for one model at a time, so a stack
+    of M holds somewhat less than M times this."""
     N, E = n_nodes, n_edges
     L, F, D = config.heads_per_layer, config.hidden_units, config.dense_units
     K = config.attention_layers
@@ -449,15 +422,14 @@ def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) 
     forward = 2 * N * D + K * (2 * N * F + L * N * F + 2 * L * E)
     # one layer's backward: dWh and the softmax backward's four (L, E) arrays
     backward = L * N * F + 4 * L * E
-    # its chunk: dalpha's (E, F) gathers, one per model and one per block,
-    # or the tail's products, three (N, F) or one (N, D) per block
-    gather, tail = E * F, N * max(3 * F, D)
-    chunk = max(2 * gather, tail, min(_CHUNK_BYTES // 8, max((L + 1) * gather, L * tail)))
+    # a turn of its loops: dalpha's two (E, F) gathers, or one head's
+    # products, three (N, F) or one (N, D)
+    loop = max(2 * E * F, N * max(3 * F, D))
     n_params = (D * (n_features + 1) + L * F * D + (K - 1) * L * F * F + K * L * 2 * F
                 + 2 * (K * F + embed_dim + 1))
     # then the forward and transposed attention matrices: float64 values,
     # int32 column indices and int32 row pointers
-    return (8 * max(forward + backward + chunk + 5 * n_params, 8 * n_params)
+    return (8 * max(forward + backward + loop + 5 * n_params, 7 * n_params)
             + 2 * L * (E * (8 + 4) + N * 4))
 
 
@@ -515,18 +487,14 @@ def _picked(logp, y):
     return logp.reshape(-1, logp.shape[-1])[np.arange(y.size), y.ravel()].reshape(y.shape)
 
 
-def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=None,
-                       X_T=None, forward_cache=None):
+def loss_and_gradients(model, tensors, X_T, fwd, batch_positions, targets):
     """Mean binary cross-entropy over the batch (positions index the essay
-    axis) and the gradient for every parameter.  For a stack of models,
-    `batch_positions` and `targets` carry the stack's leading axes, one
-    batch per model, and the loss is one per model.  `X_T`, when given, is
-    `X.T` built once by a caller that takes many steps over the same X.
-    `forward_cache`, when given, is what `_forward` returned for this
-    model, X and embeddings, from a caller that has just run it; the
-    forward is then not run again.
-    Weight decay is left to the caller: `l2_penalty` for the loss and
-    `l2_gradient` for its gradient.  A non-finite loss raises
+    axis) and the gradient for every parameter, from `fwd`, what `_forward`
+    returned for this model, and `X_T`, the transposed features it ran on.
+    For a stack of models, `batch_positions` and `targets` carry the
+    stack's leading axes, one batch per model, and the loss is one per
+    model.  Weight decay is left to the caller: `l2_penalty` for the loss
+    and `l2_gradient` for its gradient.  A non-finite loss raises
     `NonFiniteLoss`, whose `model` is the flat index of the first model
     whose loss diverged."""
     batch = np.asarray(batch_positions, dtype=np.int64)
@@ -537,9 +505,7 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
     if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise ValueError("batch positions must be unique")
 
-    if forward_cache is None:
-        forward_cache = _forward(model, tensors, X, embeddings)
-    logits, concat, caches, pre0, H0 = forward_cache
+    logits, concat, caches, pre0, H0 = fwd
     B = batch.shape[-1]
     logp = log_softmax_rows(_rows(logits, batch))
     loss = -_picked(logp, y).mean(axis=-1)
@@ -575,8 +541,6 @@ def loss_and_gradients(model, tensors, X, batch_positions, targets, embeddings=N
             dOut, caches[k], tensors, p[f"att{k}.W"], p[f"att{k}.a"])
 
     dpre0 = dH_next * _elu_grad(pre0, H0)
-    if X_T is None:
-        X_T = X.T
     # the models' dpre0 side by side, as in the forward projection
     lead = model.stack_shape
     side = np.asarray(X_T @ np.moveaxis(dpre0, -2, 0).reshape(tensors.n_nodes, -1))
@@ -644,18 +608,19 @@ def adam_step(flat, g, m, v, t, lr):
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * (g * g)
-    flat -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    # the denominator built in place, so the step makes two temporaries
+    d = v / (1.0 - ADAM_BETA2**t)
+    np.sqrt(d, out=d)
+    d += ADAM_EPS
+    flat -= lr * (m / (1.0 - ADAM_BETA1**t)) / d
 
 
 # --- training loop -------------------------------------------------------
 
-def evaluate_split(model, tensors, X, positions, y, embeddings=None, forward_cache=None):
-    """(mean cross-entropy, accuracy) on the given essay positions.  For a
-    stack, `positions` and `y` carry its leading axes, and so do both
-    results.  `forward_cache` is as for `loss_and_gradients`."""
-    if forward_cache is None:
-        forward_cache = _forward(model, tensors, X, embeddings)
-    logits = forward_cache[0]
+def evaluate_split(logits, positions, y):
+    """(mean cross-entropy, accuracy) of the essay logits (`_forward`'s
+    first result) on the given essay positions.  For a stack, `positions`
+    and `y` carry its leading axes, and so do both results."""
     pos = np.asarray(positions, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     logp = log_softmax_rows(_rows(logits, pos))
@@ -755,10 +720,12 @@ def train_stack(tensors, X, ys, config: TrainConfig,
         batch_losses = []
         for start in range(0, order.shape[1], config.batch_size):
             batch = order[:, start : start + config.batch_size]
+            if fwd is None:
+                fwd = _forward(model, tensors, X, embeddings)
             try:
                 loss, grads = loss_and_gradients(
-                    model, tensors, X, batch, np.take_along_axis(Y_active, batch, axis=1),
-                    embeddings, X_T=X_T, forward_cache=fwd)
+                    model, tensors, X_T, fwd, batch,
+                    np.take_along_axis(Y_active, batch, axis=1))
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(str(exc), model=active[exc.model]) from None
             fwd = None
@@ -774,8 +741,7 @@ def train_stack(tensors, X, ys, config: TrainConfig,
         # the parameters stay as they are until the next step, which
         # therefore reuses this forward
         fwd = _forward(model, tensors, X, embeddings)
-        val_loss, val_acc = evaluate_split(model, tensors, X, V[active], YV[active], embeddings,
-                                           forward_cache=fwd)
+        val_loss, val_acc = evaluate_split(fwd[0], V[active], YV[active])
         # one model's mean over its batches, as a contiguous row
         train_loss = np.stack(batch_losses, axis=-1).mean(axis=-1)
         stay = []

@@ -32,6 +32,7 @@ from kgatnet.gat import (
     TrainConfig,
     _decays,
     _elu_grad,
+    _forward,
     _tree_sum,
     attention_layer_forward,
     elu,
@@ -128,10 +129,17 @@ def min_leaky_margin(model, tensors, X):
     return margin
 
 
+def forward_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None):
+    """`_forward`, then `loss_and_gradients` on its result: one training
+    step's loss and gradients, before weight decay and Adam."""
+    fwd = _forward(model, tensors, X, embeddings)
+    return loss_and_gradients(model, tensors, X.T, fwd, batch, targets)
+
+
 def fd_gradient_max_error(model, tensors, X, batch, y, embeddings=None, eps=1e-4):
     """Max relative error between analytic gradients and central finite
     differences over every parameter entry (denominator floored at 1e-6)."""
-    _, grads = loss_and_gradients(model, tensors, X, batch, y, embeddings)
+    _, grads = forward_loss_and_gradients(model, tensors, X, batch, y, embeddings)
     worst = 0.0
     for key, arr in model.params.items():
         flat = arr.ravel()
@@ -139,9 +147,9 @@ def fd_gradient_max_error(model, tensors, X, batch, y, embeddings=None, eps=1e-4
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp, _ = loss_and_gradients(model, tensors, X, batch, y, embeddings)
+            lp, _ = forward_loss_and_gradients(model, tensors, X, batch, y, embeddings)
             flat[idx] = orig - eps
-            lm, _ = loss_and_gradients(model, tensors, X, batch, y, embeddings)
+            lm, _ = forward_loss_and_gradients(model, tensors, X, batch, y, embeddings)
             flat[idx] = orig
             fd = (lp - lm) / (2 * eps)
             denom = max(abs(fd), abs(gflat[idx]), 1e-6)
@@ -280,11 +288,11 @@ def drawn_in_order(n_features, config, embed_dim=0):
 
 
 def weight_decayed_loss_and_gradients(model, tensors, X, batch, targets, weight_decay,
-                                      embeddings=None, X_T=None):
-    """`loss_and_gradients` with an L2 penalty of `weight_decay` on every
-    non-bias parameter, its gradient added one parameter at a time; a zero
-    `weight_decay` adds nothing."""
-    loss, grads = loss_and_gradients(model, tensors, X, batch, targets, embeddings, X_T=X_T)
+                                      embeddings=None):
+    """`forward_loss_and_gradients` with an L2 penalty of `weight_decay` on
+    every non-bias parameter, its gradient added one parameter at a time; a
+    zero `weight_decay` adds nothing."""
+    loss, grads = forward_loss_and_gradients(model, tensors, X, batch, targets, embeddings)
     if not weight_decay:
         return loss, grads
     loss = l2_penalty(loss, model.params, weight_decay)
@@ -345,7 +353,6 @@ def train_trait(tensors, X, y, config: TrainConfig,
     m = {k: np.zeros_like(p) for k, p in model.params.items()}
     v = {k: np.zeros_like(p) for k, p in model.params.items()}
     t = 0
-    X_T = X.T
 
     best_acc = -np.inf
     best_loss = np.inf
@@ -358,11 +365,12 @@ def train_trait(tensors, X, y, config: TrainConfig,
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grads = weight_decayed_loss_and_gradients(
-                model, tensors, X, batch, y[batch], config.weight_decay, embeddings, X_T=X_T)
+                model, tensors, X, batch, y[batch], config.weight_decay, embeddings)
             t += 1
             per_key_adam_step(model.params, grads, m, v, t, config.learning_rate)
             batch_losses.append(loss)
-        val_loss, val_acc = evaluate_split(model, tensors, X, val_idx, y[val_idx], embeddings)
+        logits = _forward(model, tensors, X, embeddings)[0]
+        val_loss, val_acc = evaluate_split(logits, val_idx, y[val_idx])
         history.append((epoch, float(np.mean(batch_losses)), val_loss, val_acc))
         # accuracy on a small validation set saturates quickly, so ties are
         # broken by loss; otherwise a lucky early epoch would freeze training

@@ -32,7 +32,6 @@ from kgatnet.gat import (
     l2_gradient,
     l2_penalty,
     load_model,
-    loss_and_gradients,
     new_model,
     predict,
     save_model,
@@ -43,6 +42,7 @@ from oracles import (
     aggregate_head,
     drawn_in_order,
     fd_gradient_max_error,
+    forward_loss_and_gradients,
     loop_edge_list,
     min_leaky_margin,
     multi_head_layer,
@@ -310,14 +310,15 @@ def test_layer_matches_per_head_reference_bitwise(heads):
         assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, (), heads))
 
 
-@pytest.mark.parametrize("heads", [1, 2, 3])
+@pytest.mark.parametrize("heads", [1, 2, 3, 8])
 def test_stacked_layer_matches_per_head_reference_bitwise(heads):
     rng = np.random.default_rng(30 + heads)
-    for _ in range(5):
-        n = int(rng.integers(3, 25))
-        pairs = random_pairs(rng, n, int(rng.integers(1, 3 * n)))
-        tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
-        assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, (3,), heads))
+    for lead in [(3,), (5,), (2, 3)]:
+        for _ in range(5):
+            n = int(rng.integers(3, 25))
+            pairs = random_pairs(rng, n, int(rng.integers(1, 3 * n)))
+            tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+            assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, lead, heads))
 
 
 def test_long_segment_adds_its_edges_in_order():
@@ -345,52 +346,6 @@ def test_reused_tensors_keep_one_block_count():
             # the forward's and the backward's matrices, both of this block count
             assert {key[1] for key in tensors._stacked} == {models * heads}
             assert len(tensors._stacked) == 2
-
-
-CHUNK_SHAPES = {
-    # the cap, from a loop's bytes per model and per block, and the chunks it
-    # makes of three models of three heads: (models, [heads of each slice])
-    "one head": (lambda per_model, per_head: 1, [(1, [1, 1, 1])] * 3),
-    "some heads": (lambda per_model, per_head: per_model + 2 * per_head, [(1, [2, 1])] * 3),
-    "some models": (lambda per_model, per_head: 2 * (per_model + 3 * per_head),
-                    [(2, [3]), (1, [3])]),
-    "whole stack": (lambda per_model, per_head: 3 * (per_model + 3 * per_head), [(3, [3])]),
-}
-
-
-@pytest.mark.parametrize("loop", ["dalpha", "tail"])
-@pytest.mark.parametrize("shape", list(CHUNK_SHAPES))
-def test_every_chunk_shape_matches_per_head_reference_bitwise(monkeypatch, loop, shape):
-    rng = np.random.default_rng(43)
-    n = 20
-    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 40), np.array([], dtype=int))
-    layer = random_layer(rng, n, (3,), 3)
-    fh, fin = layer[1].shape[-2:]
-    # the bytes attention_layer_backward counts for each of its two loops
-    gather, tail = 8 * len(tensors.src) * fh, 8 * n * max(3 * fh, fin)
-    per_model, per_head = (gather, gather) if loop == "dalpha" else (0, tail)
-    cap, want = CHUNK_SHAPES[shape]
-    monkeypatch.setattr(gat, "_CHUNK_BYTES", cap(per_model, per_head))
-    chunks = gat._head_chunks(3, 3, per_model, per_head)
-    assert [(len(range(3)[ms]), [len(range(3)[ls]) for ls in head_slices])
-            for ms, head_slices in chunks] == want
-    assert_layer_matches_per_head_reference(tensors, *layer)
-
-
-def test_chunks_stay_within_the_cap_or_one_head():
-    for models, heads, per_model, per_head in [(8, 2, 90_000, 90_000), (3, 2, 935_000, 935_000),
-                                               (1, 8, 20_000_000, 20_000_000), (15, 2, 0, 25_000)]:
-        chunks = gat._head_chunks(models, heads, per_model, per_head)
-        covered = []
-        for ms, head_slices in chunks:
-            k = len(range(models)[ms])
-            for ls in head_slices:
-                h = len(range(heads)[ls])
-                assert k * (per_model + h * per_head) <= max(
-                    gat._CHUNK_BYTES, per_model + per_head)
-                covered += [(m, l) for m in range(models)[ms] for l in range(heads)[ls]]
-        # every block once, in model-major order
-        assert covered == [(m, l) for m in range(models) for l in range(heads)]
 
 
 def test_traced_gat_functions_exist():
@@ -494,7 +449,7 @@ def test_loss_perfect_prediction_near_zero():
     model = new_model(X.shape[1], small_config())
     model.params["clf.W"][:] = 0.0
     model.params["clf.b"][:] = [40.0, -40.0]  # p ~ (1, 0)
-    loss, _ = loss_and_gradients(model, tensors, X, [0], [0])
+    loss, _ = forward_loss_and_gradients(model, tensors, X, [0], [0])
     assert 0.0 <= loss < 1e-12
 
 
@@ -504,7 +459,7 @@ def test_loss_uniform_prediction_is_ln2():
     model.params["clf.W"][:] = 0.0
     model.params["clf.b"][:] = 0.0
     for target in (0, 1):
-        loss, _ = loss_and_gradients(model, tensors, X, [1], [target])
+        loss, _ = forward_loss_and_gradients(model, tensors, X, [1], [target])
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -512,7 +467,7 @@ def test_weight_decay_adds_exact_l2_term():
     tensors, X, _ = tiny_instance()
     model = new_model(X.shape[1], small_config())
     wd = 0.01
-    plain_loss, plain_grads = loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
+    plain_loss, plain_grads = forward_loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
     reg_loss, reg_grads = weight_decayed_loss_and_gradients(
         model, tensors, X, [0, 1], [0, 1], wd)
     penalty = sum(
@@ -532,7 +487,7 @@ def test_l2_gradient_matches_per_parameter_term():
     tensors, X, _ = tiny_instance()
     model = new_model(X.shape[1], small_config())
     wd = 0.02
-    plain_loss, plain_grads = loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
+    plain_loss, plain_grads = forward_loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
     reg_loss, reg_grads = weight_decayed_loss_and_gradients(
         model, tensors, X, [0, 1], [0, 1], wd)
     assert l2_penalty(plain_loss, model.params, wd) == reg_loss
@@ -548,27 +503,14 @@ def test_loss_nonfinite_raises():
     model = new_model(X.shape[1], small_config())
     model.params["proj.W"][0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
-        loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
+        forward_loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
 
 
 def test_loss_rejects_duplicate_batch():
     tensors, X, _ = tiny_instance()
     model = new_model(X.shape[1], small_config())
     with pytest.raises(ValueError):
-        loss_and_gradients(model, tensors, X, [0, 0], [0, 1])
-
-
-def test_cached_feature_transpose_gives_same_gradients():
-    tensors, X, _ = tiny_instance(seed=6)
-    model = new_model(X.shape[1], small_config(seed=9))
-    for features in (X, sp.csr_matrix(X)):
-        plain = loss_and_gradients(model, tensors, features, [0, 1], [1, 0])
-        cached = loss_and_gradients(model, tensors, features, [0, 1], [1, 0],
-                                    X_T=features.T)
-        assert plain[0] == cached[0]
-        assert plain[1].keys() == cached[1].keys()
-        for key in plain[1]:
-            assert np.array_equal(plain[1][key], cached[1][key])
+        forward_loss_and_gradients(model, tensors, X, [0, 0], [0, 1])
 
 
 def test_gradients_match_finite_differences():
@@ -610,10 +552,10 @@ def test_masking_soundness_outside_receptive_field():
     X[9] = (rng.random(n_ent) < 0.5).astype(float)
     model = new_model(n_ent, small_config(seed=3))
 
-    loss_before, _ = loss_and_gradients(model, tensors, X, [0], [1])
+    loss_before, _ = forward_loss_and_gradients(model, tensors, X, [0], [1])
     X_far = X.copy()
     X_far[9] = 1.0 - X_far[9]  # essay node 9 sits 9 hops away from essay 8
-    loss_after, _ = loss_and_gradients(model, tensors, X_far, [0], [1])
+    loss_after, _ = forward_loss_and_gradients(model, tensors, X_far, [0], [1])
     assert loss_before == loss_after  # bitwise
 
 
@@ -759,7 +701,7 @@ def test_train_early_stopping_restores_best_snapshot():
     shuffled = rng.permutation(np.arange(tensors.n_essays))
     n_val = max(1, int(round(tensors.n_essays * cfg.validation_split)))
     val_idx = shuffled[:n_val]
-    loss, acc = evaluate_split(model, tensors, X, val_idx, y[val_idx])
+    loss, acc = evaluate_split(gat._forward(model, tensors, X, None)[0], val_idx, y[val_idx])
     assert acc == max(accs)
     assert loss == min(vl for _, _, vl, va in history if va == max(accs))
 
@@ -822,7 +764,7 @@ def test_stacked_loss_names_the_diverging_model():
     stack = GatModel({k: np.stack([m.params[k] for m in models]) for k in models[0].params})
     stack.params["proj.W"][1, 0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss) as info:
-        loss_and_gradients(stack, tensors, X, [[0, 1]] * 3, [[0, 1]] * 3)
+        forward_loss_and_gradients(stack, tensors, X, [[0, 1]] * 3, [[0, 1]] * 3)
     assert info.value.model == 1
 
 
@@ -837,10 +779,10 @@ def test_stack_divergence_names_the_model_by_its_index(monkeypatch):
     assert first_out < cfg.epochs
     real = gat.loss_and_gradients
 
-    def diverge_after_shrinking(model, tensors, X, batch, *args, **kw):
+    def diverge_after_shrinking(model, tensors, X_T, fwd, batch, targets):
         if np.shape(batch)[0] < 5:
             raise NonFiniteLoss("loss diverged: nan", model=0)
-        return real(model, tensors, X, batch, *args, **kw)
+        return real(model, tensors, X_T, fwd, batch, targets)
 
     monkeypatch.setattr(gat, "loss_and_gradients", diverge_after_shrinking)
     with pytest.raises(NonFiniteLoss) as info:
