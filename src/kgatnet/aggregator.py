@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import write_atomically
 from .errors import DuplicateDocumentId, MissingLabel
-from .evaluation import TRAITS
+from .config import TRAITS
 from .kg_builder import KnowledgeGraph, read_sections, sections_to_text
 from .preprocess import Document
 

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import write_atomically
+from .config import TRAITS
 from .errors import InvalidK, LengthMismatch, UndefinedMetric
 
-TRAITS = ("O", "C", "E", "A", "N")
 METRICS = ("precision", "recall", "f_measure", "accuracy")
 
 

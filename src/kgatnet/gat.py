@@ -71,6 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import write_atomically
+from .config import TrainConfig
 from .errors import (
     ConfigError,
     MissingEmbedding,
@@ -83,36 +84,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 3e-4
-    patience: int = 10
-    validation_split: float = 0.1
-    heads_per_layer: int = 8
-    hidden_units: int = 128
-    dense_units: int = 128
-    attention_layers: int = 5
-    weight_decay: float = 0.0
-    seed: int = 42
-    enriched: bool = False
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "heads_per_layer", "hidden_units",
-                     "dense_units", "attention_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if not 0.0 < self.validation_split < 1.0:
-            raise ConfigError("validation_split must be in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
 
 
 # --- activations --------------------------------------------------------

@@ -7,11 +7,14 @@ Existing outputs are skipped unless --force; every stage refreshes a
 manifest.json recording the resolved config, input digests, versions, and
 its own wall time and peak memory.
 
-`scipy.sparse` is imported only where a sparse matrix is built, multiplied
-or (de)serialised: by `aggregate` when it writes features.npz, by `train`
-when a model is left to fit and by `evaluate` when it scores. A command
-whose stages all skip never loads it: the import alone took about two
-fifths of such a command's time.
+numpy, scipy and the modules built on them (aggregator, evaluation, gat,
+rdf2vec) load only when a stage has work to do: `_bind` binds their names
+in this module when a stage starts that work, and the module `__getattr__`
+when one is first read from outside.  `train` tells that it has nothing to
+fit from digests and its manifest entry alone, so a command whose stages
+all skip imports neither library; their import was most of such a
+command's time.  `scipy.sparse` loads later still, only where a sparse
+matrix is built, multiplied or (de)serialised.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import logging
@@ -26,47 +30,16 @@ import os
 import platform
 import re
 import resource
+import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-import scipy
-
 from . import __version__
-from .aggregator import (
-    aggregate_graphs,
-    attach_essay_nodes,
-    build_feature_matrix,
-    build_label_matrix,
-    read_aggregated,
-    read_labels_csv,
-    write_aggregated,
-    write_labels_csv,
-)
 from .atomic import write_atomically
+from .config import TRAITS, EmbedConfig, TrainConfig
 from .errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss
-from .evaluation import (
-    TRAITS,
-    aggregate_fold_rows,
-    confusion_counts,
-    k_fold_split,
-    metric_row,
-    trait_correlations,
-    write_long_report,
-    write_metric_report,
-)
-from .gat import (
-    TrainConfig,
-    load_model,
-    model_bytes,
-    predict,
-    save_model,
-    tensors_from_aggregated,
-    train_stack,
-    write_history,
-)
 from .kg_builder import (
     CachingSource,
     NTriplesSource,
@@ -82,7 +55,62 @@ from .preprocess import (
     load_lemma_table,
     load_stopwords,
 )
-from .rdf2vec import EmbedConfig, read_embeddings, train_embeddings, write_embeddings
+
+# the numpy-backed names the stages call, by the module that defines them
+_LAZY = {
+    "numpy": ("np",),
+    ".aggregator": (
+        "aggregate_graphs",
+        "attach_essay_nodes",
+        "build_feature_matrix",
+        "build_label_matrix",
+        "read_aggregated",
+        "read_labels_csv",
+        "write_aggregated",
+        "write_labels_csv",
+    ),
+    ".evaluation": (
+        "aggregate_fold_rows",
+        "confusion_counts",
+        "k_fold_split",
+        "metric_row",
+        "trait_correlations",
+        "write_long_report",
+        "write_metric_report",
+    ),
+    ".gat": (
+        "load_model",
+        "model_bytes",
+        "predict",
+        "save_model",
+        "tensors_from_aggregated",
+        "train_stack",
+        "write_history",
+    ),
+    ".rdf2vec": ("read_embeddings", "train_embeddings", "write_embeddings"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import and bind a numpy-backed name on first access, so that
+    `pipeline.<name>` can be read, wrapped and replaced before any stage
+    has run."""
+    home = _LAZY_HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(home, __package__)
+    value = globals()[name] = module if name == "np" else getattr(module, name)
+    return value
+
+
+def _bind() -> None:
+    """Bind every numpy-backed name the stages call, keeping any binding
+    already there, such as a wrapper set on this module from outside."""
+    for name in _LAZY_HOME:
+        if name not in globals():
+            __getattr__(name)
+
 
 log = logging.getLogger(__name__)
 
@@ -388,6 +416,7 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
     if not force and all(p.exists() for p in outputs):
         log.info("aggregate: outputs present, skipping")
         return {"skipped": True}
+    _bind()
     corpus = load_corpus(cfg.corpus)
     graphs = [read_graph(_require(art.graph_path(d.id), "build")) for d in corpus]
     # an essay is linked to every entity that survived into its pruned graph,
@@ -420,6 +449,7 @@ def stage_embed(cfg: PipelineConfig, force: bool = False) -> dict:
     if not force and art.embeddings.exists():
         log.info("embed: output present, skipping")
         return {"skipped": True}
+    _bind()
     agg = read_aggregated(_require(art.aggregated, "aggregate"))
     stats: dict = {}
     matrix = train_embeddings(agg, cfg.embed, stats)
@@ -433,6 +463,7 @@ def stage_embed(cfg: PipelineConfig, force: bool = False) -> dict:
 
 def _make_folds(n_essays: int, cfg: PipelineConfig) -> list[np.ndarray]:
     """Held-out test index sets: k folds under cv, one split under split80."""
+    _bind()
     if cfg.protocol == "cv":
         return k_fold_split(n_essays, cfg.cv_folds, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -502,8 +533,10 @@ def plan_stacks(tasks: list, train_sizes: list[int], jobs: int, cap: int) -> lis
     for group in groups.values():
         count = -(-len(group) // cap)
         count = min(len(group), -(-count // jobs) * jobs)
-        stacks.extend([group[i] for i in part]
-                      for part in np.array_split(np.arange(len(group)), count))
+        # the first len(group) % count stacks are one longer
+        size, longer = divmod(len(group), count)
+        cuts = [k * size + min(k, longer) for k in range(count + 1)]
+        stacks.extend(group[a:b] for a, b in zip(cuts, cuts[1:]))
     return stacks
 
 
@@ -555,8 +588,52 @@ def _run_trainings(inputs: tuple, stacks: list[list[tuple[int, int]]], jobs: int
         _train_inputs = None
 
 
+def _train_key(cfg: PipelineConfig, art: Artifacts) -> str | None:
+    """A sha256 over the digests of what `train` reads (the aggregated
+    graph, the labels, the recorded splits and, when enriched, the
+    embeddings) and over the config that sets the folds and the models;
+    None while any of those files is missing."""
+    paths = [art.aggregated, art.labels, art.splits]
+    if cfg.enriched:
+        paths.append(art.embeddings)
+    if not all(p.is_file() for p in paths):
+        return None
+    settings = {"protocol": cfg.protocol, "cv_folds": cfg.cv_folds,
+                "test_fraction": cfg.test_fraction, **dataclasses.asdict(cfg.train)}
+    text = json.dumps({"inputs": [_digest(p) for p in paths], "config": settings},
+                      sort_keys=True)
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
     art = Artifacts(cfg.output_dir)
+    # with the recorded key and every checkpoint of its folds present,
+    # `_fit` would fit and rewrite nothing, so it is skipped without
+    # loading the graph or numpy
+    key = None if force else _train_key(cfg, art)
+    recorded = _read_manifest(art).get("stages", {}).get("train", {})
+    n_folds = cfg.cv_folds if cfg.protocol == "cv" else 1
+    if (key is not None and key == recorded.get("input_key")
+            and all(art.model_path(i, trait).exists()
+                    for i in range(n_folds) for trait in TRAITS)):
+        _require(art.features, "aggregate")
+        info = {"folds": n_folds, "trained": 0, "stack_sizes": [],
+                "model_bytes": recorded["model_bytes"], "budget_bytes": memory_budget()}
+    else:
+        info = _fit(cfg, art, force, jobs)
+    # after _fit, which may have rewritten the splits
+    info["input_key"] = _train_key(cfg, art)
+    log.info("train: %d models fitted in stacks %s, %d already present "
+             "(model_bytes %d, budget_bytes %d)", info["trained"], info["stack_sizes"],
+             info["folds"] * len(TRAITS) - info["trained"], info["model_bytes"],
+             info["budget_bytes"])
+    return info
+
+
+def _fit(cfg: PipelineConfig, art: Artifacts, force: bool, jobs: int) -> dict:
+    """Record the splits, refitting every model when they changed, and fit
+    the models that are missing (all of them with `force`)."""
+    _bind()
     agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art)
     folds = _make_folds(len(agg.essay_nodes), cfg)
     art.models_dir.mkdir(parents=True, exist_ok=True)
@@ -601,14 +678,9 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     if todo:
         X = _load_features(features)
         _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs)
-
-    info = {"folds": len(folds), "trained": len(todo),
+    return {"folds": len(folds), "trained": len(todo),
             "stack_sizes": [len(s) for s in stacks],
             "model_bytes": one_model, "budget_bytes": budget}
-    log.info("train: %d models fitted in stacks %s, %d already present "
-             "(model_bytes %d, budget_bytes %d)", len(todo), info["stack_sizes"],
-             len(folds) * len(TRAITS) - len(todo), one_model, budget)
-    return info
 
 
 def _write_correlations(matrix: np.ndarray, path: Path) -> None:
@@ -634,6 +706,7 @@ def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
     if not force and all(p.exists() for p in outputs):
         log.info("evaluate: reports present, skipping")
         return {"skipped": True}
+    _bind()
     agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art)
     X = _load_features(features)
 
@@ -665,18 +738,28 @@ def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
 
 # --- manifest and dispatch ---------------------------------------------------
 
+# inputs are hashed this many bytes at a time, so that a dump of gigabytes
+# is never held in memory whole
+_DIGEST_CHUNK = 1 << 20
+
+
 def _file_digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_DIGEST_CHUNK):
+            h.update(chunk)
+    return "sha256:" + h.hexdigest()
 
 
-# input file digests by (path, size, mtime): each file is read once per
-# process, and again once it is edited
-_digests: dict[tuple[str, int, int], str] = {}
+# file digests by (path, inode, size, mtime): each input or artifact is
+# read once per process, and again once it is edited or replaced by a
+# rename, as every artifact is written
+_digests: dict[tuple[str, int, int, int], str] = {}
 
 
 def _digest(path: Path) -> str:
     st = path.stat()
-    key = (str(path), st.st_size, st.st_mtime_ns)
+    key = (str(path), st.st_ino, st.st_size, st.st_mtime_ns)
     if key not in _digests:
         _digests[key] = _file_digest(path)
     return _digests[key]
@@ -695,11 +778,23 @@ def _config_echo(cfg: PipelineConfig) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(cfg), default=str))
 
 
+def _library_version(name: str, recorded: dict) -> str | None:
+    """The version of `name` this process loaded, or, when it loaded none,
+    the recorded one (None until some command loaded it).  Importing it to
+    ask would cost more than a command whose stages all skip."""
+    module = sys.modules.get(name)
+    return module.__version__ if module is not None else recorded.get(name)
+
+
+def _read_manifest(art: Artifacts) -> dict:
+    if not art.manifest.exists():
+        return {}
+    return json.loads(art.manifest.read_text(encoding="utf-8"))
+
+
 def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
     art = Artifacts(cfg.output_dir)
-    data = {}
-    if art.manifest.exists():
-        data = json.loads(art.manifest.read_text(encoding="utf-8"))
+    data = _read_manifest(art)
     data["config"] = _config_echo(cfg)
     inputs = {}
     for name in _INPUT_FILES:
@@ -710,8 +805,7 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
     data["versions"] = {
         "kgatnet": __version__,
         "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        **{lib: _library_version(lib, data.get("versions", {})) for lib in ("numpy", "scipy")},
         # BLAS threads can change the last bits of long reductions
         **{var: os.environ.get(var)
            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},

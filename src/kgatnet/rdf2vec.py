@@ -18,29 +18,8 @@ import numpy as np
 
 from .aggregator import AggregatedGraph
 from .atomic import write_atomically
+from .config import EmbedConfig
 from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, UnknownNode
-
-
-@dataclass(frozen=True)
-class EmbedConfig:
-    dim: int = 500
-    max_depth: int = 5
-    walks_per_node: int = 5
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    learning_rate: float = 0.025
-    min_learning_rate: float = 1e-4
-    seed: int = 42
-
-    def __post_init__(self):
-        for name in ("dim", "max_depth", "walks_per_node", "window", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.negatives < 0:
-            raise ConfigError("negatives must be >= 0")
-        if not 0 < self.min_learning_rate <= self.learning_rate:
-            raise ConfigError("need 0 < min_learning_rate <= learning_rate")
 
 
 def generate_walks(agg: AggregatedGraph, max_depth: int, walks_per_node: int,

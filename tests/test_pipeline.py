@@ -1,6 +1,7 @@
 """Config parsing, corpus loading, stage caching, and CLI behavior."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -314,6 +315,19 @@ def test_run_all_hashes_each_input_once_until_it_changes(workdir, monkeypatch):
     assert hashed.count("dump.nt") == 2
     after = json.loads(Artifacts(cfg.output_dir).manifest.read_text())["inputs"]["dump"]
     assert after == pipeline._file_digest(workdir / "dump.nt") != before
+
+
+def test_file_digest_reads_in_chunks(tmp_path, monkeypatch):
+    data = bytes(range(256)) * (2 * pipeline._DIGEST_CHUNK // 256 + 3)
+    path = tmp_path / "dump.nt"
+    path.write_bytes(data)
+
+    def whole_file(self):
+        raise AssertionError("read whole")
+
+    monkeypatch.setattr(Path, "read_bytes", whole_file)
+    assert len(data) > 2 * pipeline._DIGEST_CHUNK
+    assert pipeline._file_digest(path) == "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def test_stage_purity_deleted_artifact_reproduced(workdir):
@@ -667,10 +681,11 @@ def _source_env() -> dict:
 
 def test_importing_cli_leaves_requests_unloaded():
     # each is loaded only by the stages that need it: urllib.request by
-    # endpoint lookups, scipy.sparse by the stages that build or read a
-    # feature matrix, and concurrent.futures by training with --jobs
+    # endpoint lookups, numpy and scipy by a stage with work to do,
+    # scipy.sparse by the stages that build or read a feature matrix, and
+    # concurrent.futures by training with --jobs
     code = ("import sys, kgatnet.cli; sys.exit(any(m in sys.modules for m in"
-            " ('urllib.request', 'scipy.sparse', 'concurrent.futures')))")
+            " ('urllib.request', 'numpy', 'scipy', 'scipy.sparse', 'concurrent.futures')))")
     assert subprocess.run([sys.executable, "-c", code], env=_source_env(),
                           timeout=60).returncode == 0
 
@@ -705,6 +720,152 @@ def test_train_over_finished_models_still_requires_the_features(workdir):
     # train alone, since a run-all would rebuild them at aggregate
     Artifacts(workdir / "out").features.unlink()
     assert main(["train", "--config", cfg_path]) == 3
+
+
+def _cli_loads(args: list[str]) -> list[str]:
+    """Run the CLI on `args` in a fresh interpreter that must exit 0; which
+    of numpy and scipy it loaded."""
+    code = ("import sys; from kgatnet.cli import main; rc = main(sys.argv[1:]);"
+            " print(*(m for m in ('numpy', 'scipy') if m in sys.modules)); sys.exit(rc)")
+    done = subprocess.run([sys.executable, "-c", code, *args], env=_source_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("flags", [[], ["--enriched"]])
+def test_all_skip_commands_load_neither_numpy_nor_scipy(workdir, flags):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path, *flags]) == 0
+    art = Artifacts(workdir / "out")
+    first = json.loads(art.manifest.read_text())
+    before = _artifact_stamps(art.root)
+    # a rerun of every stage, and train alone over finished models
+    assert _cli_loads(["run-all", "--config", cfg_path, *flags]) == []
+    assert _cli_loads(["train", "--config", cfg_path, *flags]) == []
+    assert _artifact_stamps(art.root) == before
+    manifest = json.loads(art.manifest.read_text())
+    entry = manifest["stages"]["train"]
+    assert entry["trained"] == 0 and entry["stack_sizes"] == []
+    for key in ("folds", "model_bytes", "input_key"):
+        assert entry[key] == first["stages"]["train"][key]
+    # the versions of the libraries the first run loaded are kept
+    assert manifest["versions"]["numpy"] == np.__version__
+    assert manifest["versions"]["scipy"] == first["versions"]["scipy"] is not None
+
+
+def test_traced_pipeline_names_resolve_before_any_stage_runs(workdir):
+    # benchmark/tracer.py reads and replaces these names on a freshly
+    # imported pipeline, and a name it cannot find is silently left
+    # untimed; three of them name functions that are gone
+    tracer = (ROOT / "benchmark" / "tracer.py").read_text()
+    names = set(re.findall(r'tracer\.patch\(pipeline, "(\w+)"', tracer))
+    names -= {"resolve_concepts", "prune_graph", "train_trait"}
+    assert {"build_feature_matrix", "tensors_from_aggregated", "predict"} <= names
+    cfg_path = str(workdir / "run.cfg")
+    for stage in ("preprocess", "build"):
+        assert main([stage, "--config", cfg_path]) == 0
+    # a wrapper set before the first stage must be the function it calls
+    code = ("import sys; from kgatnet import pipeline;"
+            " missing = [n for n in sys.argv[2:] if not callable(getattr(pipeline, n, None))];"
+            " real, calls = pipeline.build_feature_matrix, [];"
+            " pipeline.build_feature_matrix = lambda *a: calls.append(a) or real(*a);"
+            " pipeline.run_stage('aggregate', pipeline.load_config(sys.argv[1]));"
+            " print(missing, len(calls))")
+    done = subprocess.run([sys.executable, "-c", code, cfg_path, *sorted(names)],
+                          env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "[] 1\n"
+
+
+# --- the train stage's input key -----------------------------------------
+
+def _train_entry(workdir) -> dict:
+    return json.loads(Artifacts(workdir / "out").manifest.read_text())["stages"]["train"]
+
+
+def _train_to_models(cfg_path) -> None:
+    for stage in ("preprocess", "build", "aggregate", "train"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+
+
+def test_train_refits_when_the_fold_count_changes(workdir):
+    cfg_path = workdir / "run.cfg"
+    text = cfg_path.read_text().replace("protocol = split80", "protocol = cv")
+    cfg_path.write_text(text + "cv_folds = 2\n")
+    _train_to_models(cfg_path)
+    assert _train_entry(workdir)["trained"] == 10
+    cfg_path.write_text(text + "cv_folds = 3\n")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert _train_entry(workdir)["trained"] == 15
+    assert len(json.loads(Artifacts(workdir / "out").splits.read_text())["folds"]) == 3
+
+
+def test_train_refits_after_a_reordered_corpus_is_aggregated(workdir):
+    cfg_path = workdir / "run.cfg"
+    _train_to_models(cfg_path)
+    corpus = workdir / "corpus.csv"
+    header, *rows = corpus.read_text(encoding="utf-8").splitlines()
+    corpus.write_text("\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8")
+    assert main(["aggregate", "--config", str(cfg_path), "--force"]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert _train_entry(workdir)["trained"] == 5
+    splits = json.loads(Artifacts(workdir / "out").splits.read_text())
+    assert splits["doc_ids"] == [row.split(",")[0] for row in reversed(rows)]
+
+
+def test_train_refits_after_splits_json_is_edited(workdir):
+    cfg_path = workdir / "run.cfg"
+    _train_to_models(cfg_path)
+    splits = Artifacts(workdir / "out").splits
+    recorded = splits.read_text()
+    edited = json.loads(recorded)
+    edited["folds"][0] = edited["folds"][0][1:]
+    splits.write_text(json.dumps(edited, indent=2) + "\n")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert _train_entry(workdir)["trained"] == 5
+    assert splits.read_text() == recorded
+
+
+def test_train_without_a_manifest_fits_nothing_and_records_its_key(workdir, monkeypatch):
+    cfg_path = workdir / "run.cfg"
+    _train_to_models(cfg_path)
+    key = _train_entry(workdir)["input_key"]
+    Artifacts(workdir / "out").manifest.unlink()
+    fits = []
+    fit = pipeline._fit
+    monkeypatch.setattr(pipeline, "_fit", lambda *a: fits.append(a) or fit(*a))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert len(fits) == 1
+    entry = _train_entry(workdir)
+    assert entry["trained"] == 0 and entry["input_key"] == key
+    # and the next train skips on the key
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert len(fits) == 1 and _train_entry(workdir)["model_bytes"] == entry["model_bytes"]
+
+
+def test_train_force_refits_over_a_matching_key(workdir):
+    cfg_path = workdir / "run.cfg"
+    _train_to_models(cfg_path)
+    key = _train_entry(workdir)["input_key"]
+    assert main(["train", "--config", str(cfg_path), "--force"]) == 0
+    assert _train_entry(workdir)["trained"] == 5
+    assert _train_entry(workdir)["input_key"] == key
+
+
+def test_train_after_an_epochs_edit_fits_nothing_then_skips(workdir):
+    cfg_path = workdir / "run.cfg"
+    _train_to_models(cfg_path)
+    art = Artifacts(workdir / "out")
+    key = _train_entry(workdir)["input_key"]
+    models = _artifact_stamps(art.models_dir)
+    cfg_path.write_text(cfg_path.read_text().replace("epochs = 3\n", "epochs = 2\n"))
+    # as before the key: existing models of unchanged splits count as done
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    entry = _train_entry(workdir)
+    assert entry["trained"] == 0 and entry["input_key"] != key
+    assert _cli_loads(["train", "--config", str(cfg_path)]) == []
+    assert _artifact_stamps(art.models_dir) == models
 
 
 def test_every_manifest_entry_records_wall_time_and_peak_memory(workdir):
