@@ -90,24 +90,15 @@ def attach_essay_nodes(
     )
 
 
-def build_feature_matrix(agg: AggregatedGraph, entity_features: str = "self") -> sp.csr_matrix:
-    """Binary N x F matrix, F = entity vocabulary size.
-
-    Essay rows mark the entities the essay is linked to (`essay_entity_edges`).
-    Entity rows are one-hot self-indicators ("self") or all zero ("zero"); the
-    all-zero variant leaves entity nodes featureless and relies on attention
-    over essay neighbours alone.
-    """
+def build_feature_matrix(agg: AggregatedGraph) -> sp.csr_matrix:
+    """Binary N x F matrix, F = entity vocabulary size: one-hot
+    self-indicators on the entity rows, and on each essay row the entities
+    the essay is linked to (`essay_entity_edges`)."""
     # imported here so that commands that build no matrix never load it
     import scipy.sparse as sp
 
-    if entity_features not in ("self", "zero"):
-        raise ValueError(f"entity_features must be 'self' or 'zero', got {entity_features!r}")
     n_ent = len(agg.entity_nodes)
-    rows, cols = [], []
-    if entity_features == "self":
-        rows.extend(range(n_ent))
-        cols.extend(range(n_ent))
+    rows, cols = list(range(n_ent)), list(range(n_ent))
     ent, ess = agg.entity_index, agg.essay_index
     for d, e in agg.essay_entity_edges:
         rows.append(ess[d])

@@ -121,7 +121,8 @@ class GraphTensors:
     of node i's incoming-edge segment.  src_order is the stable argsort of
     src, so edges[src_order] is the same list in src-major order; as every
     edge is stored in both directions, src_order[e] is the reverse of edge
-    e, and node i's outgoing edges start at seg_starts[i] in it.  The
+    e, and node i's outgoing edges start at seg_starts[i] in it.  The last
+    n_essays nodes are the essays, the rows the classifier reads.  The
     block-diagonal attention matrices that `attention` and
     `transposed_attention` fill are cached for one block count at a time."""
 
@@ -129,12 +130,12 @@ class GraphTensors:
     src: np.ndarray
     dst: np.ndarray
     seg_starts: np.ndarray
-    essay_idx: np.ndarray
+    n_essays: int
     src_order: np.ndarray
     _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_edges(cls, n_nodes, index_pairs, essay_idx):
+    def from_edges(cls, n_nodes, index_pairs, n_essays):
         pairs = np.asarray(index_pairs, dtype=np.int64).reshape(-1, 2)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         loops = np.arange(n_nodes, dtype=np.int64)
@@ -143,12 +144,7 @@ class GraphTensors:
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
         seg_starts = np.searchsorted(dst, loops)
-        return cls(n_nodes, src, dst, seg_starts,
-                   np.asarray(essay_idx, dtype=np.int64), np.argsort(src, kind="stable"))
-
-    @property
-    def n_essays(self) -> int:
-        return len(self.essay_idx)
+        return cls(n_nodes, src, dst, seg_starts, n_essays, np.argsort(src, kind="stable"))
 
     def _block_matrix(self, key, blocks, build):
         """The matrix cached under `key`, made by `build()` on a miss.  Only
@@ -208,9 +204,7 @@ class GraphTensors:
 
 
 def tensors_from_aggregated(agg) -> GraphTensors:
-    n_ent = len(agg.entity_nodes)
-    essay_idx = np.arange(n_ent, agg.n_nodes)
-    return GraphTensors.from_edges(agg.n_nodes, list(agg.index_edges()), essay_idx)
+    return GraphTensors.from_edges(agg.n_nodes, list(agg.index_edges()), len(agg.essay_nodes))
 
 
 def segment_softmax(scores, dst, seg_starts):
@@ -422,7 +416,7 @@ def _forward(model, tensors, X, embeddings):
         Hk, cache = attention_layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
         caches.append(cache)
         outs.append(Hk)
-    parts = [np.take(o, tensors.essay_idx, axis=-2) for o in outs]
+    parts = [o[..., n - tensors.n_essays :, :] for o in outs]
     if model.embed_dim:
         if embeddings is None:
             raise MissingEmbedding("model is enriched but no embeddings given")
@@ -501,11 +495,11 @@ def loss_and_gradients(model, tensors, X_T, fwd, batch_positions, targets):
     }
     dconcat = np.matmul(dlogits, p["clf.W"])
 
-    Hd = model.hidden_units
+    Hd, n = model.hidden_units, tensors.n_nodes
     dH_next = None
     for k in reversed(range(model.n_layers)):
-        dOut = np.zeros((*model.stack_shape, tensors.n_nodes, Hd))
-        dOut[..., tensors.essay_idx, :] += dconcat[..., k * Hd : (k + 1) * Hd]
+        dOut = np.zeros((*model.stack_shape, n, Hd))
+        dOut[..., n - tensors.n_essays :, :] += dconcat[..., k * Hd : (k + 1) * Hd]
         if dH_next is not None:
             dOut += dH_next
         dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = attention_layer_backward(

@@ -39,7 +39,7 @@ from pathlib import Path
 from . import __version__
 from .atomic import write_atomically
 from .config import TRAITS, EmbedConfig, TrainConfig
-from .errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss
+from .errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss, UnknownNode
 from .kg_builder import (
     CachingSource,
     NTriplesSource,
@@ -139,7 +139,6 @@ class PipelineConfig:
     protocol: str
     cv_folds: int
     test_fraction: float
-    entity_features: str
     predicate_prefixes: tuple[str, ...]
     train: TrainConfig
     embed: EmbedConfig
@@ -153,8 +152,6 @@ class PipelineConfig:
             raise ConfigError("cv_folds must be >= 2")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if self.entity_features not in ("self", "zero"):
-            raise ConfigError("entity_features must be 'self' or 'zero'")
 
     @property
     def enriched(self) -> bool:
@@ -177,7 +174,6 @@ _KEY_DEFAULTS: dict[str, object] = {
     "protocol": "cv",
     "cv_folds": 10,
     "test_fraction": 0.2,
-    "entity_features": "self",
     "predicate_prefixes": "",
 }
 
@@ -431,7 +427,7 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
 
     art.aggregate_dir.mkdir(parents=True, exist_ok=True)
     write_aggregated(agg, art.aggregated)
-    X = build_feature_matrix(agg, cfg.entity_features)
+    X = build_feature_matrix(agg)
     # imported here so that a skipped aggregate never loads it
     import scipy.sparse as sp
     buf = io.BytesIO()
@@ -485,8 +481,16 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
         raise ConfigError("labels.csv order does not match the aggregated graph")
     essay_vecs = None
     if cfg.enriched:
-        emb = read_embeddings(_require(art.embeddings, "embed"))
-        essay_vecs = emb.rows_for(agg.essay_nodes)
+        path = _require(art.embeddings, "embed")
+        # vectors.txt from before the corpus changed, or cut short, is an
+        # embed stage left to redo
+        try:
+            essay_vecs = read_embeddings(path).rows_for(agg.essay_nodes)
+        except UnknownNode as exc:
+            raise MissingStageInput(f"{path} has no vector for essay {exc} "
+                                    "(rerun embed --force)") from None
+        except ValueError as exc:
+            raise MissingStageInput(f"{path} is unreadable: {exc} (rerun embed --force)") from None
         # unit rows: skip-gram norms drift with walk volume, and unscaled
         # vectors can swamp the attention blocks in the classifier input
         norms = np.linalg.norm(essay_vecs, axis=1, keepdims=True)
@@ -612,15 +616,19 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     # loading the graph or numpy
     key = None if force else _train_key(cfg, art)
     recorded = _read_manifest(art).get("stages", {}).get("train", {})
+    recorded_key = recorded.get("input_key")
     n_folds = cfg.cv_folds if cfg.protocol == "cv" else 1
-    if (key is not None and key == recorded.get("input_key")
+    if (key is not None and key == recorded_key
             and all(art.model_path(i, trait).exists()
                     for i in range(n_folds) for trait in TRAITS)):
         _require(art.features, "aggregate")
         info = {"folds": n_folds, "trained": 0, "stack_sizes": [],
                 "model_bytes": recorded["model_bytes"], "budget_bytes": memory_budget()}
     else:
-        info = _fit(cfg, art, force, jobs)
+        # a changed key refits every model; with none recorded, `_fit`
+        # trusts the checkpoints of unchanged splits
+        changed = None if recorded_key is None else key != recorded_key
+        info = _fit(cfg, art, force or changed, jobs)
     # after _fit, which may have rewritten the splits
     info["input_key"] = _train_key(cfg, art)
     log.info("train: %d models fitted in stacks %s, %d already present "
@@ -630,9 +638,10 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
     return info
 
 
-def _fit(cfg: PipelineConfig, art: Artifacts, force: bool, jobs: int) -> dict:
-    """Record the splits, refitting every model when they changed, and fit
-    the models that are missing (all of them with `force`)."""
+def _fit(cfg: PipelineConfig, art: Artifacts, refit: bool | None, jobs: int) -> dict:
+    """Record the splits and fit the models that are missing, after
+    deleting every model when `refit`, or, when `refit` is None, when the
+    recorded splits differ from the new ones."""
     _bind()
     agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art)
     folds = _make_folds(len(agg.essay_nodes), cfg)
@@ -646,23 +655,22 @@ def _fit(cfg: PipelineConfig, art: Artifacts, force: bool, jobs: int) -> dict:
         "folds": [f.tolist() for f in folds],
     }
     text = json.dumps(splits, indent=2) + "\n"
-    recorded = art.splits.read_text(encoding="utf-8") if art.splits.exists() else None
-    if recorded is not None and recorded != text:
-        # models fitted on other folds would be scored on essays they were
-        # trained on; they go before the new splits are recorded, so an
-        # interrupted refit leaves only models of the recorded splits
-        log.info("train: splits changed, refitting every model")
+    if refit is None:
+        refit = art.splits.exists() and art.splits.read_text(encoding="utf-8") != text
+    if refit:
+        # models of other inputs, settings or folds go before the new splits
+        # are recorded, so an interrupted refit leaves none of them
+        log.info("train: refitting every model")
         for p in [*art.models_dir.glob("fold*_*.npz"),
                   *art.models_dir.glob("history_fold*_*.csv")]:
             p.unlink()
-    if recorded != text:
-        write_atomically(art.splits, text.encode("utf-8"))
+    write_atomically(art.splits, text.encode("utf-8"))
 
     # every training seeds its own generator with [seed, fold, trait], and
     # a stack computes each model as if alone, so the outputs depend neither
     # on how the trainings are stacked nor on how the pool schedules them
     todo = [(i, j) for i in range(len(folds)) for j, trait in enumerate(TRAITS)
-            if force or not art.model_path(i, trait).exists()]
+            if not art.model_path(i, trait).exists()]
     if todo:
         # reports of the models about to be replaced would otherwise keep
         # `evaluate` from scoring the new ones

@@ -254,10 +254,11 @@ def write_embeddings(matrix: EmbeddingMatrix, path: Path | str) -> None:
 
 
 def read_embeddings(path: Path | str) -> EmbeddingMatrix:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    n, dim = (int(x) for x in lines[0].split())
+    # an empty file fails, as a ValueError, like a header of other than two numbers
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    n, dim = (int(x) for x in header.split())
     ids, rows = [], []
-    for line in lines[1 : 1 + n]:
+    for line in lines[:n]:
         parts = line.split(" ")
         if len(parts) != dim + 1:
             raise ValueError(f"embedding row for {parts[0]!r} has wrong width")

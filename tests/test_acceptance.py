@@ -58,7 +58,7 @@ def test_criterion_1_gradient_matches_finite_differences():
     t0 = time.monotonic()
     pairs = [(0, 1), (1, 2), (2, 3), (0, 2)]
     links = [(4, 0), (5, 3)]
-    tensors = GraphTensors.from_edges(6, pairs + links, np.arange(4, 6))
+    tensors = GraphTensors.from_edges(6, pairs + links, 2)
     rng = np.random.default_rng(3)
     X = np.zeros((6, 4))
     X[:4] = np.eye(4)
@@ -90,7 +90,7 @@ def test_criterion_2_attention_rows_sum_to_one():
         possible = list(itertools.combinations(range(n), 2))
         k = int(rng.integers(1, len(possible) + 1))
         chosen = [possible[i] for i in rng.choice(len(possible), size=k, replace=False)]
-        tensors = GraphTensors.from_edges(n, chosen, np.array([], dtype=int))
+        tensors = GraphTensors.from_edges(n, chosen, 0)
         fh = int(rng.integers(2, 6))
         f_in = int(rng.integers(2, 6))
         H = rng.normal(size=(n, f_in))
@@ -111,7 +111,7 @@ def test_criterion_2_attention_rows_sum_to_one():
 def test_criterion_3_identical_heads_reduce_to_single_head():
     rng = np.random.default_rng(7)
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
-    tensors = GraphTensors.from_edges(5, pairs, np.array([], dtype=int))
+    tensors = GraphTensors.from_edges(5, pairs, 0)
     H = rng.normal(size=(5, 3))
     W = rng.normal(size=(4, 3))
     a = rng.normal(size=8)

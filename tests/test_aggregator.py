@@ -140,19 +140,6 @@ def test_feature_matrix_both_entities():
     assert X[2].tolist() == [1, 1]
 
 
-def test_feature_matrix_zero_mode():
-    agg = attach_essay_nodes(two_entity_graph(), [(Document("d", ""), frozenset({"A"}))])
-    X = build_feature_matrix(agg, entity_features="zero").toarray()
-    assert X[0].tolist() == [0, 0] and X[1].tolist() == [0, 0]
-    assert X[2].tolist() == [1, 0]
-
-
-def test_feature_matrix_rejects_unknown_mode():
-    agg = two_entity_graph()
-    with pytest.raises(ValueError):
-        build_feature_matrix(agg, entity_features="degree")
-
-
 @given(
     st.lists(
         st.sets(st.sampled_from([f"e{i}" for i in range(8)] + ["zz"]), max_size=9),

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from kgatnet.aggregator import aggregate_graphs, attach_essay_nodes, build_feature_matrix
 from kgatnet.errors import (
     ConfigError,
     MissingEmbedding,
@@ -35,9 +36,12 @@ from kgatnet.gat import (
     new_model,
     predict,
     save_model,
+    tensors_from_aggregated,
     train_stack,
     write_history,
 )
+from kgatnet.kg_builder import KnowledgeGraph
+from kgatnet.preprocess import Document
 from oracles import (
     aggregate_head,
     drawn_in_order,
@@ -74,7 +78,7 @@ def tiny_instance(n_ent=4, n_essay=2, pairs=((0, 1), (1, 2), (2, 3)),
     """Entities on a path, essays hooked to its ends; returns tensors + X."""
     n = n_ent + n_essay
     index_pairs = list(pairs) + [(n_ent + d, e) for d, e in essay_links]
-    tensors = GraphTensors.from_edges(n, index_pairs, np.arange(n_ent, n))
+    tensors = GraphTensors.from_edges(n, index_pairs, n_essay)
     rng = np.random.default_rng(seed)
     X = np.zeros((n, n_ent))
     X[:n_ent] = np.eye(n_ent)
@@ -187,7 +191,7 @@ def test_aggregate_head_matches_dense_oracle():
     # single head on a random 4-node graph vs sigma(A_alpha . (H W^T))
     rng = np.random.default_rng(5)
     pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    tensors = GraphTensors.from_edges(4, pairs, np.array([], dtype=int))
+    tensors = GraphTensors.from_edges(4, pairs, 0)
     H = rng.normal(size=(4, 3))
     W = rng.normal(size=(2, 3))
     a = rng.normal(size=4)
@@ -210,7 +214,7 @@ def test_aggregate_head_matches_dense_oracle():
 def test_multi_head_single_head_degeneracy():
     rng = np.random.default_rng(1)
     pairs = [(0, 1), (1, 2)]
-    tensors = GraphTensors.from_edges(3, pairs, np.array([], dtype=int))
+    tensors = GraphTensors.from_edges(3, pairs, 0)
     H = rng.normal(size=(3, 2))
     W = rng.normal(size=(2, 2))
     a = rng.normal(size=4)
@@ -223,7 +227,7 @@ def test_multi_head_single_head_degeneracy():
 def test_multi_head_two_heads_direct_formula():
     rng = np.random.default_rng(2)
     pairs = [(0, 1), (1, 2)]  # 3-node path
-    tensors = GraphTensors.from_edges(3, pairs, np.array([], dtype=int))
+    tensors = GraphTensors.from_edges(3, pairs, 0)
     H = rng.normal(size=(3, 3))
     W = rng.normal(size=(2, 2, 3))
     a = rng.normal(size=(2, 4))
@@ -235,7 +239,7 @@ def test_multi_head_two_heads_direct_formula():
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(9)
     pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
-    tensors = GraphTensors.from_edges(5, pairs, np.array([], dtype=int))
+    tensors = GraphTensors.from_edges(5, pairs, 0)
     H = rng.normal(size=(5, 3))
     _, (*_, alpha) = attention_layer_forward(
         H, tensors, rng.normal(size=(1, 2, 3)), rng.normal(size=(1, 4))
@@ -256,7 +260,7 @@ def test_from_edges_matches_pairwise_loop():
     for _ in range(50):
         n = int(rng.integers(1, 15))
         pairs = random_pairs(rng, n, int(rng.integers(0, 30)))
-        tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+        tensors = GraphTensors.from_edges(n, pairs, 0)
         src, dst = loop_edge_list(n, pairs)
         assert np.array_equal(tensors.src, src)
         assert np.array_equal(tensors.dst, dst)
@@ -306,7 +310,7 @@ def test_layer_matches_per_head_reference_bitwise(heads):
     for _ in range(10):
         n = int(rng.integers(3, 25))
         pairs = random_pairs(rng, n, int(rng.integers(1, 3 * n)))
-        tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+        tensors = GraphTensors.from_edges(n, pairs, 0)
         assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, (), heads))
 
 
@@ -317,7 +321,7 @@ def test_stacked_layer_matches_per_head_reference_bitwise(heads):
         for _ in range(5):
             n = int(rng.integers(3, 25))
             pairs = random_pairs(rng, n, int(rng.integers(1, 3 * n)))
-            tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+            tensors = GraphTensors.from_edges(n, pairs, 0)
             assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, lead, heads))
 
 
@@ -327,7 +331,7 @@ def test_long_segment_adds_its_edges_in_order():
     rng = np.random.default_rng(40)
     n = 60
     pairs = [(0, j) for j in range(1, 48)] + random_pairs(rng, n, 80)
-    tensors = GraphTensors.from_edges(n, pairs, np.array([], dtype=int))
+    tensors = GraphTensors.from_edges(n, pairs, 0)
     assert np.diff(tensors.seg_starts)[0] >= 40
     for lead in [(), (2,)]:
         assert_layer_matches_per_head_reference(tensors, *random_layer(rng, n, lead, 3))
@@ -338,7 +342,7 @@ def test_reused_tensors_keep_one_block_count():
     # when models leave it; the cached matrices are refilled, never stale
     rng = np.random.default_rng(41)
     n, heads = 20, 2
-    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 40), np.array([], dtype=int))
+    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 40), 0)
     for models in (3, 2, 3):
         for _ in range(2):
             assert_layer_matches_per_head_reference(
@@ -399,8 +403,26 @@ def test_forward_matches_second_implementation():
     tensors, X, nbrs = tiny_instance(seed=8)
     model = new_model(X.shape[1], small_config(seed=13))
     got = forward(model, tensors, sp.csr_matrix(X))
-    want = naive_probabilities(model, nbrs, X, tensors.essay_idx)
+    essays = range(tensors.n_nodes - tensors.n_essays, tensors.n_nodes)
+    want = naive_probabilities(model, nbrs, X, essays)
     assert np.allclose(got, want, atol=1e-10)
+
+
+def test_aggregated_essays_are_the_rows_the_classifier_reads():
+    graphs = [KnowledgeGraph(frozenset("ABC"), frozenset({("A", "B"), ("B", "C")})),
+              KnowledgeGraph(frozenset("CD"), frozenset({("C", "D")}))]
+    corpus = [(Document(d, ""), frozenset(c))
+              for d, c in (("d1", "A"), ("d2", "CD"), ("d3", "BD"))]
+    agg = attach_essay_nodes(aggregate_graphs(graphs), corpus)
+    tensors = tensors_from_aggregated(agg)
+    X = build_feature_matrix(agg)
+    assert tensors.n_essays == len(agg.essay_nodes) == 3
+    # each essay's probabilities come from its own node in the aggregator's index
+    essays = [agg.essay_index[d] for d in agg.essay_nodes]
+    nbrs = neighbors_from_pairs(agg.n_nodes, agg.index_edges())
+    model = new_model(X.shape[1], small_config(seed=5))
+    want = naive_probabilities(model, nbrs, X.toarray(), essays)
+    assert np.allclose(forward(model, tensors, X), want, atol=1e-10)
 
 
 def test_forward_enriched_matches_second_implementation():
@@ -409,7 +431,8 @@ def test_forward_enriched_matches_second_implementation():
     emb = rng.normal(size=(2, 3))
     model = new_model(X.shape[1], small_config(seed=13, enriched=True), embed_dim=3)
     got = forward(model, tensors, X, embeddings=emb)
-    want = naive_probabilities(model, nbrs, X, tensors.essay_idx, embeddings=emb)
+    essays = range(tensors.n_nodes - tensors.n_essays, tensors.n_nodes)
+    want = naive_probabilities(model, nbrs, X, essays, embeddings=emb)
     assert np.allclose(got, want, atol=1e-10)
 
 
@@ -434,7 +457,7 @@ def test_forward_feature_shape_check():
 
 def test_isolated_essay_prediction_finite():
     # essay with no concept links: self-loop only
-    tensors = GraphTensors.from_edges(2, [], np.array([1]))
+    tensors = GraphTensors.from_edges(2, [], 1)
     X = np.array([[1.0], [0.0]])
     model = new_model(1, small_config())
     probs = forward(model, tensors, X)
@@ -544,7 +567,7 @@ def test_masking_soundness_outside_receptive_field():
     # the far essay's features cannot touch the near essay's loss
     n_ent = 8
     pairs = [(i, i + 1) for i in range(n_ent - 1)] + [(8, 0), (9, 7)]
-    tensors = GraphTensors.from_edges(10, pairs, np.array([8, 9]))
+    tensors = GraphTensors.from_edges(10, pairs, 2)
     rng = np.random.default_rng(14)
     X = np.zeros((10, n_ent))
     X[:n_ent] = np.eye(n_ent)
@@ -653,7 +676,7 @@ def planted_corpus(n_essays=12, n_ent=5, seed=0):
         for e in np.flatnonzero(row):
             links.append((n_ent + d, int(e)))
     n = n_ent + n_essays
-    tensors = GraphTensors.from_edges(n, pairs + links, np.arange(n_ent, n))
+    tensors = GraphTensors.from_edges(n, pairs + links, n_essays)
     X = np.vstack([np.eye(n_ent), np.array(X_rows)])
     return tensors, X, np.array(y)
 
@@ -843,9 +866,9 @@ def test_model_bytes_bounds_the_peak_of_a_parameter_bound_stack():
                       weight_decay=0.02)
     seeds = [[1, i] for i in range(5)]
     # a first, smaller stack fills numpy's and the interpreter's caches
-    warm = GraphTensors.from_edges(n, pairs, np.arange(n_ent, n))
+    warm = GraphTensors.from_edges(n, pairs, n_essays)
     list(train_stack(warm, X, ys[:1], cfg, seeds=seeds[:1]))
-    tensors = GraphTensors.from_edges(n, pairs, np.arange(n_ent, n))
+    tensors = GraphTensors.from_edges(n, pairs, n_essays)
     estimate = 5 * gat.model_bytes(n, len(tensors.src), n_ent, cfg)
     tracemalloc.start()
     try:
@@ -892,7 +915,7 @@ def test_predictions_invariant_under_entity_permutation():
     row_map = np.concatenate([perm, np.arange(n_ent, 6)])
     pairs = [(0, 1), (1, 2), (2, 3), (4, 0), (5, 3)]
     pairs2 = [tuple(sorted((int(row_map[i]), int(row_map[j])))) for i, j in pairs]
-    tensors2 = GraphTensors.from_edges(6, pairs2, np.array([4, 5]))
+    tensors2 = GraphTensors.from_edges(6, pairs2, 2)
     X2 = X[np.argsort(row_map)][:, inv]
     model2 = new_model(X.shape[1], small_config(seed=37))
     model2.params = {k: v.copy() for k, v in model.params.items()}

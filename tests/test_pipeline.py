@@ -48,7 +48,6 @@ def test_parse_config_defaults():
     assert cfg.seed == 42
     assert cfg.protocol == "cv"
     assert cfg.cv_folds == 10
-    assert cfg.entity_features == "self"
     assert cfg.train.epochs == 50
     assert cfg.train.batch_size == 32
     assert cfg.train.learning_rate == pytest.approx(3e-4)
@@ -844,6 +843,15 @@ def test_train_without_a_manifest_fits_nothing_and_records_its_key(workdir, monk
     assert len(fits) == 1 and _train_entry(workdir)["model_bytes"] == entry["model_bytes"]
 
 
+def test_train_without_a_manifest_refits_when_the_splits_change(workdir):
+    cfg_path = workdir / "run.cfg"
+    _train_to_models(cfg_path)
+    Artifacts(workdir / "out").manifest.unlink()
+    # no key to compare, but seed 7's folds are not those the models saw
+    assert main(["train", "--config", str(cfg_path), "--seed", "7"]) == 0
+    assert _train_entry(workdir)["trained"] == 5
+
+
 def test_train_force_refits_over_a_matching_key(workdir):
     cfg_path = workdir / "run.cfg"
     _train_to_models(cfg_path)
@@ -853,19 +861,43 @@ def test_train_force_refits_over_a_matching_key(workdir):
     assert _train_entry(workdir)["input_key"] == key
 
 
-def test_train_after_an_epochs_edit_fits_nothing_then_skips(workdir):
+def test_train_after_an_epochs_edit_refits_every_model(workdir):
     cfg_path = workdir / "run.cfg"
     _train_to_models(cfg_path)
     art = Artifacts(workdir / "out")
     key = _train_entry(workdir)["input_key"]
-    models = _artifact_stamps(art.models_dir)
     cfg_path.write_text(cfg_path.read_text().replace("epochs = 3\n", "epochs = 2\n"))
-    # as before the key: existing models of unchanged splits count as done
     assert main(["train", "--config", str(cfg_path)]) == 0
     entry = _train_entry(workdir)
-    assert entry["trained"] == 0 and entry["input_key"] != key
+    assert entry["trained"] == 5 and entry["input_key"] != key
+    # no history is longer than the new epoch count
+    assert all(len(p.read_text().splitlines()) <= 3
+               for p in art.models_dir.glob("history_*.csv"))
+    # and the next train skips on the new key
+    models = _artifact_stamps(art.models_dir)
     assert _cli_loads(["train", "--config", str(cfg_path)]) == []
     assert _artifact_stamps(art.models_dir) == models
+
+
+def test_train_after_a_label_edit_refits_every_model_and_drops_the_reports(workdir):
+    cfg_path = workdir / "run.cfg"
+    assert main(["run-all", "--config", str(cfg_path)]) == 0
+    art = Artifacts(workdir / "out")
+    models = _artifact_stamps(art.models_dir)
+    corpus = workdir / "corpus.csv"
+    header, *rows = corpus.read_text(encoding="utf-8").splitlines()
+    # flip trait O of the first five essays
+    for i, row in enumerate(rows[:5]):
+        *head, o, c, e, a, n = row.split(",")
+        rows[i] = ",".join([*head, str(1 - int(o)), c, e, a, n])
+    corpus.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert main(["aggregate", "--config", str(cfg_path), "--force"]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert _train_entry(workdir)["trained"] == 5
+    after = _artifact_stamps(art.models_dir)
+    assert all(after[p][0] != models[p][0] for p in models if p.suffix == ".npz")
+    # the reports of the replaced models are gone, so evaluate scores the new ones
+    assert not any(p.exists() for p in (art.metrics, art.long, art.correlations))
 
 
 def test_every_manifest_entry_records_wall_time_and_peak_memory(workdir):
@@ -935,6 +967,40 @@ def test_cli_exit_two_on_jobs_below_one(workdir, jobs, capsys):
 
 def test_cli_exit_three_on_missing_stage_input(workdir):
     assert main(["train", "--config", str(workdir / "run.cfg")]) == 3
+
+
+def test_cli_exit_three_on_embeddings_older_than_the_corpus(workdir):
+    # ROADMAP item 1's reproduction: an essay added after embed ran
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path, "--enriched"]) == 0
+    art = Artifacts(workdir / "out")
+    models = _artifact_stamps(art.models_dir)
+    with open(workdir / "corpus.csv", "a", encoding="utf-8") as fh:
+        fh.write('doc99,"A painting of the sea, seen from a boat.",1,0,1,0,1\n')
+    for stage in ("preprocess", "build"):
+        assert main([stage, "--config", cfg_path]) == 0
+    assert main(["aggregate", "--config", cfg_path, "--force"]) == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "kgatnet", "run-all", "--config", cfg_path, "--enriched"],
+        env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1
+    assert "vectors.txt" in errors[0] and "doc99" in errors[0]
+    assert "rerun embed --force" in errors[0]
+    # the input is checked before any model of the old inputs is deleted
+    assert _artifact_stamps(art.models_dir) == models
+
+
+def test_cli_exit_three_on_truncated_embeddings(workdir, caplog):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path, "--enriched"]) == 0
+    vectors = Artifacts(workdir / "out").embeddings
+    text = vectors.read_text(encoding="utf-8")
+    vectors.write_text(text[: len(text) // 2], encoding="utf-8")
+    assert main(["train", "--config", cfg_path, "--enriched"]) == 3
+    assert str(vectors) in caplog.text and "rerun embed --force" in caplog.text
 
 
 def test_cli_exit_two_on_unreadable_checkpoint(workdir, caplog):
