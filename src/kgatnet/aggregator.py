@@ -1,13 +1,12 @@
-"""Union of per-document graphs plus essay nodes, features, and labels.
+"""Union of per-document graphs plus essay nodes, and their features.
 
 Node indexing convention used everywhere downstream: entity nodes first in
-first-seen order, then essay nodes in corpus order.
+first-seen order, then essay nodes in corpus order.  The essays' labels stay
+in the corpus, which `train` and `evaluate` read them from.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -16,8 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .atomic import write_atomically
-from .errors import DuplicateDocumentId, MissingLabel
-from .config import TRAITS
+from .errors import DuplicateDocumentId
 from .kg_builder import KnowledgeGraph, read_sections, sections_to_text
 from .preprocess import Document
 
@@ -107,16 +105,6 @@ def build_feature_matrix(agg: AggregatedGraph) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(agg.n_nodes, n_ent))
 
 
-def build_label_matrix(corpus: Sequence[Document]) -> np.ndarray:
-    """(n_essays, 5) int array in (O, C, E, A, N) order, corpus order rows."""
-    out = np.zeros((len(corpus), 5), dtype=np.int64)
-    for i, doc in enumerate(corpus):
-        if doc.labels is None:
-            raise MissingLabel(doc.id)
-        out[i] = doc.labels
-    return out
-
-
 # --- serialization -----------------------------------------------------
 
 def aggregated_to_text(agg: AggregatedGraph) -> str:
@@ -144,24 +132,3 @@ def write_aggregated(agg: AggregatedGraph, path: Path | str) -> None:
 def read_aggregated(path: Path | str) -> AggregatedGraph:
     return aggregated_from_text(Path(path).read_text(encoding="utf-8"))
 
-
-def write_labels_csv(doc_ids: Sequence[str], labels: np.ndarray, path: Path | str) -> None:
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(["doc_id", *TRAITS])
-    for doc_id, row in zip(doc_ids, labels):
-        w.writerow([doc_id, *(int(x) for x in row)])
-    write_atomically(path, buf.getvalue().encode("utf-8"))
-
-
-def read_labels_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["doc_id", *TRAITS]:
-            raise ValueError(f"unexpected label header {header!r}")
-        ids, rows = [], []
-        for rec in reader:
-            ids.append(rec[0])
-            rows.append([int(x) for x in rec[1:6]])
-    return ids, np.array(rows, dtype=np.int64).reshape(len(ids), 5)

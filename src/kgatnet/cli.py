@@ -1,7 +1,7 @@
 """Command line entry point: one subcommand per pipeline stage.
 
-Exit codes: 0 success, 2 config error, 3 missing stage input,
-4 network failure, 5 numerical divergence.
+Exit codes: 0 success, or the `exit_code` of the `KgatnetError` raised:
+2 config, 3 stage input, 4 network, 5 divergence, 6 a training process died.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import logging
 import sys
 
-from .errors import ConfigError, MissingStageInput, NetworkError, NonFiniteLoss
+from .errors import KgatnetError
 from .pipeline import STAGES, load_config, run_stage
 
 log = logging.getLogger("kgatnet")
@@ -58,18 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         run_stage(args.stage, cfg, force=args.force, jobs=args.jobs)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return 2
-    except MissingStageInput as exc:
-        log.error("missing stage input: %s", exc)
-        return 3
-    except NetworkError as exc:
-        log.error("network failure: %s", exc)
-        return 4
-    except NonFiniteLoss as exc:
-        log.error("numerical divergence: %s", exc)
-        return 5
+    except KgatnetError as exc:
+        log.error("%s: %s", type(exc).__name__, exc)
+        return exc.exit_code
     return 0
 
 

@@ -2,11 +2,15 @@
 
 
 class KgatnetError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  `exit_code` is what the command
+    line returns for it: 3, a stage input that is missing or disagrees with
+    another, unless a class below says otherwise (README lists them)."""
+    exit_code = 3
 
 
 class ConfigError(KgatnetError):
     """Bad, missing, or inconsistent configuration value."""
+    exit_code = 2
 
 
 class NetworkError(KgatnetError):
@@ -15,6 +19,7 @@ class NetworkError(KgatnetError):
     Distinguishes transient infrastructure failure from an empty (but
     successful) lookup result.
     """
+    exit_code = 4
 
 
 class ShapeMismatch(KgatnetError):
@@ -29,18 +34,21 @@ class NonFiniteLoss(KgatnetError):
     """Training loss became NaN or Inf, signalling divergence.  When a
     stack of models was trained, `model` is the index of the one that
     diverged."""
+    exit_code = 5
 
     def __init__(self, message: str, model: int | None = None):
         super().__init__(message)
         self.model = model
 
 
+class WorkerDied(KgatnetError):
+    """A training process ended without raising, as one killed for lack
+    of memory does."""
+    exit_code = 6
+
+
 class DuplicateDocumentId(ConfigError):
     """Two corpus documents share the same id."""
-
-
-class MissingLabel(KgatnetError):
-    """A document required to carry trait labels does not."""
 
 
 class LengthMismatch(KgatnetError):

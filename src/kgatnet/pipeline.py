@@ -3,16 +3,17 @@
 The six stages (preprocess, build, aggregate, embed, train, evaluate) each
 read only upstream artifacts and write only their own outputs under the
 configured output directory, so any stage can be rerun in isolation.
-Existing outputs are skipped unless --force; every stage refreshes a
-manifest.json recording the resolved config, input digests, versions, and
-its own wall time and peak memory.
+Existing outputs are skipped unless --force, but `train` refits when the
+key it records in `splits.json` no longer matches its inputs, the corpus's
+labels included.  Every stage refreshes a manifest.json recording the
+resolved config, input digests, versions, and its wall time and peak memory.
 
 numpy, scipy and the modules built on them (aggregator, evaluation, gat,
 rdf2vec) load only when a stage has work to do: `_bind` binds their names
 in this module when a stage starts that work, and the module `__getattr__`
 when one is first read from outside.  `train` tells that it has nothing to
-fit from digests and its manifest entry alone, so a command whose stages
-all skip imports neither library; their import was most of such a
+fit from digests, the corpus and `splits.json` alone, so a command whose
+stages all skip imports neither library; their import was most of such a
 command's time.  `scipy.sparse` loads later still, only where a sparse
 matrix is built, multiplied or (de)serialised.
 """
@@ -39,7 +40,8 @@ from pathlib import Path
 from . import __version__
 from .atomic import write_atomically
 from .config import TRAITS, EmbedConfig, TrainConfig
-from .errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss, UnknownNode
+from .errors import (ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss,
+                     UnknownNode, WorkerDied)
 from .kg_builder import (
     CachingSource,
     NTriplesSource,
@@ -47,6 +49,7 @@ from .kg_builder import (
     build_document_graph,
     graph_to_text,
     read_graph,
+    read_sections,
 )
 from .preprocess import (
     Document,
@@ -63,11 +66,8 @@ _LAZY = {
         "aggregate_graphs",
         "attach_essay_nodes",
         "build_feature_matrix",
-        "build_label_matrix",
         "read_aggregated",
-        "read_labels_csv",
         "write_aggregated",
-        "write_labels_csv",
     ),
     ".evaluation": (
         "aggregate_fold_rows",
@@ -271,10 +271,11 @@ def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> Pi
 # --- corpus ----------------------------------------------------------------
 
 def load_corpus(path: Path | str) -> list[Document]:
-    """Read ``doc_id,text,O,C,E,A,N`` rows; ids must be unique file-safe names."""
+    """Read ``doc_id,text,O,C,E,A,N`` rows; ids must be unique file-safe names.
+    A leading byte order mark, as spreadsheet exports write, is dropped."""
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CORPUS_HEADER:
@@ -316,7 +317,6 @@ class Artifacts:
         self.reports_dir = self.root / "reports"
         self.aggregated = self.aggregate_dir / "graph.txt"
         self.features = self.aggregate_dir / "features.npz"
-        self.labels = self.aggregate_dir / "labels.csv"
         self.embeddings = self.root / "embeddings" / "vectors.txt"
         self.splits = self.models_dir / "splits.json"
         self.metrics = self.reports_dir / "metrics.csv"
@@ -408,7 +408,7 @@ def stage_build(cfg: PipelineConfig, force: bool = False) -> dict:
 
 def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
     art = Artifacts(cfg.output_dir)
-    outputs = (art.aggregated, art.features, art.labels)
+    outputs = (art.aggregated, art.features)
     if not force and all(p.exists() for p in outputs):
         log.info("aggregate: outputs present, skipping")
         return {"skipped": True}
@@ -433,8 +433,6 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
     buf = io.BytesIO()
     sp.save_npz(buf, X)
     write_atomically(art.features, buf.getvalue())
-    labels = build_label_matrix(corpus)
-    write_labels_csv([d.id for d in corpus], labels, art.labels)
     log.info("aggregate: %d entities, %d essays, %d features",
              len(agg.entity_nodes), len(agg.essay_nodes), X.shape[1])
     return {"entities": len(agg.entity_nodes), "essays": len(agg.essay_nodes)}
@@ -470,15 +468,28 @@ def _make_folds(n_essays: int, cfg: PipelineConfig) -> list[np.ndarray]:
     return [np.sort(perm[:n_test])]
 
 
-def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts):
+def _essay_labels(cfg: PipelineConfig, art: Artifacts) -> list[tuple[int, ...]]:
+    """Each essay's (O, C, E, A, N) labels, read from the corpus by doc id
+    in the essay order of the aggregated graph.  Only the standard library
+    reads them, so that a stage that skips loads no numpy."""
+    text = _require(art.aggregated, "aggregate").read_text(encoding="utf-8")
+    essays = read_sections(text, "nodes", "edges", "essays")[2]
+    labels = {doc.id: doc.labels for doc in load_corpus(cfg.corpus)}
+    try:
+        return [labels[doc_id] for doc_id in essays]
+    except KeyError as exc:
+        raise MissingStageInput(f"{art.aggregated} has essay {exc}, which the corpus lacks "
+                                "(rerun aggregate --force)") from None
+
+
+def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts, label_rows: list):
     """Everything `train` and `evaluate` read but the feature matrix, which
-    is returned as the path that `_load_features` reads it from."""
+    is returned as the path that `_load_features` reads it from; the labels
+    are `_essay_labels`' rows as an (essays, traits) array."""
     agg = read_aggregated(_require(art.aggregated, "aggregate"))
     tensors = tensors_from_aggregated(agg)
     features = _require(art.features, "aggregate")
-    doc_ids, labels = read_labels_csv(_require(art.labels, "aggregate"))
-    if tuple(doc_ids) != agg.essay_nodes:
-        raise ConfigError("labels.csv order does not match the aggregated graph")
+    labels = np.array(label_rows, dtype=np.int64).reshape(-1, len(TRAITS))
     essay_vecs = None
     if cfg.enriched:
         path = _require(art.embeddings, "embed")
@@ -566,11 +577,13 @@ def _train_stack(stack: list[tuple[int, int]]) -> None:
         raise NonFiniteLoss(f"fold {fold}, trait {TRAITS[j]}: {exc}") from None
 
 
-def _run_trainings(inputs: tuple, stacks: list[list[tuple[int, int]]], jobs: int) -> None:
+def _run_trainings(inputs: tuple, stacks: list[list[tuple[int, int]]], jobs: int,
+                   one_model: int, budget: int) -> None:
     """Run `_train_stack` on every stack over `inputs`: inline when jobs <= 1
     or at most one stack is left, otherwise in up to `jobs` forked
     processes, since training is GIL-bound.  The first worker exception
-    re-raises here."""
+    re-raises here, and a worker that dies without one raises WorkerDied,
+    which names the memory plan; the checkpoints written before stay."""
     global _train_inputs
     _train_inputs = inputs
     try:
@@ -582,69 +595,81 @@ def _run_trainings(inputs: tuple, stacks: list[list[tuple[int, int]]], jobs: int
         # a fork pool forks every worker on the first submit, before it
         # starts its own manager thread, so no other thread is forked
         import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(stacks)),
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             # consume to re-raise the first worker exception; map cancels
             # the stacks not yet started
-            list(pool.map(_train_stack, stacks))
+            finished = 0
+            try:
+                for _ in pool.map(_train_stack, stacks):
+                    finished += 1
+            except BrokenProcessPool:
+                stack = stacks[finished]
+                fold, j = stack[0]
+                raise WorkerDied(
+                    f"a training process died before the stack of {len(stack)} models from "
+                    f"fold {fold}, trait {TRAITS[j]} finished; model_bytes {one_model}, "
+                    f"budget_bytes {budget}, --jobs {jobs}: if memory ran out, lower --jobs "
+                    "and rerun, which fits only the models not yet written") from None
     finally:
         _train_inputs = None
 
 
-def _train_key(cfg: PipelineConfig, art: Artifacts) -> str | None:
-    """A sha256 over the digests of what `train` reads (the aggregated
-    graph, the labels, the recorded splits and, when enriched, the
-    embeddings) and over the config that sets the folds and the models;
-    None while any of those files is missing."""
-    paths = [art.aggregated, art.labels, art.splits]
-    if cfg.enriched:
-        paths.append(art.embeddings)
-    if not all(p.is_file() for p in paths):
-        return None
+def _recorded_splits(art: Artifacts) -> dict:
+    """What `train` last recorded in `splits.json`, or {} when it is unreadable."""
+    try:
+        return json.loads(art.splits.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+
+
+def _train_key(cfg: PipelineConfig, art: Artifacts, labels: list, folds) -> str:
+    """A sha256 over what the models are fitted on: the digests of the
+    aggregated graph and, when enriched, of the embeddings (None while they
+    are missing), the essays' `labels`, the held-out `folds`, and the config
+    that sets the folds and the models."""
+    vectors = _digest(art.embeddings) if cfg.enriched and art.embeddings.is_file() else None
     settings = {"protocol": cfg.protocol, "cv_folds": cfg.cv_folds,
                 "test_fraction": cfg.test_fraction, **dataclasses.asdict(cfg.train)}
-    text = json.dumps({"inputs": [_digest(p) for p in paths], "config": settings},
-                      sort_keys=True)
+    text = json.dumps({"inputs": [_digest(art.aggregated), vectors], "labels": labels,
+                       "folds": folds, "config": settings}, sort_keys=True)
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
     art = Artifacts(cfg.output_dir)
-    # with the recorded key and every checkpoint of its folds present,
-    # `_fit` would fit and rewrite nothing, so it is skipped without
-    # loading the graph or numpy
-    key = None if force else _train_key(cfg, art)
-    recorded = _read_manifest(art).get("stages", {}).get("train", {})
-    recorded_key = recorded.get("input_key")
+    labels = _essay_labels(cfg, art)
+    # the key over the recorded folds: an edited splits.json no longer
+    # matches the key recorded with it
+    recorded = _recorded_splits(art)
+    key = _train_key(cfg, art, labels, recorded.get("folds"))
+    refit = force or key != recorded.get("input_key")
     n_folds = cfg.cv_folds if cfg.protocol == "cv" else 1
-    if (key is not None and key == recorded_key
-            and all(art.model_path(i, trait).exists()
-                    for i in range(n_folds) for trait in TRAITS)):
+    if not refit and all(art.model_path(i, trait).exists()
+                         for i in range(n_folds) for trait in TRAITS):
+        # `_fit` would fit and rewrite nothing, so it is skipped without
+        # loading the graph or numpy; model_bytes is the last run's echo
         _require(art.features, "aggregate")
-        info = {"folds": n_folds, "trained": 0, "stack_sizes": [],
-                "model_bytes": recorded["model_bytes"], "budget_bytes": memory_budget()}
+        last = _read_manifest(art).get("stages", {}).get("train", {})
+        info = {"folds": n_folds, "trained": 0, "stack_sizes": [], "input_key": key,
+                "model_bytes": last.get("model_bytes"), "budget_bytes": memory_budget()}
     else:
-        # a changed key refits every model; with none recorded, `_fit`
-        # trusts the checkpoints of unchanged splits
-        changed = None if recorded_key is None else key != recorded_key
-        info = _fit(cfg, art, force or changed, jobs)
-    # after _fit, which may have rewritten the splits
-    info["input_key"] = _train_key(cfg, art)
+        info = _fit(cfg, art, labels, refit, jobs)
     log.info("train: %d models fitted in stacks %s, %d already present "
-             "(model_bytes %d, budget_bytes %d)", info["trained"], info["stack_sizes"],
+             "(model_bytes %s, budget_bytes %d)", info["trained"], info["stack_sizes"],
              info["folds"] * len(TRAITS) - info["trained"], info["model_bytes"],
              info["budget_bytes"])
     return info
 
 
-def _fit(cfg: PipelineConfig, art: Artifacts, refit: bool | None, jobs: int) -> dict:
-    """Record the splits and fit the models that are missing, after
-    deleting every model when `refit`, or, when `refit` is None, when the
-    recorded splits differ from the new ones."""
+def _fit(cfg: PipelineConfig, art: Artifacts, label_rows: list, refit: bool, jobs: int) -> dict:
+    """Record the splits with the train key, then fit the models that are
+    missing, after deleting every model when `refit`."""
     _bind()
-    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art)
+    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art, label_rows)
     folds = _make_folds(len(agg.essay_nodes), cfg)
+    fold_lists = [f.tolist() for f in folds]
     art.models_dir.mkdir(parents=True, exist_ok=True)
 
     splits = {
@@ -652,19 +677,18 @@ def _fit(cfg: PipelineConfig, art: Artifacts, refit: bool | None, jobs: int) -> 
         "enriched": cfg.enriched,
         "seed": cfg.seed,
         "doc_ids": list(agg.essay_nodes),
-        "folds": [f.tolist() for f in folds],
+        "folds": fold_lists,
+        "input_key": _train_key(cfg, art, label_rows, fold_lists),
     }
-    text = json.dumps(splits, indent=2) + "\n"
-    if refit is None:
-        refit = art.splits.exists() and art.splits.read_text(encoding="utf-8") != text
-    if refit:
-        # models of other inputs, settings or folds go before the new splits
-        # are recorded, so an interrupted refit leaves none of them
-        log.info("train: refitting every model")
-        for p in [*art.models_dir.glob("fold*_*.npz"),
-                  *art.models_dir.glob("history_fold*_*.csv")]:
-            p.unlink()
-    write_atomically(art.splits, text.encode("utf-8"))
+    # on `refit`, models of other inputs, settings or folds go before the
+    # new key is recorded, so an interrupted refit leaves none of them
+    stale = [*art.models_dir.glob("fold*_*.npz"),
+             *art.models_dir.glob("history_fold*_*.csv")] if refit else []
+    if stale:
+        log.info("train: refitting every model, %d files of the old ones deleted", len(stale))
+    for p in stale:
+        p.unlink()
+    write_atomically(art.splits, (json.dumps(splits, indent=2) + "\n").encode("utf-8"))
 
     # every training seeds its own generator with [seed, fold, trait], and
     # a stack computes each model as if alone, so the outputs depend neither
@@ -685,9 +709,10 @@ def _fit(cfg: PipelineConfig, art: Artifacts, refit: bool | None, jobs: int) -> 
                          stack_cap(one_model, jobs, budget))
     if todo:
         X = _load_features(features)
-        _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs)
+        _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs,
+                       one_model, budget)
     return {"folds": len(folds), "trained": len(todo),
-            "stack_sizes": [len(s) for s in stacks],
+            "stack_sizes": [len(s) for s in stacks], "input_key": splits["input_key"],
             "model_bytes": one_model, "budget_bytes": budget}
 
 
@@ -701,21 +726,22 @@ def _write_correlations(matrix: np.ndarray, path: Path) -> None:
 
 def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
     art = Artifacts(cfg.output_dir)
-    # flag consistency comes before the cache check: a skipped stage still
+    _require(art.splits, "train")
+    splits = _recorded_splits(art)
+    label_rows = _essay_labels(cfg, art)
+    # the train key comes before the cache check: a skipped stage still
     # refreshes the manifest's config echo, which must not contradict the
     # models the existing reports came from
-    splits = json.loads(_require(art.splits, "train").read_text(encoding="utf-8"))
-    if splits["enriched"] != cfg.enriched:
+    if _train_key(cfg, art, label_rows, splits.get("folds")) != splits.get("input_key"):
         raise ConfigError(
-            "models were trained with enriched="
-            f"{splits['enriched']}; rerun train or match the flag"
-        )
+            "the models were trained on other inputs or settings (enriched="
+            f"{splits.get('enriched')}, seed {splits.get('seed')}); rerun train or match its flags")
     outputs = (art.metrics, art.long, art.correlations)
     if not force and all(p.exists() for p in outputs):
         log.info("evaluate: reports present, skipping")
         return {"skipped": True}
     _bind()
-    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art)
+    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art, label_rows)
     X = _load_features(features)
 
     fold_rows: dict[str, list[dict[str, float | None]]] = {t: [] for t in TRAITS}

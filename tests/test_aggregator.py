@@ -1,4 +1,4 @@
-"""Graph aggregation, essay attachment, feature/label matrices."""
+"""Graph aggregation, essay attachment, the feature matrix."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,8 @@ from kgatnet.aggregator import (
     aggregated_to_text,
     attach_essay_nodes,
     build_feature_matrix,
-    build_label_matrix,
-    read_labels_csv,
-    write_labels_csv,
 )
-from kgatnet.errors import DuplicateDocumentId, MissingLabel
+from kgatnet.errors import DuplicateDocumentId
 from kgatnet.kg_builder import KnowledgeGraph, norm_edge
 from kgatnet.preprocess import Document
 
@@ -161,20 +158,6 @@ def test_feature_row_sums_are_intersection_sizes(concept_sets):
     assert np.all(sums[:n_ent] == 1)  # self-indicators
 
 
-def test_label_matrix():
-    corpus = [Document("d", "", labels=(1, 0, 1, 0, 1))]
-    assert build_label_matrix(corpus).tolist() == [[1, 0, 1, 0, 1]]
-
-
-def test_label_matrix_empty_corpus():
-    assert build_label_matrix([]).shape == (0, 5)
-
-
-def test_label_matrix_missing():
-    with pytest.raises(MissingLabel):
-        build_label_matrix([Document("d", "")])
-
-
 def test_index_edges_counts():
     agg = AggregatedGraph(
         ("A", "B", "C"),
@@ -211,12 +194,3 @@ def test_aggregated_from_text_rejects_truncation():
     with pytest.raises(ValueError):
         aggregated_from_text("nodes 2\nA\n")
 
-
-def test_labels_csv_round_trip(tmp_path):
-    ids = ["d1", "d2"]
-    labels = np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]])
-    p = tmp_path / "labels.csv"
-    write_labels_csv(ids, labels, p)
-    got_ids, got = read_labels_csv(p)
-    assert got_ids == ids and np.array_equal(got, labels)
-    assert p.read_text().splitlines()[0] == "doc_id,O,C,E,A,N"

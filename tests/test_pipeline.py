@@ -230,7 +230,9 @@ def test_stages_chain_and_cache(workdir, caplog):
     assert len(list(art.graphs_dir.glob("*.txt"))) == 30
 
     run_stage("aggregate", cfg)
-    assert art.aggregated.exists() and art.features.exists() and art.labels.exists()
+    assert art.aggregated.exists() and art.features.exists()
+    # the labels stay in the corpus
+    assert sorted(p.name for p in art.aggregate_dir.iterdir()) == ["features.npz", "graph.txt"]
 
     run_stage("embed", cfg)
     assert art.embeddings.exists()
@@ -826,21 +828,19 @@ def test_train_refits_after_splits_json_is_edited(workdir):
     assert splits.read_text() == recorded
 
 
-def test_train_without_a_manifest_fits_nothing_and_records_its_key(workdir, monkeypatch):
+def test_train_without_a_manifest_fits_nothing_and_records_its_key(workdir):
     cfg_path = workdir / "run.cfg"
     _train_to_models(cfg_path)
+    art = Artifacts(workdir / "out")
     key = _train_entry(workdir)["input_key"]
-    Artifacts(workdir / "out").manifest.unlink()
-    fits = []
-    fit = pipeline._fit
-    monkeypatch.setattr(pipeline, "_fit", lambda *a: fits.append(a) or fit(*a))
-    assert main(["train", "--config", str(cfg_path)]) == 0
-    assert len(fits) == 1
+    assert json.loads(art.splits.read_text())["input_key"] == key
+    art.manifest.unlink()
+    models = _artifact_stamps(art.models_dir)
+    # splits.json holds the key, so the skip needs no manifest, nor numpy
+    assert _cli_loads(["train", "--config", str(cfg_path)]) == []
+    assert _artifact_stamps(art.models_dir) == models
     entry = _train_entry(workdir)
     assert entry["trained"] == 0 and entry["input_key"] == key
-    # and the next train skips on the key
-    assert main(["train", "--config", str(cfg_path)]) == 0
-    assert len(fits) == 1 and _train_entry(workdir)["model_bytes"] == entry["model_bytes"]
 
 
 def test_train_without_a_manifest_refits_when_the_splits_change(workdir):
@@ -879,18 +879,21 @@ def test_train_after_an_epochs_edit_refits_every_model(workdir):
     assert _artifact_stamps(art.models_dir) == models
 
 
+def _flip_trait_o(corpus, count=5):
+    """Flip trait O of the corpus's first `count` essays."""
+    header, *rows = corpus.read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(rows[:count]):
+        *head, o, c, e, a, n = row.split(",")
+        rows[i] = ",".join([*head, str(1 - int(o)), c, e, a, n])
+    corpus.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def test_train_after_a_label_edit_refits_every_model_and_drops_the_reports(workdir):
     cfg_path = workdir / "run.cfg"
     assert main(["run-all", "--config", str(cfg_path)]) == 0
     art = Artifacts(workdir / "out")
     models = _artifact_stamps(art.models_dir)
-    corpus = workdir / "corpus.csv"
-    header, *rows = corpus.read_text(encoding="utf-8").splitlines()
-    # flip trait O of the first five essays
-    for i, row in enumerate(rows[:5]):
-        *head, o, c, e, a, n = row.split(",")
-        rows[i] = ",".join([*head, str(1 - int(o)), c, e, a, n])
-    corpus.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    _flip_trait_o(workdir / "corpus.csv")
     assert main(["aggregate", "--config", str(cfg_path), "--force"]) == 0
     assert main(["train", "--config", str(cfg_path)]) == 0
     assert _train_entry(workdir)["trained"] == 5
@@ -898,6 +901,45 @@ def test_train_after_a_label_edit_refits_every_model_and_drops_the_reports(workd
     assert all(after[p][0] != models[p][0] for p in models if p.suffix == ".npz")
     # the reports of the replaced models are gone, so evaluate scores the new ones
     assert not any(p.exists() for p in (art.metrics, art.long, art.correlations))
+
+
+def test_a_label_flip_refits_and_rescores_without_aggregate_force(workdir):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path]) == 0
+    art = Artifacts(workdir / "out")
+    correlations = art.correlations.read_bytes()
+    _flip_trait_o(workdir / "corpus.csv")
+    # aggregate skips, and train reads the new labels from the corpus
+    assert main(["run-all", "--config", cfg_path]) == 0
+    stages = json.loads(art.manifest.read_text())["stages"]
+    assert stages["aggregate"]["skipped"] is True
+    assert stages["train"]["trained"] == 5
+    assert "skipped" not in stages["evaluate"]
+    assert art.correlations.read_bytes() != correlations
+
+
+def test_evaluate_after_a_label_flip_exits_two_and_rewrites_nothing(workdir, caplog):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path]) == 0
+    art = Artifacts(workdir / "out")
+    before = _artifact_stamps(art.root)
+    _flip_trait_o(workdir / "corpus.csv")
+    assert main(["evaluate", "--config", cfg_path, "--force"]) == 2
+    assert "rerun train" in caplog.text
+    assert _artifact_stamps(art.root) == before
+
+
+def test_train_over_a_corpus_that_lacks_a_graph_essay_exits_three(workdir, caplog):
+    cfg_path = workdir / "run.cfg"
+    for stage in ("preprocess", "build", "aggregate"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    corpus = workdir / "corpus.csv"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    corpus.write_text("\n".join(line for line in lines if not line.startswith("doc07,")) + "\n",
+                      encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    assert "'doc07'" in caplog.text and "rerun aggregate --force" in caplog.text
+    assert not Artifacts(workdir / "out").models_dir.exists()
 
 
 def test_every_manifest_entry_records_wall_time_and_peak_memory(workdir):
@@ -1001,6 +1043,53 @@ def test_cli_exit_three_on_truncated_embeddings(workdir, caplog):
     vectors.write_text(text[: len(text) // 2], encoding="utf-8")
     assert main(["train", "--config", cfg_path, "--enriched"]) == 3
     assert str(vectors) in caplog.text and "rerun embed --force" in caplog.text
+
+
+def _cli_errors(args: list[str],
+                code: str = "from kgatnet.cli import main") -> tuple[int, list[str]]:
+    """Run `code`, then the CLI on `args`, in a fresh interpreter that must
+    print no traceback; its exit code and its ERROR lines."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nsys.exit(main(sys.argv[1:]))", *args],
+        env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr, done.stderr[-2000:]
+    return done.returncode, [line for line in done.stderr.splitlines() if line.startswith("ERROR")]
+
+
+def test_cli_exit_three_on_features_of_another_row_count(workdir):
+    import scipy.sparse as sp
+    cfg_path = str(workdir / "run.cfg")
+    for stage in ("preprocess", "build", "aggregate"):
+        assert main([stage, "--config", cfg_path]) == 0
+    features = Artifacts(workdir / "out").features
+    sp.save_npz(features, sp.load_npz(features)[:-1])
+    rc, errors = _cli_errors(["train", "--config", cfg_path])
+    assert rc == 3
+    assert len(errors) == 1 and "ShapeMismatch" in errors[0]
+
+
+def test_cli_exit_six_when_a_training_process_dies(workdir):
+    cfg_path = str(workdir / "run.cfg")
+    _train_to_models(cfg_path)
+    art = Artifacts(workdir / "out")
+    for trait in "CEA":
+        art.model_path(0, trait).unlink()
+    kept = {p: v for p, v in _artifact_stamps(art.models_dir).items() if p.suffix == ".npz"}
+    # each worker SIGKILLs itself, as the OOM killer would, in a pool of 2
+    # running stacks of 2 and 1 models
+    die = ("import os, signal\nfrom kgatnet import pipeline\nfrom kgatnet.cli import main\n"
+           "def die(stack):\n    os.kill(os.getpid(), signal.SIGKILL)\n"
+           "pipeline._train_stack = die")
+    rc, errors = _cli_errors(["train", "--config", cfg_path, "--jobs", "2"], die)
+    assert rc == 6 and len(errors) == 1
+    for part in ("stack of 2 models from fold 0, trait C", "model_bytes", "budget_bytes",
+                 "--jobs 2"):
+        assert part in errors[0]
+    # the checkpoints written before stay, and a rerun fits only the rest
+    after = _artifact_stamps(art.models_dir)
+    assert all(after[p] == v for p, v in kept.items())
+    assert main(["train", "--config", cfg_path, "--jobs", "2"]) == 0
+    assert _train_entry(workdir)["trained"] == 3
 
 
 def test_cli_exit_two_on_unreadable_checkpoint(workdir, caplog):

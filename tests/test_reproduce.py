@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kgatnet.evaluation import METRICS, TRAITS, write_metric_report
+from kgatnet.pipeline import load_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_CORPUS = ROOT / "src" / "kgatnet" / "data" / "fixture" / "corpus.csv"
@@ -63,6 +64,20 @@ def test_corpus_in_our_layout_is_used_as_is(tmp_path):
     dest = tmp_path / "corpus.csv"
     assert reproduce.convert_corpus(FIXTURE_CORPUS, dest) == FIXTURE_CORPUS
     assert not dest.exists()
+
+
+@pytest.mark.parametrize("layout", ["ours", "essays"])
+def test_corpus_with_a_byte_order_mark_loads(tmp_path, layout):
+    # spreadsheet exports start with one; the conversion reads past it and
+    # passes our layout through unchanged, so the pipeline must too
+    ours = read_rows(FIXTURE_CORPUS)
+    src = tmp_path / "in.csv"
+    write_rows(src, ours if layout == "ours" else essays_layout(ours))
+    src.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    corpus = reproduce.convert_corpus(src, tmp_path / "corpus.csv")
+    assert corpus == (src if layout == "ours" else tmp_path / "corpus.csv")
+    docs = load_corpus(corpus)
+    assert [[d.id, d.text, *map(str, d.labels)] for d in docs] == ours[1:]
 
 
 @pytest.mark.parametrize("bad_row,message", [
