@@ -11,6 +11,18 @@ reverse, since both directions of every edge are stored), so the
 backward pass scatters into source nodes as one SpMM with the transposed
 matrix and one `np.bincount` instead of `np.add.at`.
 
+The classifier reads only the essays' rows, and the essays are the last
+nodes, so their incoming edges are a suffix of the dst-sorted edges.  The
+last attention layer runs over that suffix, `GraphTensors.essay_view`,
+whose destination rows are the essays alone, in training and in
+inference.  Its projection and the products of its backward still run
+over every node, with zero rows off the essays, as row-subset products
+could round differently; so a step stays bit-equal to the full step,
+every layer over every edge, that `tests/oracles.py` keeps.  Inference
+(`forward`, `predict`) keeps no backward cache: each layer's goes as soon
+as the next layer has its input, and only the essay rows of each output
+are kept.
+
 Each attention layer keeps its L heads as two stacked parameters,
 `att{k}.W` of shape (L, F, D) and `att{k}.a` of shape (L, 2F), and runs
 them batched along that leading head axis where that needs only
@@ -67,6 +79,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,12 +132,23 @@ class GraphTensors:
     """Directed edge list (both directions of every undirected edge plus one
     self-loop per node), sorted by (dst, src).  seg_starts[i] is the offset
     of node i's incoming-edge segment.  src_order is the stable argsort of
-    src, so edges[src_order] is the same list in src-major order; as every
-    edge is stored in both directions, src_order[e] is the reverse of edge
-    e, and node i's outgoing edges start at seg_starts[i] in it.  The last
-    n_essays nodes are the essays, the rows the classifier reads.  The
-    block-diagonal attention matrices that `attention` and
-    `transposed_attention` fill are cached for one block count at a time."""
+    src, so edges[src_order] is the same list in src-major order: out_dst
+    holds each of its edges' dst, and node j's outgoing edges start at
+    out_starts[j] in it.  As every edge is stored in both directions,
+    src_order[e] is the reverse of edge e, so out_dst is src and
+    out_starts is seg_starts.  The last n_essays nodes are the essays, the
+    rows the classifier reads.
+
+    `essay_view` is the same kind of object for the edges into the essays
+    alone.  Its destination rows are the essays: dst[e] is the essay row
+    of edge e, node first_row + dst[e], and seg_starts has one entry per
+    essay; src and n_nodes keep the whole graph's numbering.  A suffix of
+    the edges holds no edge's reverse, so the view has its own src-major
+    order.
+
+    The block-diagonal attention matrices that `attention` and
+    `transposed_attention` fill are cached for one block count at a time;
+    the view keeps its own."""
 
     n_nodes: int
     src: np.ndarray
@@ -132,6 +156,9 @@ class GraphTensors:
     seg_starts: np.ndarray
     n_essays: int
     src_order: np.ndarray
+    out_dst: np.ndarray
+    out_starts: np.ndarray
+    first_row: int = 0
     _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -144,7 +171,21 @@ class GraphTensors:
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
         seg_starts = np.searchsorted(dst, loops)
-        return cls(n_nodes, src, dst, seg_starts, n_essays, np.argsort(src, kind="stable"))
+        return cls(n_nodes, src, dst, seg_starts, n_essays, np.argsort(src, kind="stable"),
+                   src, seg_starts)
+
+    @cached_property
+    def essay_view(self) -> GraphTensors:
+        """The edges into the last n_essays destination rows, a suffix of
+        the dst-sorted edges, with those rows as the view's only ones."""
+        skip = len(self.seg_starts) - self.n_essays
+        cut = self.seg_starts[skip] if self.n_essays else len(self.src)
+        src, dst = self.src[cut:], self.dst[cut:] - skip
+        order = np.argsort(src, kind="stable")
+        return GraphTensors(self.n_nodes, src, dst, self.seg_starts[skip:] - cut, self.n_essays,
+                            order, dst[order],
+                            np.searchsorted(src[order], np.arange(self.n_nodes)),
+                            self.first_row + skip)
 
     def _block_matrix(self, key, blocks, build):
         """The matrix cached under `key`, made by `build()` on a miss.  Only
@@ -160,12 +201,12 @@ class GraphTensors:
 
     def attention(self, alpha):
         """The attention matrices of `alpha` (B, E), one per block, as one
-        block-diagonal (B*N, B*N) CSR matrix: row b*N + i lists node i's
-        incoming edges in dst-major order, in the columns b*N + src, so its
-        data is `alpha` as it is.  The matrix is built once per B and its
-        data refilled on each call."""
+        block-diagonal (B*R, B*N) CSR matrix over the R destination rows:
+        row b*R + i lists row i's incoming edges in dst-major order, in the
+        columns b*N + src, so its data is `alpha` as it is.  The matrix is
+        built once per B and its data refilled on each call."""
         B, E = alpha.shape
-        n = self.n_nodes
+        n, rows = self.n_nodes, len(self.seg_starts)
 
         def build():
             # imported here so that commands that train nothing never load it
@@ -174,7 +215,7 @@ class GraphTensors:
             return sp.csr_matrix(
                 (np.empty(B * E), (self.src + n * offsets).ravel(),
                  np.append(self.seg_starts + E * offsets, B * E)),
-                shape=(B * n, B * n))
+                shape=(B * rows, B * n))
 
         m = self._block_matrix(("attention", B), B, build)
         m.data[:] = alpha.ravel()
@@ -182,21 +223,20 @@ class GraphTensors:
 
     def transposed_attention(self, alpha):
         """The transposed attention matrices of `alpha` (B, L, E), block b's
-        L heads stacked as one block-diagonal (B*L*N, B*N) CSR matrix: row
+        L heads stacked as one block-diagonal (B*L*N, B*R) CSR matrix: row
         (b*L + l)*N + j lists node j's outgoing edges in src-major order,
-        in the columns b*N + dst.  The matrix is built once per (B, L) and
+        in the columns b*R + dst.  The matrix is built once per (B, L) and
         its data refilled on each call, and shares `attention`'s cache."""
         B, L, E = alpha.shape
-        n = self.n_nodes
+        n, rows = self.n_nodes, len(self.seg_starts)
 
         def build():
             import scipy.sparse as sp
-            # edge src_order[e] is edge e reversed, so its dst is src[e]
-            cols = self.src + n * np.repeat(np.arange(B), L)[:, None]
+            cols = self.out_dst + rows * np.repeat(np.arange(B), L)[:, None]
             return sp.csr_matrix(
                 (np.empty(B * L * E), cols.ravel(),
-                 np.append(self.seg_starts + E * np.arange(B * L)[:, None], B * L * E)),
-                shape=(B * L * n, B * n))
+                 np.append(self.out_starts + E * np.arange(B * L)[:, None], B * L * E)),
+                shape=(B * L * n, B * rows))
 
         m = self._block_matrix(("transposed", B * L, L), B * L, build)
         np.take(alpha.reshape(B * L, E), self.src_order, axis=1, out=m.data.reshape(B * L, E))
@@ -231,22 +271,24 @@ def _tree_sum(arrays):
 def attention_layer_forward(H, tensors, W, a):
     """One multi-head layer over the stacked head weights W (..., L, F, D)
     and attention vectors a (..., L, 2F), for input H (..., N, D): per-head
-    attention sums averaged, then ELU.  Leading axes are models.
+    attention sums averaged, then ELU, on each of the R destination rows of
+    `tensors` (..., R, F).  Leading axes are models.
 
     The cache keeps the batched (..., L, N, F) projection Wh and the
     (..., L, E) scores pre and weights alpha."""
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
     fh = W.shape[-2]
     Wh = np.matmul(H[..., None, :, :], W.swapaxes(-1, -2))       # (..., L, N, F)
-    # against an (..., F, 1) column, matmul runs the per-head `Wh @ a` GEMV
-    pre = (np.take(np.matmul(Wh, a[..., :fh, None])[..., 0], dst, axis=-1)
+    # against an (..., F, 1) column, matmul runs the per-head `Wh @ a` GEMV,
+    # at full height whichever rows the destinations are
+    pre = (np.take(np.matmul(Wh, a[..., :fh, None])[..., tensors.first_row:, 0], dst, axis=-1)
            + np.take(np.matmul(Wh, a[..., fh:, None])[..., 0], src, axis=-1))  # (..., L, E)
     alpha = segment_softmax(leaky_relu(pre), dst, seg)
     # sums[..., l, i] = sum over edges (i <- j) of alpha[..., l, e] * Wh[..., l, j]:
     # every model's and head's attention matrix in one block-diagonal CSR
     # matrix, whose rows add their edges in order, as a scatter over dst would
     A = tensors.attention(alpha.reshape(-1, len(src)))
-    sums = (A @ Wh.reshape(-1, fh)).reshape(Wh.shape)
+    sums = (A @ Wh.reshape(-1, fh)).reshape(*Wh.shape[:-2], len(seg), fh)
     avg = _tree_sum(np.moveaxis(sums, -3, 0)) / W.shape[-3]
     out = elu(avg)
     return out, (H, avg, out, Wh, pre, alpha)
@@ -254,14 +296,14 @@ def attention_layer_forward(H, tensors, W, a):
 
 def attention_layer_backward(dOut, cache, tensors, W, a):
     """Returns the gradients wrt the layer input, W (..., L, F, D) and
-    a (..., L, 2F)."""
+    a (..., L, 2F), for `dOut` on the destination rows."""
     H, avg, out, Wh, pre, alpha = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    n, (L, fh) = H.shape[-2], W.shape[-3:-1]
+    n, rows, (L, fh) = H.shape[-2], len(seg), W.shape[-3:-1]
     models = math.prod(W.shape[:-3])
-    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (..., N, F)
+    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (..., R, F)
     dalpha = np.empty_like(alpha)
-    for dHS_m, Wh_m, dalpha_m in zip(dHeadSum.reshape(models, n, fh),
+    for dHS_m, Wh_m, dalpha_m in zip(dHeadSum.reshape(models, rows, fh),
                                      Wh.reshape(models, L, n, fh),
                                      dalpha.reshape(models, L, -1)):
         m = np.take(dHS_m, dst, axis=0)                             # (E, F)
@@ -271,14 +313,17 @@ def attention_layer_backward(dOut, cache, tensors, W, a):
     # every model's and head's transposed attention matrix in one block-diagonal
     # CSR matrix, whose rows add their edges in the order a scatter over src would
     A_T = tensors.transposed_attention(alpha.reshape(models, L, -1))
-    dWh = (A_T @ dHeadSum.reshape(models * n, fh)).reshape(Wh.shape)
+    dWh = (A_T @ dHeadSum.reshape(models * rows, fh)).reshape(Wh.shape)
     # softmax backward within each destination segment
     t = alpha * dalpha
     de = alpha * (dalpha - np.take(np.add.reduceat(t, seg, axis=-1), dst, axis=-1))
     dpre = de * np.where(pre > 0, 1.0, LEAKY_SLOPE)
-    dd = np.add.reduceat(dpre, seg, axis=-1)                        # per-destination term
     ds = np.bincount((src + n * np.arange(models * L)[:, None]).ravel(),
-                     weights=dpre.ravel(), minlength=models * L * n).reshape(dd.shape)
+                     weights=dpre.ravel(), minlength=models * L * n).reshape(*pre.shape[:-1], n)
+    # the per-destination term, at full height like ds, so that the products
+    # below run over the same rows whichever rows the destinations are
+    dd = np.zeros_like(ds)
+    dd[..., tensors.first_row :] = np.add.reduceat(dpre, seg, axis=-1)
     # the rest one head at a time, so no (..., L, N, F) temporary is made
     dH = np.zeros_like(H)
     da = np.empty_like(a)
@@ -370,9 +415,10 @@ def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) 
     the parameters at both: the parameters, the two Adam moments and the
     best snapshot.
 
-    - The backward of the last layer, while every layer's forward cache is
-      held, with that layer's backward arrays, one turn of its loops and a
-      fifth copy, the gradients.
+    - The backward of a layer, while every layer's forward cache is held,
+      with that layer's backward arrays, one turn of its loops and a fifth
+      copy, the gradients.  The last layer, which runs over the essays'
+      edges only, is counted as if it ran over every edge.
     - `adam_step`, with three more copies: the flat gradient and Adam's
       two temporaries.
 
@@ -392,13 +438,15 @@ def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) 
     loop = max(2 * E * F, N * max(3 * F, D))
     n_params = (D * (n_features + 1) + L * F * D + (K - 1) * L * F * F + K * L * 2 * F
                 + 2 * (K * F + embed_dim + 1))
-    # then the forward and transposed attention matrices: float64 values,
+    # then the forward and transposed attention matrices of the graph and
+    # of its essay view, both counted at the graph's size: float64 values,
     # int32 column indices and int32 row pointers
     return (8 * max(forward + backward + loop + 5 * n_params, 7 * n_params)
-            + 2 * L * (E * (8 + 4) + N * 4))
+            + 2 * 2 * L * (E * (8 + 4) + N * 4))
 
 
-def _forward(model, tensors, X, embeddings):
+def _project(model, tensors, X):
+    """The input projection's pre-activation and output (..., N, D)."""
     if X.shape != (tensors.n_nodes, model.n_features):
         raise ShapeMismatch(
             f"features {X.shape} vs graph ({tensors.n_nodes}, {model.n_features})"
@@ -409,33 +457,71 @@ def _forward(model, tensors, X, embeddings):
     side = np.asarray(X @ p["proj.W"].reshape(-1, model.n_features).T)
     pre0 = (np.moveaxis(side.reshape(n, *lead, model.dense_units), 0, -2)
             + p["proj.b"][..., None, :])
-    H = elu(pre0)
-    caches, outs = [], []
-    Hk = H
-    for k in range(model.n_layers):
-        Hk, cache = attention_layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
-        caches.append(cache)
-        outs.append(Hk)
-    parts = [o[..., n - tensors.n_essays :, :] for o in outs]
+    return pre0, elu(pre0)
+
+
+def _layer_graph(model, tensors, k):
+    """The edges layer k runs over: the last layer's output is read only
+    on the essays, so it runs over the edges into them."""
+    return tensors.essay_view if k == model.n_layers - 1 else tensors
+
+
+def _layer(model, tensors, k, H):
+    """Attention layer k's output on the rows of `_layer_graph` and its cache."""
+    p = model.params
+    return attention_layer_forward(H, _layer_graph(model, tensors, k),
+                                   p[f"att{k}.W"], p[f"att{k}.a"])
+
+
+def _essay_rows(out, n_essays):
+    return out[..., out.shape[-2] - n_essays :, :]
+
+
+def _classify(model, n_essays, parts, embeddings):
+    """The classifier's logits (..., n_essays, 2) and input, the essay rows
+    of every layer's output in `parts` followed by the embeddings."""
+    p = model.params
+    lead = model.stack_shape
     if model.embed_dim:
         if embeddings is None:
             raise MissingEmbedding("model is enriched but no embeddings given")
-        if embeddings.shape != (tensors.n_essays, model.embed_dim):
+        if embeddings.shape != (n_essays, model.embed_dim):
             raise ShapeMismatch(
-                f"embeddings {embeddings.shape} vs ({tensors.n_essays}, {model.embed_dim})"
+                f"embeddings {embeddings.shape} vs ({n_essays}, {model.embed_dim})"
             )
-        parts.append(np.broadcast_to(embeddings, (*lead, *embeddings.shape)))
+        parts = [*parts, np.broadcast_to(embeddings, (*lead, *embeddings.shape))]
     elif embeddings is not None:
         raise ShapeMismatch("model was not built for embeddings")
     concat = np.concatenate(parts, axis=-1)
     logits = np.matmul(concat, p["clf.W"].swapaxes(-1, -2)) + p["clf.b"][..., None, :]
+    return logits, concat
+
+
+def _forward(model, tensors, X, embeddings):
+    """The forward a training step differentiates: the logits, the
+    classifier input, every layer's cache, and the projection's
+    pre-activation and output."""
+    pre0, H = _project(model, tensors, X)
+    caches, parts = [], []
+    Hk = H
+    for k in range(model.n_layers):
+        Hk, cache = _layer(model, tensors, k, Hk)
+        caches.append(cache)
+        parts.append(_essay_rows(Hk, tensors.n_essays))
+    logits, concat = _classify(model, tensors.n_essays, parts, embeddings)
     return logits, concat, caches, pre0, H
 
 
 def forward(model, tensors, X, embeddings=None):
-    """Per-essay class probabilities, rows summing to 1."""
-    logits, *_ = _forward(model, tensors, X, embeddings)
-    return softmax_rows(logits)
+    """Per-essay class probabilities, rows summing to 1.  No backward cache
+    is kept: each layer's goes as soon as the next layer has its input,
+    and of each output only the essay rows are kept."""
+    Hk = _project(model, tensors, X)[1]
+    parts = []
+    for k in range(model.n_layers):
+        Hk = _layer(model, tensors, k, Hk)[0]
+        parts.append(_essay_rows(Hk, tensors.n_essays).copy())
+    return softmax_rows(_classify(model, tensors.n_essays, parts, embeddings)[0])
 
 
 def _rows(logits, positions):
@@ -498,12 +584,15 @@ def loss_and_gradients(model, tensors, X_T, fwd, batch_positions, targets):
     Hd, n = model.hidden_units, tensors.n_nodes
     dH_next = None
     for k in reversed(range(model.n_layers)):
-        dOut = np.zeros((*model.stack_shape, n, Hd))
-        dOut[..., n - tensors.n_essays :, :] += dconcat[..., k * Hd : (k + 1) * Hd]
-        if dH_next is not None:
+        if dH_next is None:
+            # the last layer's rows are the essays
+            dOut = dconcat[..., k * Hd : (k + 1) * Hd]
+        else:
+            dOut = np.zeros((*model.stack_shape, n, Hd))
+            dOut[..., n - tensors.n_essays :, :] += dconcat[..., k * Hd : (k + 1) * Hd]
             dOut += dH_next
         dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = attention_layer_backward(
-            dOut, caches[k], tensors, p[f"att{k}.W"], p[f"att{k}.a"])
+            dOut, caches[k], _layer_graph(model, tensors, k), p[f"att{k}.W"], p[f"att{k}.a"])
 
     dpre0 = dH_next * _elu_grad(pre0, H0)
     # the models' dpre0 side by side, as in the forward projection

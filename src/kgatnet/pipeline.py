@@ -496,7 +496,7 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts, label_rows: list):
         # vectors.txt from before the corpus changed, or cut short, is an
         # embed stage left to redo
         try:
-            essay_vecs = read_embeddings(path).rows_for(agg.essay_nodes)
+            essay_vecs = read_embeddings(path, agg.essay_nodes)
         except UnknownNode as exc:
             raise MissingStageInput(f"{path} has no vector for essay {exc} "
                                     "(rerun embed --force)") from None
@@ -665,7 +665,8 @@ def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict
 
 def _fit(cfg: PipelineConfig, art: Artifacts, label_rows: list, refit: bool, jobs: int) -> dict:
     """Record the splits with the train key, then fit the models that are
-    missing, after deleting every model when `refit`."""
+    missing, after deleting every model when `refit`.  A training process
+    that dies (`WorkerDied`) leaves a manifest entry of the plan."""
     _bind()
     agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art, label_rows)
     folds = _make_folds(len(agg.essay_nodes), cfg)
@@ -707,13 +708,21 @@ def _fit(cfg: PipelineConfig, art: Artifacts, label_rows: list, refit: bool, job
     budget = memory_budget()
     stacks = plan_stacks(todo, [len(labels) - len(folds[i]) for i, _ in todo], jobs,
                          stack_cap(one_model, jobs, budget))
+    plan = {"folds": len(folds), "stack_sizes": [len(s) for s in stacks],
+            "input_key": splits["input_key"], "model_bytes": one_model, "budget_bytes": budget}
     if todo:
         X = _load_features(features)
-        _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs,
-                       one_model, budget)
-    return {"folds": len(folds), "trained": len(todo),
-            "stack_sizes": [len(s) for s in stacks], "input_key": splits["input_key"],
-            "model_bytes": one_model, "budget_bytes": budget}
+        try:
+            _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs,
+                           one_model, budget)
+        except WorkerDied as exc:
+            # the manifest is otherwise written only when a stage succeeds;
+            # this entry says which checkpoints the plan left on disk
+            update_manifest(cfg, "train", {
+                **plan, "checkpoints": sorted(p.name for p in art.models_dir.glob("fold*_*.npz")),
+                "error": str(exc)})
+            raise
+    return {**plan, "trained": len(todo)}
 
 
 def _write_correlations(matrix: np.ndarray, path: Path) -> None:

@@ -10,6 +10,7 @@ the matrix bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -67,21 +68,9 @@ class EmbeddingMatrix:
     node_ids: tuple[str, ...]
     vectors: np.ndarray  # (n_nodes, dim), finite
 
-    def __post_init__(self):
-        self._index = {n: i for i, n in enumerate(self.node_ids)}
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def vector_for(self, node_id: str) -> np.ndarray:
-        try:
-            return self.vectors[self._index[node_id]]
-        except KeyError:
-            raise UnknownNode(node_id) from None
-
-    def rows_for(self, node_ids: Sequence[str]) -> np.ndarray:
-        return np.stack([self.vector_for(n) for n in node_ids])
 
 
 # walks per block of skip-gram index arrays: a block's arrays are a few the
@@ -93,13 +82,6 @@ _CHUNK_WALKS = 32
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def count_pairs(walks: Sequence[Sequence[str]], window: int) -> int:
-    """(center, context) pairs in one epoch over `walks`: the positions
-    within `window` of each center in its walk, the center's own excluded."""
-    return sum(min(len(w), p + window + 1) - max(0, p - window) - 1
-               for w in walks for p in range(len(w)))
 
 
 def _chunk_targets(block, vocab, window, negatives, cum_noise, rng):
@@ -152,7 +134,7 @@ def _chunk_targets(block, vocab, window, negatives, cum_noise, rng):
 
 def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
                     negatives=5, epochs=5, lr=0.025, min_lr=1e-4,
-                    seed=0) -> tuple[EmbeddingMatrix, list[float]]:
+                    seed=0) -> tuple[EmbeddingMatrix, list[float], int]:
     """Skip-gram with negative sampling over walks-as-sentences.
 
     Unigram^0.75 noise distribution, fixed (non-shrinking) context window,
@@ -161,7 +143,8 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
     the center's vector as it was before the step, duplicate targets sum
     their updates, and the center's vector moves once.  Negative draws equal
     to their own context are dropped rather than redrawn.  Returns the
-    input-vector matrix and per-epoch mean pair losses.
+    input-vector matrix, the per-epoch mean pair losses and the (center,
+    context) pairs trained, summed over the epochs.
     """
     if not walks:
         raise EmptyCorpus("no walks to train on")
@@ -183,7 +166,7 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
     w_out = np.zeros((n, dim))
 
     total_centers = epochs * sum(map(len, walks))
-    processed = 0
+    processed = total_pairs = 0
     epoch_losses = []
     for _ in range(epochs):
         loss_sum = 0.0
@@ -219,9 +202,10 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
                 and np.all(np.isfinite(w_out))):
             raise NonFiniteLoss("skip-gram training diverged")
         epoch_losses.append(float(epoch_loss))
+        total_pairs += n_pairs
 
     order = tuple(vocab)  # insertion order == first-seen order
-    return EmbeddingMatrix(order, w_in), epoch_losses
+    return EmbeddingMatrix(order, w_in), epoch_losses, total_pairs
 
 
 def train_embeddings(agg: AggregatedGraph, config: EmbedConfig,
@@ -231,7 +215,7 @@ def train_embeddings(agg: AggregatedGraph, config: EmbedConfig,
     pairs trained summed over the epochs, and the last epoch's mean pair
     loss."""
     walks = generate_walks(agg, config.max_depth, config.walks_per_node, config.seed)
-    matrix, losses = train_skip_gram(
+    matrix, losses, pairs = train_skip_gram(
         walks, dim=config.dim, window=config.window, negatives=config.negatives,
         epochs=config.epochs, lr=config.learning_rate,
         min_lr=config.min_learning_rate, seed=config.seed,
@@ -239,7 +223,7 @@ def train_embeddings(agg: AggregatedGraph, config: EmbedConfig,
     if stats is not None:
         stats["walks"] = len(walks)
         stats["centers"] = config.epochs * sum(map(len, walks))
-        stats["pairs"] = config.epochs * count_pairs(walks, config.window)
+        stats["pairs"] = pairs
         stats["loss"] = losses[-1]
     return matrix
 
@@ -253,17 +237,31 @@ def write_embeddings(matrix: EmbeddingMatrix, path: Path | str) -> None:
     write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def read_embeddings(path: Path | str) -> EmbeddingMatrix:
-    # an empty file fails, as a ValueError, like a header of other than two numbers
-    header, *lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
-    n, dim = (int(x) for x in header.split())
-    ids, rows = [], []
-    for line in lines[:n]:
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            raise ValueError(f"embedding row for {parts[0]!r} has wrong width")
-        ids.append(parts[0])
-        rows.append([float(x) for x in parts[1:]])
-    if len(ids) != n:
+def read_embeddings(path: Path | str, node_ids: Sequence[str]) -> np.ndarray:
+    """The vectors of `node_ids`, in that order, from a file that
+    `write_embeddings` wrote.  Only their rows are parsed to floats, but
+    every row's field count and the row count are checked: ValueError for
+    a malformed file (an empty one included), UnknownNode for an id the
+    file lacks.  An id listed twice reads its last row."""
+    wanted = set(node_ids)
+    lines, count = {}, 0
+    with open(path, encoding="utf-8") as fh:
+        n, dim = (int(x) for x in fh.readline().split())
+        for line in itertools.islice(fh, n):
+            line = line.rstrip("\n")
+            node = line.partition(" ")[0]
+            if line.count(" ") != dim:
+                raise ValueError(f"embedding row for {node!r} has wrong width")
+            if node in wanted:
+                lines[node] = line
+            count += 1
+    if count != n:
         raise ValueError("embedding file truncated")
-    return EmbeddingMatrix(tuple(ids), np.array(rows, dtype=np.float64))
+    out = np.empty((len(node_ids), dim))
+    for row, node in enumerate(node_ids):
+        try:
+            line = lines[node]
+        except KeyError:
+            raise UnknownNode(node) from None
+        out[row] = [float(x) for x in line.split(" ")[1:]]
+    return out

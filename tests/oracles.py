@@ -17,8 +17,11 @@ lines are scanned term by term, literals and blank nodes included, and
 only the statements of three IRIs kept.  The
 weight-decayed loss adds the L2 term's gradient per parameter in place.
 The one-model training loop shares no optimizer code with `train_stack`:
-it decays and steps one parameter at a time, over dict moments.  The
-single-mechanism operations are small helpers only tests use.
+it decays and steps one parameter at a time, over dict moments, and takes
+the full step, whose every layer runs over every edge, where the
+production step runs its last layer over the essays' edges alone.  The
+single-mechanism operations, `rows_for` and `count_pairs` are small
+helpers only tests use.
 """
 
 import bisect
@@ -30,15 +33,21 @@ from kgatnet.errors import ConfigError, MissingEmbedding, ShapeMismatch
 from kgatnet.gat import (
     LEAKY_SLOPE,
     TrainConfig,
+    _classify,
     _decays,
     _elu_grad,
     _forward,
+    _picked,
+    _project,
+    _rows,
     _tree_sum,
+    attention_layer_backward,
     attention_layer_forward,
     elu,
     evaluate_split,
     l2_penalty,
     leaky_relu,
+    log_softmax_rows,
     loss_and_gradients,
     new_model,
 )
@@ -134,6 +143,62 @@ def forward_loss_and_gradients(model, tensors, X, batch, targets, embeddings=Non
     step's loss and gradients, before weight decay and Adam."""
     fwd = _forward(model, tensors, X, embeddings)
     return loss_and_gradients(model, tensors, X.T, fwd, batch, targets)
+
+
+def full_forward(model, tensors, X, embeddings=None):
+    """`_forward` with every layer over every edge of `tensors`, the last
+    one included: its logits, classifier input, per-layer caches and the
+    projection's pre-activation and output."""
+    p = model.params
+    pre0, H = _project(model, tensors, X)
+    caches, outs, Hk = [], [], H
+    for k in range(model.n_layers):
+        Hk, cache = attention_layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
+        caches.append(cache)
+        outs.append(Hk)
+    first = tensors.n_nodes - tensors.n_essays
+    logits, concat = _classify(model, tensors.n_essays, [o[..., first:, :] for o in outs],
+                               embeddings)
+    return logits, concat, caches, pre0, H
+
+
+def full_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None):
+    """`forward_loss_and_gradients` with every layer over every edge: each
+    layer's output gradient is full height, zero off the essay rows, and
+    the backward runs over the whole graph.  The step whose last layer
+    runs over the essays' edges alone must match it bit for bit."""
+    logits, concat, caches, pre0, H0 = full_forward(model, tensors, X, embeddings)
+    batch = np.asarray(batch, dtype=np.int64)
+    y = np.asarray(targets, dtype=np.int64)
+    B = batch.shape[-1]
+    logp = log_softmax_rows(_rows(logits, batch))
+    loss = -_picked(logp, y).mean(axis=-1)
+    g = np.exp(logp)
+    g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
+    g /= B
+    dlogits = np.zeros_like(logits)
+    flat = batch.reshape(-1, B)
+    dlogits.reshape(len(flat), *logits.shape[-2:])[np.arange(len(flat))[:, None], flat] = (
+        g.reshape(len(flat), B, -1))
+
+    p = model.params
+    grads = {"clf.W": np.matmul(dlogits.swapaxes(-1, -2), concat), "clf.b": dlogits.sum(axis=-2)}
+    dconcat = np.matmul(dlogits, p["clf.W"])
+    Hd, n, first = model.hidden_units, tensors.n_nodes, tensors.n_nodes - tensors.n_essays
+    dH_next = None
+    for k in reversed(range(model.n_layers)):
+        dOut = np.zeros((*model.stack_shape, n, Hd))
+        dOut[..., first:, :] += dconcat[..., k * Hd : (k + 1) * Hd]
+        if dH_next is not None:
+            dOut += dH_next
+        dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = attention_layer_backward(
+            dOut, caches[k], tensors, p[f"att{k}.W"], p[f"att{k}.a"])
+    dpre0 = dH_next * _elu_grad(pre0, H0)
+    lead = model.stack_shape
+    side = np.asarray(X.T @ np.moveaxis(dpre0, -2, 0).reshape(n, -1))
+    grads["proj.W"] = np.moveaxis(side.reshape(-1, *lead, model.dense_units), 0, -1)
+    grads["proj.b"] = dpre0.sum(axis=-2)
+    return loss, grads
 
 
 def fd_gradient_max_error(model, tensors, X, batch, y, embeddings=None, eps=1e-4):
@@ -289,10 +354,10 @@ def drawn_in_order(n_features, config, embed_dim=0):
 
 def weight_decayed_loss_and_gradients(model, tensors, X, batch, targets, weight_decay,
                                       embeddings=None):
-    """`forward_loss_and_gradients` with an L2 penalty of `weight_decay` on
+    """`full_loss_and_gradients` with an L2 penalty of `weight_decay` on
     every non-bias parameter, its gradient added one parameter at a time; a
     zero `weight_decay` adds nothing."""
-    loss, grads = forward_loss_and_gradients(model, tensors, X, batch, targets, embeddings)
+    loss, grads = full_loss_and_gradients(model, tensors, X, batch, targets, embeddings)
     if not weight_decay:
         return loss, grads
     loss = l2_penalty(loss, model.params, weight_decay)
@@ -369,7 +434,7 @@ def train_trait(tensors, X, y, config: TrainConfig,
             t += 1
             per_key_adam_step(model.params, grads, m, v, t, config.learning_rate)
             batch_losses.append(loss)
-        logits = _forward(model, tensors, X, embeddings)[0]
+        logits = full_forward(model, tensors, X, embeddings)[0]
         val_loss, val_acc = evaluate_split(logits, val_idx, y[val_idx])
         history.append((epoch, float(np.mean(batch_losses)), val_loss, val_acc))
         # accuracy on a small validation set saturates quickly, so ties are
@@ -388,6 +453,19 @@ def train_trait(tensors, X, y, config: TrainConfig,
 
 
 # --- skip-gram, one target at a time ---------------------------------------
+
+def rows_for(matrix, node_ids):
+    """The vectors of `node_ids` in an `EmbeddingMatrix`, in that order."""
+    index = {node: i for i, node in enumerate(matrix.node_ids)}
+    return matrix.vectors[[index[node] for node in node_ids]]
+
+
+def count_pairs(walks, window):
+    """(center, context) pairs in one epoch over `walks`: the positions
+    within `window` of each center in its walk, the center's own excluded."""
+    return sum(min(len(w), p + window + 1) - max(0, p - window) - 1
+               for w in walks for p in range(len(w)))
+
 
 def skip_gram_center_step(w_in, w_out, center, targets, labels, lr):
     """One center word's step, in place: each target (label 1 for a context,

@@ -39,6 +39,7 @@ from oracles import (
     fd_gradient_max_error,
     min_leaky_margin,
     multi_head_layer,
+    rows_for,
     union_then_filter,
 )
 
@@ -250,7 +251,7 @@ def test_criterion_7_two_clique_embedding_structure():
         dim=16, max_depth=4, walks_per_node=20, window=3, negatives=5,
         epochs=10, seed=42,
     ))
-    rows = matrix.rows_for(list(agg.entity_nodes))
+    rows = rows_for(matrix, agg.entity_nodes)
     V = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     C = V @ V.T
     intra = float(np.mean([C[i, j] for g in (range(15), range(15, 30))

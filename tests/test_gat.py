@@ -36,6 +36,7 @@ from kgatnet.gat import (
     new_model,
     predict,
     save_model,
+    softmax_rows,
     tensors_from_aggregated,
     train_stack,
     write_history,
@@ -47,6 +48,7 @@ from oracles import (
     drawn_in_order,
     fd_gradient_max_error,
     forward_loss_and_gradients,
+    full_loss_and_gradients,
     loop_edge_list,
     min_leaky_margin,
     multi_head_layer,
@@ -352,6 +354,51 @@ def test_reused_tensors_keep_one_block_count():
             assert len(tensors._stacked) == 2
 
 
+def test_essay_view_is_the_suffix_of_edges_into_the_essays():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n = int(rng.integers(1, 15))
+        n_essays = int(rng.integers(0, n + 1))
+        tensors = GraphTensors.from_edges(n, random_pairs(rng, n, int(rng.integers(0, 30))),
+                                          n_essays)
+        view = tensors.essay_view
+        assert tensors.essay_view is view
+        into = tensors.dst >= n - n_essays
+        assert np.array_equal(into, np.arange(len(into)) >= len(into) - into.sum())
+        assert (view.n_nodes, view.n_essays, view.first_row) == (n, n_essays, n - n_essays)
+        assert np.array_equal(view.src, tensors.src[into])
+        assert np.array_equal(view.first_row + view.dst, tensors.dst[into])
+        assert np.array_equal(view.seg_starts, np.searchsorted(view.dst, np.arange(n_essays)))
+        # a suffix holds no edge's reverse, so the view has its own
+        # src-major order and row pointers
+        assert np.array_equal(view.src_order, np.argsort(view.src, kind="stable"))
+        assert np.array_equal(view.out_dst, view.dst[view.src_order])
+        assert np.array_equal(np.append(view.out_starts, len(view.src)),
+                              np.searchsorted(view.src[view.src_order], np.arange(n + 1)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_layer_over_the_essay_view_matches_the_full_layer_bitwise(lead):
+    # the view's rows are the full layer's essay rows, and for an output
+    # gradient that is zero off the essays the gradients are the full layer's
+    rng = np.random.default_rng(42 + len(lead))
+    for _ in range(10):
+        n = int(rng.integers(3, 25))
+        n_essays = int(rng.integers(1, n))
+        tensors = GraphTensors.from_edges(n, random_pairs(rng, n, int(rng.integers(1, 3 * n))),
+                                          n_essays)
+        H, W, a, dOut = random_layer(rng, n, lead, int(rng.integers(1, 4)))
+        dOut[..., : n - n_essays, :] = 0.0
+        out, cache = attention_layer_forward(H, tensors, W, a)
+        view_out, view_cache = attention_layer_forward(H, tensors.essay_view, W, a)
+        assert np.array_equal(view_out, out[..., n - n_essays :, :])
+        got = attention_layer_backward(dOut[..., n - n_essays :, :], view_cache,
+                                       tensors.essay_view, W, a)
+        want = attention_layer_backward(dOut, cache, tensors, W, a)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 def test_traced_gat_functions_exist():
     # the benchmark tracer wraps these by name, and a name it cannot find
     # is silently left untimed
@@ -453,6 +500,83 @@ def test_forward_feature_shape_check():
     model = new_model(X.shape[1] + 1, small_config())
     with pytest.raises(ShapeMismatch):
         forward(model, tensors, X)
+
+
+def stacked(models):
+    return GatModel({k: np.stack([m.params[k] for m in models]) for k in models[0].params})
+
+
+def random_step(rng, layers, lead, enriched):
+    """A random graph whose last nodes are essays, features, a model (a
+    stack of them for a non-empty `lead`), embeddings when `enriched`, and
+    each model's batch of essay positions and targets."""
+    n_essays = int(rng.integers(1, 8))
+    n = n_essays + int(rng.integers(2, 12))
+    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, int(rng.integers(1, 3 * n))),
+                                      n_essays)
+    X = sp.csr_matrix((rng.random((n, 6)) < 0.4).astype(float))
+    embed_dim = 3 if enriched else 0
+    cfg = small_config(attention_layers=layers, heads_per_layer=int(rng.integers(1, 4)),
+                       hidden_units=5, dense_units=4, enriched=enriched)
+    models = [new_model(6, cfg, embed_dim=embed_dim, rng=rng) for _ in range(math.prod(lead))]
+    model = stacked(models) if lead else models[0]
+    embeddings = rng.normal(size=(n_essays, embed_dim)) if enriched else None
+    size = int(rng.integers(1, n_essays + 1))
+    batch = np.stack([rng.permutation(n_essays)[:size] for _ in models]).reshape(*lead, size)
+    return model, tensors, X, embeddings, batch, rng.integers(0, 2, size=batch.shape)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("enriched", [False, True])
+def test_step_matches_the_full_step_bitwise(layers, lead, enriched):
+    # the step runs its last layer over the essays' edges alone; the full
+    # step runs every layer over every edge
+    rng = np.random.default_rng([layers, len(lead), enriched])
+    for _ in range(5):
+        model, tensors, X, embeddings, batch, targets = random_step(rng, layers, lead, enriched)
+        loss, grads = forward_loss_and_gradients(model, tensors, X, batch, targets, embeddings)
+        want_loss, want_grads = full_loss_and_gradients(model, tensors, X, batch, targets,
+                                                        embeddings)
+        assert np.array_equal(loss, want_loss)
+        assert grads.keys() == want_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], want_grads[key]), key
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("enriched", [False, True])
+def test_forward_is_the_training_forward_without_its_caches(lead, enriched):
+    rng = np.random.default_rng([7, len(lead), enriched])
+    for layers in (1, 2, 3, 4):
+        model, tensors, X, embeddings, _, _ = random_step(rng, layers, lead, enriched)
+        want = softmax_rows(gat._forward(model, tensors, X, embeddings)[0])
+        assert np.array_equal(forward(model, tensors, X, embeddings), want)
+
+
+def test_predict_holds_no_backward_cache():
+    # four layers: the training forward holds every layer's cache, while
+    # predict holds one layer's arrays at a time and the essay rows
+    rng = np.random.default_rng(45)
+    n, n_essays = 300, 30
+    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 1500), n_essays)
+    X = sp.csr_matrix((rng.random((n, 20)) < 0.2).astype(float))
+    model = new_model(20, small_config(attention_layers=4, heads_per_layer=4,
+                                       hidden_units=16, dense_units=16))
+
+    def peak(fn):
+        fn()  # the cached attention matrices are built once, outside the peak
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    inference = peak(lambda: predict(model, tensors, X))
+    training = peak(lambda: gat._forward(model, tensors, X, None))
+    assert inference < training / 2
 
 
 def test_isolated_essay_prediction_finite():
@@ -784,7 +908,7 @@ def test_stack_rejects_unequal_training_sizes():
 def test_stacked_loss_names_the_diverging_model():
     tensors, X, _ = tiny_instance()
     models = [new_model(X.shape[1], small_config(seed=s)) for s in (1, 2, 3)]
-    stack = GatModel({k: np.stack([m.params[k] for m in models]) for k in models[0].params})
+    stack = stacked(models)
     stack.params["proj.W"][1, 0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss) as info:
         forward_loss_and_gradients(stack, tensors, X, [[0, 1]] * 3, [[0, 1]] * 3)

@@ -33,7 +33,8 @@ from kgatnet.pipeline import (
     run_stage,
     stack_cap,
 )
-from kgatnet.rdf2vec import count_pairs, generate_walks
+from kgatnet.rdf2vec import generate_walks
+from oracles import count_pairs
 
 ROOT = Path(__file__).parent.parent
 FIXTURE = ROOT / "src" / "kgatnet" / "data" / "fixture"
@@ -360,8 +361,11 @@ def test_evaluate_enriched_flag_mismatch(workdir):
     cfg = load_config(workdir / "run.cfg")
     run_stage("run-all", cfg)
     enriched_cfg = load_config(workdir / "run.cfg", {"enriched": "true"})
+    before = Artifacts(cfg.output_dir).manifest.read_bytes()
     with pytest.raises(ConfigError, match="enriched"):
         run_stage("evaluate", enriched_cfg, force=True)
+    # the failed command refreshes no entry and no config echo
+    assert Artifacts(cfg.output_dir).manifest.read_bytes() == before
 
 
 def test_empty_document_warns_and_writes_empty_set(tmp_path, caplog):
@@ -1085,6 +1089,13 @@ def test_cli_exit_six_when_a_training_process_dies(workdir):
     for part in ("stack of 2 models from fold 0, trait C", "model_bytes", "budget_bytes",
                  "--jobs 2"):
         assert part in errors[0]
+    # the manifest records the plan and what it left on disk
+    entry = _train_entry(workdir)
+    assert entry["stack_sizes"] == [2, 1]
+    assert entry["checkpoints"] == sorted(p.name for p in kept)
+    assert entry["error"] in errors[0]
+    assert entry["input_key"] == json.loads(art.splits.read_text())["input_key"]
+    assert entry["model_bytes"] > 0 and entry["budget_bytes"] == memory_budget()
     # the checkpoints written before stay, and a rerun fits only the rest
     after = _artifact_stamps(art.models_dir)
     assert all(after[p] == v for p, v in kept.items())

@@ -10,14 +10,13 @@ from kgatnet.errors import ConfigError, EmptyCorpus, NonFiniteLoss, UnknownNode
 from kgatnet.rdf2vec import (
     EmbedConfig,
     EmbeddingMatrix,
-    count_pairs,
     generate_walks,
     read_embeddings,
     train_embeddings,
     train_skip_gram,
     write_embeddings,
 )
-from oracles import reference_skip_gram
+from oracles import count_pairs, reference_skip_gram, rows_for
 
 
 def graph_from_pairs(n_entities, pairs, essays=()):
@@ -117,20 +116,20 @@ def test_skip_gram_empty_corpus():
 
 def test_skip_gram_smoke_degenerate():
     walks = [["A", "B"]] * 20
-    matrix, losses = train_skip_gram(walks, dim=1, window=2, negatives=2,
-                                     epochs=5, lr=0.1, seed=3)
+    matrix, losses, _ = train_skip_gram(walks, dim=1, window=2, negatives=2,
+                                        epochs=5, lr=0.1, seed=3)
     assert np.all(np.isfinite(matrix.vectors))
     assert losses[-1] < losses[0]
-    assert matrix.vector_for("A").shape == (1,)
+    assert rows_for(matrix, ["A"])[0].shape == (1,)
 
 
 def test_skip_gram_deterministic():
     walks = [["A", "B", "C"], ["C", "B", "A"], ["B", "A", "C"]]
-    m1, _ = train_skip_gram(walks, dim=8, epochs=3, seed=5)
-    m2, _ = train_skip_gram(walks, dim=8, epochs=3, seed=5)
+    m1, *_ = train_skip_gram(walks, dim=8, epochs=3, seed=5)
+    m2, *_ = train_skip_gram(walks, dim=8, epochs=3, seed=5)
     assert m1.node_ids == m2.node_ids
     assert np.array_equal(m1.vectors, m2.vectors)
-    m3, _ = train_skip_gram(walks, dim=8, epochs=3, seed=6)
+    m3, *_ = train_skip_gram(walks, dim=8, epochs=3, seed=6)
     assert not np.array_equal(m3.vectors, m1.vectors)
 
 
@@ -152,8 +151,9 @@ REFERENCE_CASES = {
 def test_skip_gram_matches_per_center_reference(case):
     walks, geometry = REFERENCE_CASES[case]
     kw = dict(dim=6, epochs=3, lr=0.2, min_lr=1e-4, seed=7, **geometry)
-    matrix, losses = train_skip_gram(walks, **kw)
+    matrix, losses, pairs = train_skip_gram(walks, **kw)
     ids, vectors, ref_losses, dropped, repeated = reference_skip_gram(walks, **kw)
+    assert pairs == kw["epochs"] * count_pairs(walks, kw["window"])
     assert matrix.node_ids == ids
     assert np.allclose(matrix.vectors, vectors, rtol=1e-10, atol=1e-13)
     assert np.allclose(losses, ref_losses, rtol=1e-10, atol=0)
@@ -166,9 +166,9 @@ def test_skip_gram_vectors_do_not_depend_on_chunk_size(monkeypatch, chunk):
     walks = generate_walks(two_cliques(), max_depth=4, walks_per_node=30, seed=3)
     assert len(walks) > rdf2vec._CHUNK_WALKS
     kw = dict(dim=8, window=3, negatives=4, epochs=2, seed=2)
-    base, base_losses = train_skip_gram(walks, **kw)
+    base, base_losses, _ = train_skip_gram(walks, **kw)
     monkeypatch.setattr(rdf2vec, "_CHUNK_WALKS", chunk)
-    other, losses = train_skip_gram(walks, **kw)
+    other, losses, _ = train_skip_gram(walks, **kw)
     assert np.array_equal(other.vectors, base.vectors)
     assert losses == pytest.approx(base_losses, rel=1e-12)
 
@@ -210,7 +210,7 @@ def test_embedding_stats_describe_the_run():
     stats = {}
     matrix = train_embeddings(agg, cfg, stats)
     walks = generate_walks(agg, cfg.max_depth, cfg.walks_per_node, cfg.seed)
-    _, losses = train_skip_gram(walks, dim=4, window=2, negatives=2, epochs=2,
+    _, losses, _ = train_skip_gram(walks, dim=4, window=2, negatives=2, epochs=2,
                                 lr=cfg.learning_rate, min_lr=cfg.min_learning_rate, seed=5)
     assert np.array_equal(matrix.vectors, train_embeddings(agg, cfg).vectors)
     assert stats == {
@@ -233,8 +233,8 @@ def test_two_cliques_intra_beats_inter_cosine():
     cfg = EmbedConfig(dim=16, max_depth=5, walks_per_node=20, window=5,
                       negatives=5, epochs=5, seed=1)
     matrix = train_embeddings(agg, cfg)
-    first = [matrix.vector_for(f"E{i}") for i in range(5)]
-    second = [matrix.vector_for(f"E{i}") for i in range(5, 10)]
+    first = list(rows_for(matrix, [f"E{i}" for i in range(5)]))
+    second = list(rows_for(matrix, [f"E{i}" for i in range(5, 10)]))
     intra, inter = [], []
     for grp in (first, second):
         for i in range(5):
@@ -246,36 +246,79 @@ def test_two_cliques_intra_beats_inter_cosine():
     assert np.mean(intra) > np.mean(inter)
 
 
-def test_embedding_matrix_lookup():
-    m = EmbeddingMatrix(("A", "B"), np.arange(6, dtype=float).reshape(2, 3))
-    assert m.vector_for("B").tolist() == [3.0, 4.0, 5.0]
-    assert m.dim == 3
+def written(tmp_path, ids, vectors):
+    path = tmp_path / "vectors.txt"
+    write_embeddings(EmbeddingMatrix(tuple(ids), np.asarray(vectors, dtype=float)), path)
+    return path
+
+
+def test_read_embeddings_picks_rows_by_id(tmp_path):
+    path = written(tmp_path, ("A", "B"), np.arange(6).reshape(2, 3))
+    assert read_embeddings(path, ["B"]).tolist() == [[3.0, 4.0, 5.0]]
+    assert read_embeddings(path, []).shape == (0, 3)
     with pytest.raises(UnknownNode):
-        m.vector_for("missing")
+        read_embeddings(path, ["A", "missing"])
 
 
-def test_rows_for_alignment():
-    m = EmbeddingMatrix(("A", "B", "C"), np.eye(3))
-    rows = m.rows_for(["C", "A"])
-    assert rows.tolist() == [[0, 0, 1], [1, 0, 0]]
+def test_read_embeddings_returns_rows_in_the_requested_order(tmp_path):
+    path = written(tmp_path, ("A", "B", "C"), np.eye(3))
+    assert read_embeddings(path, ["C", "A"]).tolist() == [[0, 0, 1], [1, 0, 0]]
+
+
+def full_parse(path):
+    """Every row of a vectors.txt, parsed to floats: id -> vector."""
+    _, *lines = path.read_text(encoding="utf-8").splitlines()
+    return {line.split(" ")[0]: [float(x) for x in line.split(" ")[1:]] for line in lines}
+
+
+def test_read_embeddings_rows_are_bit_equal_to_a_full_parse(tmp_path):
+    walks = generate_walks(two_cliques(), max_depth=3, walks_per_node=4, seed=8)
+    matrix, *_ = train_skip_gram(walks, dim=5, epochs=2, seed=4)
+    path = tmp_path / "vectors.txt"
+    write_embeddings(matrix, path)
+    every = full_parse(path)
+    picked = ["E7", "E2", "E9"]
+    rows = read_embeddings(path, picked)
+    assert np.array_equal(rows, np.array([every[node] for node in picked]))
+    assert rows.flags.c_contiguous
 
 
 def test_embedding_file_round_trip(tmp_path):
     walks = [["A", "B", "C"], ["B", "C", "A"]]
-    matrix, _ = train_skip_gram(walks, dim=4, epochs=2, seed=9)
+    matrix, *_ = train_skip_gram(walks, dim=4, epochs=2, seed=9)
     path = tmp_path / "vectors.txt"
     write_embeddings(matrix, path)
     assert path.read_text().splitlines()[0] == "3 4"
-    back = read_embeddings(path)
-    assert back.node_ids == matrix.node_ids
-    assert np.array_equal(back.vectors, matrix.vectors)  # repr round-trips
+    back = read_embeddings(path, matrix.node_ids)
+    assert np.array_equal(back, matrix.vectors)  # repr round-trips
 
 
 def test_read_embeddings_rejects_bad_width(tmp_path):
     p = tmp_path / "vectors.txt"
     p.write_text("1 3\nA 0.0 1.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        read_embeddings(p)
+        read_embeddings(p, ["A"])
+
+
+def test_read_embeddings_checks_the_rows_it_does_not_return(tmp_path):
+    p = tmp_path / "vectors.txt"
+    p.write_text("2 3\nA 0.0 1.0\nB 0.0 1.0 2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="'A' has wrong width"):
+        read_embeddings(p, ["B"])
+
+
+def test_read_embeddings_rejects_a_truncated_file(tmp_path):
+    p = tmp_path / "vectors.txt"
+    p.write_text("3 2\nA 0.0 1.0\nB 0.0 1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="truncated"):
+        read_embeddings(p, ["A"])
+
+
+def test_read_embeddings_rejects_an_empty_file(tmp_path):
+    p = tmp_path / "vectors.txt"
+    p.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_embeddings(p, ["A"])
 
 
 def test_embed_config_validation():
