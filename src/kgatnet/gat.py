@@ -5,11 +5,9 @@ Everything is numpy float64.  The graph lives in edge-list form sorted by
 destination, so the per-node softmax reduces to `np.*.reduceat` over
 contiguous segments; self-loops guarantee every segment is non-empty.
 The same order makes the edges the rows of a CSR attention matrix, so the
-aggregation is one SpMM.  `GraphTensors` also keeps the src-major order of
-the same edges (a stable argsort of `src`, which maps each edge to its
-reverse, since both directions of every edge are stored), so the
-backward pass scatters into source nodes as one SpMM with the transposed
-matrix and one `np.bincount` instead of `np.add.at`.
+aggregation is one SpMM, and the backward's scatter into source nodes is
+one SpMM with that matrix's transpose, scipy's CSC view of the same
+arrays, which adds each source's terms in destination order.
 
 The classifier reads only the essays' rows, and the essays are the last
 nodes, so their incoming edges are a suffix of the dst-sorted edges.  The
@@ -45,7 +43,9 @@ Adam take every model's step in the same numpy calls.  The kernels treat
 (M, L) as the batch axis that L is for one model; the input projection
 multiplies the shared features by every model's `proj.W` placed side by
 side, and the forward's aggregation and the backward's scatter are each
-one block-diagonal SpMM over every (model, head).  The attention-weight
+one SpMM with the same block-diagonal matrix over every (model, head),
+the backward's with its transpose and each model's output gradient
+repeated once per head.  The attention-weight
 gradient loops once per model over its heads, the backward's last
 products once per head over every model.
 `train_stack` fits the (fold, trait) classifiers that share a graph and a
@@ -131,33 +131,22 @@ def log_softmax_rows(logits):
 class GraphTensors:
     """Directed edge list (both directions of every undirected edge plus one
     self-loop per node), sorted by (dst, src).  seg_starts[i] is the offset
-    of node i's incoming-edge segment.  src_order is the stable argsort of
-    src, so edges[src_order] is the same list in src-major order: out_dst
-    holds each of its edges' dst, and node j's outgoing edges start at
-    out_starts[j] in it.  As every edge is stored in both directions,
-    src_order[e] is the reverse of edge e, so out_dst is src and
-    out_starts is seg_starts.  The last n_essays nodes are the essays, the
-    rows the classifier reads.
+    of node i's incoming-edge segment.  The last n_essays nodes are the
+    essays, the rows the classifier reads.
 
     `essay_view` is the same kind of object for the edges into the essays
     alone.  Its destination rows are the essays: dst[e] is the essay row
     of edge e, node first_row + dst[e], and seg_starts has one entry per
-    essay; src and n_nodes keep the whole graph's numbering.  A suffix of
-    the edges holds no edge's reverse, so the view has its own src-major
-    order.
+    essay; src and n_nodes keep the whole graph's numbering.
 
-    The block-diagonal attention matrices that `attention` and
-    `transposed_attention` fill are cached for one block count at a time;
-    the view keeps its own."""
+    The block-diagonal attention matrix that `attention` fills is cached
+    for one block count at a time; the view keeps its own."""
 
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
     seg_starts: np.ndarray
     n_essays: int
-    src_order: np.ndarray
-    out_dst: np.ndarray
-    out_starts: np.ndarray
     first_row: int = 0
     _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -170,9 +159,7 @@ class GraphTensors:
         dst = np.concatenate([pairs[:, 1], pairs[:, 0], loops])
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
-        seg_starts = np.searchsorted(dst, loops)
-        return cls(n_nodes, src, dst, seg_starts, n_essays, np.argsort(src, kind="stable"),
-                   src, seg_starts)
+        return cls(n_nodes, src, dst, np.searchsorted(dst, loops), n_essays)
 
     @cached_property
     def essay_view(self) -> GraphTensors:
@@ -180,66 +167,29 @@ class GraphTensors:
         the dst-sorted edges, with those rows as the view's only ones."""
         skip = len(self.seg_starts) - self.n_essays
         cut = self.seg_starts[skip] if self.n_essays else len(self.src)
-        src, dst = self.src[cut:], self.dst[cut:] - skip
-        order = np.argsort(src, kind="stable")
-        return GraphTensors(self.n_nodes, src, dst, self.seg_starts[skip:] - cut, self.n_essays,
-                            order, dst[order],
-                            np.searchsorted(src[order], np.arange(self.n_nodes)),
-                            self.first_row + skip)
-
-    def _block_matrix(self, key, blocks, build):
-        """The matrix cached under `key`, made by `build()` on a miss.  Only
-        the matrices of one block count are kept: a miss for `blocks`
-        drops those of any other count, so a step's forward and transposed
-        matrices stay cached side by side."""
-        m = self._stacked.get(key)
-        if m is None:
-            for old in [k for k in self._stacked if k[1] != blocks]:
-                del self._stacked[old]
-            m = self._stacked[key] = build()
-        return m
+        return GraphTensors(self.n_nodes, self.src[cut:], self.dst[cut:] - skip,
+                            self.seg_starts[skip:] - cut, self.n_essays, self.first_row + skip)
 
     def attention(self, alpha):
         """The attention matrices of `alpha` (B, E), one per block, as one
         block-diagonal (B*R, B*N) CSR matrix over the R destination rows:
         row b*R + i lists row i's incoming edges in dst-major order, in the
-        columns b*N + src, so its data is `alpha` as it is.  The matrix is
-        built once per B and its data refilled on each call."""
+        columns b*N + src, so its data is `alpha` as it is.  Its transpose,
+        `.T`, is a CSC view of the same arrays.  The matrix is built once
+        per B, dropping the one of any other B, and its data refilled on
+        each call."""
         B, E = alpha.shape
-        n, rows = self.n_nodes, len(self.seg_starts)
-
-        def build():
+        m = self._stacked.get(B)
+        if m is None:
             # imported here so that commands that train nothing never load it
             import scipy.sparse as sp
-            offsets = np.arange(B)[:, None]
-            return sp.csr_matrix(
+            n, offsets = self.n_nodes, np.arange(B)[:, None]
+            self._stacked.clear()
+            m = self._stacked[B] = sp.csr_matrix(
                 (np.empty(B * E), (self.src + n * offsets).ravel(),
                  np.append(self.seg_starts + E * offsets, B * E)),
-                shape=(B * rows, B * n))
-
-        m = self._block_matrix(("attention", B), B, build)
+                shape=(B * len(self.seg_starts), B * n))
         m.data[:] = alpha.ravel()
-        return m
-
-    def transposed_attention(self, alpha):
-        """The transposed attention matrices of `alpha` (B, L, E), block b's
-        L heads stacked as one block-diagonal (B*L*N, B*R) CSR matrix: row
-        (b*L + l)*N + j lists node j's outgoing edges in src-major order,
-        in the columns b*R + dst.  The matrix is built once per (B, L) and
-        its data refilled on each call, and shares `attention`'s cache."""
-        B, L, E = alpha.shape
-        n, rows = self.n_nodes, len(self.seg_starts)
-
-        def build():
-            import scipy.sparse as sp
-            cols = self.out_dst + rows * np.repeat(np.arange(B), L)[:, None]
-            return sp.csr_matrix(
-                (np.empty(B * L * E), cols.ravel(),
-                 np.append(self.out_starts + E * np.arange(B * L)[:, None], B * L * E)),
-                shape=(B * L * n, B * rows))
-
-        m = self._block_matrix(("transposed", B * L, L), B * L, build)
-        np.take(alpha.reshape(B * L, E), self.src_order, axis=1, out=m.data.reshape(B * L, E))
         return m
 
 
@@ -249,11 +199,13 @@ def tensors_from_aggregated(agg) -> GraphTensors:
 
 def segment_softmax(scores, dst, seg_starts):
     """Softmax of `scores` within each destination segment of the last axis,
-    max-stabilized; leading axes (one per head) are independent."""
+    max-stabilized; leading axes (one per head) are independent.  It is
+    computed in place, so `scores` is overwritten with the result."""
     seg_max = np.maximum.reduceat(scores, seg_starts, axis=-1)
-    ez = np.exp(scores - np.take(seg_max, dst, axis=-1))
-    denom = np.add.reduceat(ez, seg_starts, axis=-1)
-    return ez / np.take(denom, dst, axis=-1)
+    ez = np.subtract(scores, np.take(seg_max, dst, axis=-1), out=scores)
+    np.exp(ez, out=ez)
+    ez /= np.take(np.add.reduceat(ez, seg_starts, axis=-1), dst, axis=-1)
+    return ez
 
 
 def _tree_sum(arrays):
@@ -309,11 +261,15 @@ def attention_layer_backward(dOut, cache, tensors, W, a):
         m = np.take(dHS_m, dst, axis=0)                             # (E, F)
         for l in range(L):
             dalpha_m[l] = np.einsum("ef,ef->e", m, np.take(Wh_m[l], src, axis=0))
+    del m   # the last gather, which would otherwise outlive the product below
     # dWh[..., l, j] = sum over edges (i <- j) of alpha[..., l, e] * dHeadSum[..., i]:
-    # every model's and head's transposed attention matrix in one block-diagonal
-    # CSR matrix, whose rows add their edges in the order a scatter over src would
-    A_T = tensors.transposed_attention(alpha.reshape(models, L, -1))
-    dWh = (A_T @ dHeadSum.reshape(models * rows, fh)).reshape(Wh.shape)
+    # the transpose of the forward's block-diagonal matrix, refilled with this
+    # layer's alpha, as a later layer over the same edges overwrote it, times
+    # dHeadSum once per head; each source adds its edges in destination
+    # order, as a scatter over src would
+    A = tensors.attention(alpha.reshape(-1, len(src)))
+    dWh = (A.T @ np.repeat(dHeadSum.reshape(models, 1, rows, fh), L, axis=1).reshape(-1, fh)
+           ).reshape(Wh.shape)
     # softmax backward within each destination segment
     t = alpha * dalpha
     de = alpha * (dalpha - np.take(np.add.reduceat(t, seg, axis=-1), dst, axis=-1))
@@ -366,7 +322,8 @@ class GatModel:
 
     @property
     def n_layers(self) -> int:
-        return sum(key.startswith("att") for key in self.params) // 2  # att{k}.W, att{k}.a
+        # every parameter but proj.W, proj.b, clf.W and clf.b is a layer's W or a
+        return (len(self.params) - 4) // 2
 
     @property
     def embed_dim(self) -> int:
@@ -415,34 +372,41 @@ def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) 
     the parameters at both: the parameters, the two Adam moments and the
     best snapshot.
 
-    - The backward of a layer, while every layer's forward cache is held,
-      with that layer's backward arrays, one turn of its loops and a fifth
-      copy, the gradients.  The last layer, which runs over the essays'
+    - The backward of a layer, while every layer's forward cache and the
+      classifier's input and its gradient are held, with a fifth copy, the
+      gradients; the layer's output gradient, the next layer's input
+      gradient, dHeadSum and dalpha; and the largest of its three stages:
+      dalpha's two (E, F) gathers; the product that scatters dHeadSum,
+      repeated once per head, into dWh; and dWh with the softmax backward
+      and the per-head loop.  The last layer, which runs over the essays'
       edges only, is counted as if it ran over every edge.
     - `adam_step`, with three more copies: the flat gradient and Adam's
       two temporaries.
 
-    A turn of the loops is counted for every model, though the
-    attention-weight gradient gathers for one model at a time, so a stack
-    of M holds somewhat less than M times this."""
+    The gathers are counted for every model, though the attention-weight
+    gradient gathers for one model at a time, so a stack of M holds
+    somewhat less than M times this."""
     N, E = n_nodes, n_edges
     L, F, D = config.heads_per_layer, config.hidden_units, config.dense_units
     K = config.attention_layers
-    # the projection's pre-activation and output, then each layer's cache:
-    # avg and out (its H is the previous out), Wh, pre and alpha
-    forward = 2 * N * D + K * (2 * N * F + L * N * F + 2 * L * E)
-    # one layer's backward: dWh and the softmax backward's four (L, E) arrays
-    backward = L * N * F + 4 * L * E
-    # a turn of its loops: dalpha's two (E, F) gathers, or one head's
-    # products, three (N, F) or one (N, D)
-    loop = max(2 * E * F, N * max(3 * F, D))
+    # the projection's pre-activation and output, each layer's cache (avg
+    # and out, as its H is the previous out, Wh, pre and alpha), and the
+    # classifier's input and its gradient, counted on every node
+    forward = 2 * N * D + K * (2 * N * F + L * N * F + 2 * L * E) + 2 * N * (K * F + embed_dim)
+    # a layer's backward: dOut, the next layer's dH, dHeadSum and dalpha
+    backward = 3 * N * F + L * E
+    # its largest stage: the two gathers; the repeated dHeadSum and dWh; or
+    # dWh, the softmax backward's four (L, E) arrays, ds, dd, dH and one
+    # head's products, three (N, F) or one (N, D)
+    stage = max(2 * E * F, 2 * L * N * F,
+                L * N * F + 4 * L * E + 2 * L * N + N * D + N * max(3 * F, D))
     n_params = (D * (n_features + 1) + L * F * D + (K - 1) * L * F * F + K * L * 2 * F
                 + 2 * (K * F + embed_dim + 1))
-    # then the forward and transposed attention matrices of the graph and
-    # of its essay view, both counted at the graph's size: float64 values,
-    # int32 column indices and int32 row pointers
-    return (8 * max(forward + backward + loop + 5 * n_params, 7 * n_params)
-            + 2 * 2 * L * (E * (8 + 4) + N * 4))
+    # then the attention matrices of the graph and of its essay view, the
+    # view's counted at the graph's size: float64 values, int32 column
+    # indices and int32 row pointers
+    return (8 * max(forward + backward + stage + 5 * n_params, 7 * n_params)
+            + 2 * L * (E * (8 + 4) + N * 4))
 
 
 def _project(model, tensors, X):

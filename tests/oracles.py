@@ -7,10 +7,12 @@ Adam step, the one-array-at-a-time initialisation and the one-model
 training loop are the straightforward formulations the vectorized and
 stacked code must reproduce bit for bit.  The per-head layer aggregates
 and scatters with `np.add.at`, one edge at a time in edge order, which is
-the order in which a CSR matrix's rows add their edges: the production
-layer's block-diagonal SpMMs must match it.  The skip-gram trainer at the
-end makes each center's step one target at a time; the batched kernel
-must match it to rounding.
+the order in which a CSR matrix's rows add their edges and in which its
+transpose's product adds each source's: the production layer's
+block-diagonal SpMMs must match it.  Run on each model of a stack alone,
+it is also a full step's layer (`PER_HEAD_LAYER`).  The skip-gram
+trainer at the end makes each center's step one target at a time; the
+batched kernel must match it to rounding.
 The document graph is built the long way: every concept's description
 unioned into one graph, then filtered down to the concepts.  N-Triples
 lines are scanned term by term, literals and blank nodes included, and
@@ -145,15 +147,22 @@ def forward_loss_and_gradients(model, tensors, X, batch, targets, embeddings=Non
     return loss_and_gradients(model, tensors, X.T, fwd, batch, targets)
 
 
-def full_forward(model, tensors, X, embeddings=None):
+# the (forward, backward) pair of the production layer, the default `layer`
+# of `full_forward` and `full_loss_and_gradients`
+PRODUCTION_LAYER = (attention_layer_forward, attention_layer_backward)
+
+
+def full_forward(model, tensors, X, embeddings=None, layer=PRODUCTION_LAYER):
     """`_forward` with every layer over every edge of `tensors`, the last
     one included: its logits, classifier input, per-layer caches and the
-    projection's pre-activation and output."""
+    projection's pre-activation and output.  `layer` is the pair of layer
+    functions it runs."""
+    layer_forward = layer[0]
     p = model.params
     pre0, H = _project(model, tensors, X)
     caches, outs, Hk = [], [], H
     for k in range(model.n_layers):
-        Hk, cache = attention_layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
+        Hk, cache = layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
         caches.append(cache)
         outs.append(Hk)
     first = tensors.n_nodes - tensors.n_essays
@@ -162,12 +171,15 @@ def full_forward(model, tensors, X, embeddings=None):
     return logits, concat, caches, pre0, H
 
 
-def full_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None):
+def full_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None,
+                            layer=PRODUCTION_LAYER):
     """`forward_loss_and_gradients` with every layer over every edge: each
     layer's output gradient is full height, zero off the essay rows, and
     the backward runs over the whole graph.  The step whose last layer
-    runs over the essays' edges alone must match it bit for bit."""
-    logits, concat, caches, pre0, H0 = full_forward(model, tensors, X, embeddings)
+    runs over the essays' edges alone must match it bit for bit, with the
+    production layer or with `PER_HEAD_LAYER`."""
+    layer_backward = layer[1]
+    logits, concat, caches, pre0, H0 = full_forward(model, tensors, X, embeddings, layer)
     batch = np.asarray(batch, dtype=np.int64)
     y = np.asarray(targets, dtype=np.int64)
     B = batch.shape[-1]
@@ -191,7 +203,7 @@ def full_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None):
         dOut[..., first:, :] += dconcat[..., k * Hd : (k + 1) * Hd]
         if dH_next is not None:
             dOut += dH_next
-        dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = attention_layer_backward(
+        dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = layer_backward(
             dOut, caches[k], tensors, p[f"att{k}.W"], p[f"att{k}.a"])
     dpre0 = dH_next * _elu_grad(pre0, H0)
     lead = model.stack_shape
@@ -322,6 +334,36 @@ def per_head_layer_backward(dOut, cache, tensors, Ws, As):
         dWs.append(dWh.T @ H)
         dH += dWh @ W
     return dH, dWs, das
+
+
+def per_model_layer_forward(H, tensors, Ws, As):
+    """`per_head_layer_forward` on each model of a stack alone (leading
+    axes of H, Ws and As): the outputs stacked, and one cache per model."""
+    lead = Ws.shape[:-3]
+    outs, caches = [], []
+    for m in np.ndindex(lead):
+        out, cache = per_head_layer_forward(H[m], tensors, Ws[m], As[m])
+        outs.append(out)
+        caches.append(cache)
+    return np.stack(outs).reshape(*lead, *outs[0].shape), caches
+
+
+def per_model_layer_backward(dOut, caches, tensors, Ws, As):
+    """`per_head_layer_backward` on each model of a stack alone, with the
+    caches of `per_model_layer_forward`: dH, dW and da stacked."""
+    lead = Ws.shape[:-3]
+    dHs, dWs, das = [], [], []
+    for m, cache in zip(np.ndindex(lead), caches):
+        dH, dW, da = per_head_layer_backward(dOut[m], cache, tensors, Ws[m], As[m])
+        dHs.append(dH)
+        dWs.append(np.stack(dW))
+        das.append(np.stack(da))
+    return tuple(np.stack(g).reshape(*lead, *g[0].shape) for g in (dHs, dWs, das))
+
+
+# the per-head np.add.at layer, as a `layer` of `full_forward` and
+# `full_loss_and_gradients`
+PER_HEAD_LAYER = (per_model_layer_forward, per_model_layer_backward)
 
 
 def drawn_in_order(n_features, config, embed_dim=0):

@@ -44,6 +44,8 @@ from kgatnet.gat import (
 from kgatnet.kg_builder import KnowledgeGraph
 from kgatnet.preprocess import Document
 from oracles import (
+    PER_HEAD_LAYER,
+    PRODUCTION_LAYER,
     aggregate_head,
     drawn_in_order,
     fd_gradient_max_error,
@@ -58,6 +60,7 @@ from oracles import (
     normalize_scores,
     per_head_layer_backward,
     per_head_layer_forward,
+    per_head_segment_softmax,
     per_key_adam_step,
     raw_attention_score,
     train_trait,
@@ -268,12 +271,6 @@ def test_from_edges_matches_pairwise_loop():
         assert np.array_equal(tensors.dst, dst)
         assert tensors.src.dtype == tensors.dst.dtype == np.int64
         assert np.array_equal(tensors.seg_starts, np.searchsorted(dst, np.arange(n)))
-        # both directions of every edge are stored, so the src-major order
-        # maps each edge to its reverse and has the dst-major row pointer
-        assert np.array_equal(tensors.dst[tensors.src_order], tensors.src)
-        assert np.array_equal(
-            np.searchsorted(tensors.src[tensors.src_order], np.arange(n + 1)),
-            np.append(tensors.seg_starts, len(src)))
 
 
 def assert_layer_matches_per_head_reference(tensors, H, W, a, dOut):
@@ -349,9 +346,8 @@ def test_reused_tensors_keep_one_block_count():
         for _ in range(2):
             assert_layer_matches_per_head_reference(
                 tensors, *random_layer(rng, n, (models,), heads))
-            # the forward's and the backward's matrices, both of this block count
-            assert {key[1] for key in tensors._stacked} == {models * heads}
-            assert len(tensors._stacked) == 2
+            # one matrix, of this block count, serves the forward and the backward
+            assert list(tensors._stacked) == [models * heads]
 
 
 def test_essay_view_is_the_suffix_of_edges_into_the_essays():
@@ -369,12 +365,6 @@ def test_essay_view_is_the_suffix_of_edges_into_the_essays():
         assert np.array_equal(view.src, tensors.src[into])
         assert np.array_equal(view.first_row + view.dst, tensors.dst[into])
         assert np.array_equal(view.seg_starts, np.searchsorted(view.dst, np.arange(n_essays)))
-        # a suffix holds no edge's reverse, so the view has its own
-        # src-major order and row pointers
-        assert np.array_equal(view.src_order, np.argsort(view.src, kind="stable"))
-        assert np.array_equal(view.out_dst, view.dst[view.src_order])
-        assert np.array_equal(np.append(view.out_starts, len(view.src)),
-                              np.searchsorted(view.src[view.src_order], np.arange(n + 1)))
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])
@@ -506,17 +496,18 @@ def stacked(models):
     return GatModel({k: np.stack([m.params[k] for m in models]) for k in models[0].params})
 
 
-def random_step(rng, layers, lead, enriched):
+def random_step(rng, layers, lead, enriched, heads=None):
     """A random graph whose last nodes are essays, features, a model (a
-    stack of them for a non-empty `lead`), embeddings when `enriched`, and
-    each model's batch of essay positions and targets."""
+    stack of them for a non-empty `lead`) of `heads` heads per layer (1 to
+    3 at random when None), embeddings when `enriched`, and each model's
+    batch of essay positions and targets."""
     n_essays = int(rng.integers(1, 8))
     n = n_essays + int(rng.integers(2, 12))
     tensors = GraphTensors.from_edges(n, random_pairs(rng, n, int(rng.integers(1, 3 * n))),
                                       n_essays)
     X = sp.csr_matrix((rng.random((n, 6)) < 0.4).astype(float))
     embed_dim = 3 if enriched else 0
-    cfg = small_config(attention_layers=layers, heads_per_layer=int(rng.integers(1, 4)),
+    cfg = small_config(attention_layers=layers, heads_per_layer=heads or int(rng.integers(1, 4)),
                        hidden_units=5, dense_units=4, enriched=enriched)
     models = [new_model(6, cfg, embed_dim=embed_dim, rng=rng) for _ in range(math.prod(lead))]
     model = stacked(models) if lead else models[0]
@@ -526,18 +517,28 @@ def random_step(rng, layers, lead, enriched):
     return model, tensors, X, embeddings, batch, rng.integers(0, 2, size=batch.shape)
 
 
-@pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("lead", [(), (3,)])
-@pytest.mark.parametrize("enriched", [False, True])
-def test_step_matches_the_full_step_bitwise(layers, lead, enriched):
+@pytest.mark.parametrize("layers, lead, enriched, heads, layer", [
+    *(pytest.param(layers, lead, enriched, None, PRODUCTION_LAYER,
+                   id=f"{enriched}-lead{i}-{layers}")
+      for enriched in (False, True) for i, lead in enumerate([(), (3,)]) for layers in (1, 2, 3)),
+    # against the per-head np.add.at layer: three layers over the whole
+    # graph share its cached matrix, which each backward must refill with
+    # its own weights, as a later layer's forward overwrote them
+    pytest.param(4, (), False, None, PER_HEAD_LAYER, id="per_head-4-layers"),
+    # the same with the last layer over the essays' edges for a stack of
+    # models of several heads
+    pytest.param(4, (3,), True, 3, PER_HEAD_LAYER, id="per_head-essay-view-3x3"),
+])
+def test_step_matches_the_full_step_bitwise(layers, lead, enriched, heads, layer):
     # the step runs its last layer over the essays' edges alone; the full
     # step runs every layer over every edge
     rng = np.random.default_rng([layers, len(lead), enriched])
     for _ in range(5):
-        model, tensors, X, embeddings, batch, targets = random_step(rng, layers, lead, enriched)
+        model, tensors, X, embeddings, batch, targets = random_step(rng, layers, lead, enriched,
+                                                                    heads)
         loss, grads = forward_loss_and_gradients(model, tensors, X, batch, targets, embeddings)
         want_loss, want_grads = full_loss_and_gradients(model, tensors, X, batch, targets,
-                                                        embeddings)
+                                                        embeddings, layer)
         assert np.array_equal(loss, want_loss)
         assert grads.keys() == want_grads.keys()
         for key in grads:
@@ -577,6 +578,29 @@ def test_predict_holds_no_backward_cache():
     inference = peak(lambda: predict(model, tensors, X))
     training = peak(lambda: gat._forward(model, tensors, X, None))
     assert inference < training / 2
+
+
+def test_segment_softmax_overwrites_its_scores():
+    # at test_predict_holds_no_backward_cache's geometry: the softmax runs
+    # in place, in the per-head reference's order, and holds one gathered
+    # (L, E) array beside the scores, where it held four
+    rng = np.random.default_rng(46)
+    n = 300
+    tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 1500), 0)
+    scores = rng.normal(size=(4, len(tensors.src))) * 5
+    want = np.stack([per_head_segment_softmax(s, tensors.dst, tensors.seg_starts)
+                     for s in scores])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = gat.segment_softmax(scores, tensors.dst, tensors.seg_starts)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got is scores
+    assert np.array_equal(got, want)
+    # the gather and the (L, N) segment maxima and sums, with a few KiB over
+    assert peak <= scores.nbytes + 2 * scores.shape[0] * n * 8 + (4 << 10)
 
 
 def test_isolated_essay_prediction_finite():
@@ -1007,6 +1031,49 @@ def test_model_bytes_bounds_the_peak_of_a_parameter_bound_stack():
     # freed tuples kept for reuse, some tens of KiB in all
     assert peak <= estimate + (256 << 10)
     assert peak >= 0.99 * estimate
+
+
+def test_model_bytes_bounds_the_peak_of_an_activation_bound_step():
+    # 8 heads x 32 units over a graph of 5,400 edges, half of its 400
+    # nodes essays: the (E, F) and (L, E) arrays, not the parameters, set
+    # the peak of one step, taken over the parameters, Adam's moments and
+    # the snapshot as train_stack holds them
+    rng = np.random.default_rng(47)
+    n, n_essays, n_ent = 400, 200, 20
+    pairs = [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(2500)]
+    X = sp.csr_matrix((rng.random((n, n_ent)) < 0.2).astype(float))
+    cfg = TrainConfig(heads_per_layer=8, hidden_units=32, dense_units=32, attention_layers=2)
+    batch = rng.permutation(n_essays)[None, : cfg.batch_size]
+
+    def step(tensors):
+        params = new_model(n_ent, cfg, rng=np.random.default_rng(1)).params
+        shapes = {k: a.shape for k, a in params.items()}
+        best = _flatten(params, shapes)[None]
+        flat, m, v = best.copy(), np.zeros(best.shape), np.zeros(best.shape)
+        model = GatModel(_split(flat, shapes))
+        fwd = gat._forward(model, tensors, X, None)
+        _, grads = gat.loss_and_gradients(model, tensors, X.T, fwd, batch, batch % 2)
+        fwd = None
+        grads = _flatten(grads, shapes, (1,))
+        adam_step(flat, grads, m, v, 1, cfg.learning_rate)
+
+    # a first step fills numpy's and the interpreter's caches
+    step(GraphTensors.from_edges(n, pairs, n_essays))
+    tensors = GraphTensors.from_edges(n, pairs, n_essays)
+    estimate = gat.model_bytes(n, len(tensors.src), n_ent, cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step(tensors)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(tensors.src) == 5_400
+    # the estimate counts the last layer, over the essays' edges, and the
+    # classifier's input at the graph's size, so it exceeds the peak by
+    # about a tenth (9.25 against 8.49 MB); an (E, F) gather kept past the
+    # gathers raises the peak above it
+    assert peak <= estimate <= 1.15 * peak
 
 
 def test_predict_tie_goes_to_class_zero():
