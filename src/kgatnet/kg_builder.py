@@ -257,7 +257,6 @@ class CachingSource:
         self.inner = inner
         self.source_id = inner.source_id
         self.dir = Path(root) / inner.source_id
-        self.dir.mkdir(parents=True, exist_ok=True)
 
     def lookup(self, name: str) -> frozenset[RdfTriple]:
         path = self.dir / (safe_filename(name) + ".nt")

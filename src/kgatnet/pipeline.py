@@ -3,19 +3,19 @@
 The six stages (preprocess, build, aggregate, embed, train, evaluate) each
 read only upstream artifacts and write only their own outputs under the
 configured output directory, so any stage can be rerun in isolation.
-Existing outputs are skipped unless --force, but `train` refits when the
-key it records in `splits.json` no longer matches its inputs, the corpus's
-labels included.  Every stage refreshes a manifest.json recording the
-resolved config, input digests, versions, and its wall time and peak memory.
+`STAGE_TABLE` declares what each reads and writes, and `plan_stage` decides
+for all of them which output units run, and why, which manifest.json
+records with the resolved config, input digests, versions, and the stage's
+wall time and peak memory.
 
 numpy, scipy and the modules built on them (aggregator, evaluation, gat,
 rdf2vec) load only when a stage has work to do: `_bind` binds their names
 in this module when a stage starts that work, and the module `__getattr__`
-when one is first read from outside.  `train` tells that it has nothing to
-fit from digests, the corpus and `splits.json` alone, so a command whose
-stages all skip imports neither library; their import was most of such a
-command's time.  `scipy.sparse` loads later still, only where a sparse
-matrix is built, multiplied or (de)serialised.
+when one is first read from outside.  `plan_stage` needs neither, since
+`train`'s key comes from digests, the corpus and `splits.json` alone, so a
+command whose stages all skip imports neither library; their import was
+most of such a command's time.  `scipy.sparse` loads later still, only where
+a sparse matrix is built, multiplied or (de)serialised.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import re
 import resource
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -113,8 +114,6 @@ def _bind() -> None:
 
 
 log = logging.getLogger(__name__)
-
-STAGES = ("preprocess", "build", "aggregate", "embed", "train", "evaluate")
 
 # doc ids become file names and embedding vocabulary entries, so keep them
 # free of whitespace and path separators
@@ -343,11 +342,19 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _check_config_paths(cfg: PipelineConfig) -> None:
-    for name in _INPUT_FILES:
-        p = getattr(cfg, name)
-        if p is not None and not Path(p).is_file():
-            raise ConfigError(f"{name} file not found: {p}")
+def _read_json(path: Path) -> dict:
+    """The JSON object in `path`, or {} when there is none: a file that is
+    unreadable or holds something else is ignored with a warning."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError):
+        data = None
+    if not isinstance(data, dict):
+        log.warning("%s holds no JSON object, so it is ignored", path)
+        return {}
+    return data
 
 
 def read_concept_file(path: Path | str) -> frozenset[str]:
@@ -367,10 +374,17 @@ def make_source(cfg: PipelineConfig):
 
 # --- stages ------------------------------------------------------------------
 
-def stage_preprocess(cfg: PipelineConfig, force: bool = False) -> dict:
-    corpus = load_corpus(cfg.corpus)
-    art = Artifacts(cfg.output_dir)
-    art.concepts_dir.mkdir(parents=True, exist_ok=True)
+@dataclass(frozen=True)
+class Plan:
+    """What `plan_stage` decided: the units to run, in table order, out of
+    `total`, why, and the stage's `key`, if it records one."""
+    units: list
+    total: int
+    reason: str
+    key: str | None
+
+
+def stage_preprocess(cfg: PipelineConfig, art: Artifacts, plan: Plan) -> dict:
     stop = load_stopwords(cfg.stopwords)
     lemmas = load_lemma_table(cfg.lemmas)
     recognizer = (
@@ -378,39 +392,27 @@ def stage_preprocess(cfg: PipelineConfig, force: bool = False) -> dict:
         if cfg.gazetteer is not None
         else GazetteerRecognizer(())
     )
-    todo = [d for d in corpus if force or not art.concept_path(d.id).exists()]
-    for doc in todo:
+    for doc in plan.units:
         concepts = extract_concepts(doc.text, stop, lemmas, recognizer)
         if not concepts:
             log.warning("document %s produced an empty concept set", doc.id)
         body = "\n".join(sorted(concepts))
         write_atomically(art.concept_path(doc.id), (body + "\n" if body else "").encode("utf-8"))
-    log.info("preprocess: %d concept sets written, %d already present",
-             len(todo), len(corpus) - len(todo))
-    return {"documents": len(corpus), "written": len(todo)}
+    return {"documents": plan.total, "written": len(plan.units)}
 
 
-def stage_build(cfg: PipelineConfig, force: bool = False) -> dict:
-    corpus = load_corpus(cfg.corpus)
-    art = Artifacts(cfg.output_dir)
-    art.graphs_dir.mkdir(parents=True, exist_ok=True)
-    todo = [d for d in corpus if force or not art.graph_path(d.id).exists()]
-    for doc in todo:
+def stage_build(cfg: PipelineConfig, art: Artifacts, plan: Plan) -> dict:
+    for doc in plan.units:
         _require(art.concept_path(doc.id), "preprocess")
-    source = make_source(cfg) if todo else None
-    for doc in todo:
+    source = make_source(cfg) if plan.units else None
+    for doc in plan.units:
         graph = build_document_graph(read_concept_file(art.concept_path(doc.id)), source)
         write_atomically(art.graph_path(doc.id), graph_to_text(graph).encode("utf-8"))
-    log.info("build: %d graphs written, %d already present",
-             len(todo), len(corpus) - len(todo))
-    return {"documents": len(corpus), "written": len(todo)}
+    return {"documents": plan.total, "written": len(plan.units)}
 
 
-def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
-    art = Artifacts(cfg.output_dir)
-    outputs = (art.aggregated, art.features)
-    if not force and all(p.exists() for p in outputs):
-        log.info("aggregate: outputs present, skipping")
+def stage_aggregate(cfg: PipelineConfig, art: Artifacts, plan: Plan) -> dict:
+    if not plan.units:
         return {"skipped": True}
     _bind()
     corpus = load_corpus(cfg.corpus)
@@ -425,7 +427,6 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
         raise ConfigError(f"doc ids collide with entity names: {sorted(clash)[:5]}")
     agg = attach_essay_nodes(entities_only, list(zip(corpus, node_sets)))
 
-    art.aggregate_dir.mkdir(parents=True, exist_ok=True)
     write_aggregated(agg, art.aggregated)
     X = build_feature_matrix(agg)
     # imported here so that a skipped aggregate never loads it
@@ -438,16 +439,13 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False) -> dict:
     return {"entities": len(agg.entity_nodes), "essays": len(agg.essay_nodes)}
 
 
-def stage_embed(cfg: PipelineConfig, force: bool = False) -> dict:
-    art = Artifacts(cfg.output_dir)
-    if not force and art.embeddings.exists():
-        log.info("embed: output present, skipping")
+def stage_embed(cfg: PipelineConfig, art: Artifacts, plan: Plan) -> dict:
+    if not plan.units:
         return {"skipped": True}
     _bind()
     agg = read_aggregated(_require(art.aggregated, "aggregate"))
     stats: dict = {}
     matrix = train_embeddings(agg, cfg.embed, stats)
-    art.embeddings.parent.mkdir(parents=True, exist_ok=True)
     write_embeddings(matrix, art.embeddings)
     info = {"nodes": len(matrix.node_ids), "dim": matrix.dim, **stats}
     log.info("embed: %(nodes)d vectors of dim %(dim)d from %(walks)d walks, "
@@ -483,12 +481,13 @@ def _essay_labels(cfg: PipelineConfig, art: Artifacts) -> list[tuple[int, ...]]:
 
 
 def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts, label_rows: list):
-    """Everything `train` and `evaluate` read but the feature matrix, which
-    is returned as the path that `_load_features` reads it from; the labels
-    are `_essay_labels`' rows as an (essays, traits) array."""
+    """Everything `train` and `evaluate` read; the labels are
+    `_essay_labels`' rows as an (essays, traits) array."""
+    # imported here so that a stage with nothing to do never loads it
+    import scipy.sparse as sp
     agg = read_aggregated(_require(art.aggregated, "aggregate"))
     tensors = tensors_from_aggregated(agg)
-    features = _require(art.features, "aggregate")
+    X = sp.load_npz(_require(art.features, "aggregate"))
     labels = np.array(label_rows, dtype=np.int64).reshape(-1, len(TRAITS))
     essay_vecs = None
     if cfg.enriched:
@@ -507,13 +506,7 @@ def _load_graph_inputs(cfg: PipelineConfig, art: Artifacts, label_rows: list):
         norms = np.linalg.norm(essay_vecs, axis=1, keepdims=True)
         essay_vecs = np.divide(essay_vecs, norms, out=np.zeros_like(essay_vecs),
                                where=norms > 0)
-    return agg, tensors, features, labels, essay_vecs
-
-
-def _load_features(path: Path):
-    # imported here so that a train with nothing left to fit never loads it
-    import scipy.sparse as sp
-    return sp.load_npz(path)
+    return agg, tensors, X, labels, essay_vecs
 
 
 # what every (fold, trait) training reads: set in this process before the
@@ -616,14 +609,6 @@ def _run_trainings(inputs: tuple, stacks: list[list[tuple[int, int]]], jobs: int
         _train_inputs = None
 
 
-def _recorded_splits(art: Artifacts) -> dict:
-    """What `train` last recorded in `splits.json`, or {} when it is unreadable."""
-    try:
-        return json.loads(art.splits.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-
-
 def _train_key(cfg: PipelineConfig, art: Artifacts, labels: list, folds) -> str:
     """A sha256 over what the models are fitted on: the digests of the
     aggregated graph and, when enriched, of the embeddings (None while they
@@ -637,41 +622,41 @@ def _train_key(cfg: PipelineConfig, art: Artifacts, labels: list, folds) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def stage_train(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> dict:
-    art = Artifacts(cfg.output_dir)
-    labels = _essay_labels(cfg, art)
-    # the key over the recorded folds: an edited splits.json no longer
-    # matches the key recorded with it
-    recorded = _recorded_splits(art)
-    key = _train_key(cfg, art, labels, recorded.get("folds"))
-    refit = force or key != recorded.get("input_key")
+def _model_units(cfg: PipelineConfig, art: Artifacts) -> list:
+    """`train`'s units: one (fold, trait index) model each, whose history
+    and checkpoint it writes in that order."""
     n_folds = cfg.cv_folds if cfg.protocol == "cv" else 1
-    if not refit and all(art.model_path(i, trait).exists()
-                         for i in range(n_folds) for trait in TRAITS):
-        # `_fit` would fit and rewrite nothing, so it is skipped without
-        # loading the graph or numpy; model_bytes is the last run's echo
-        _require(art.features, "aggregate")
-        last = _read_manifest(art).get("stages", {}).get("train", {})
-        info = {"folds": n_folds, "trained": 0, "stack_sizes": [], "input_key": key,
-                "model_bytes": last.get("model_bytes"), "budget_bytes": memory_budget()}
+    return [((i, j), (art.history_path(i, trait), art.model_path(i, trait)))
+            for i in range(n_folds) for j, trait in enumerate(TRAITS)]
+
+
+def stage_train(cfg: PipelineConfig, art: Artifacts, plan: Plan, jobs: int = 1) -> dict:
+    if plan.units:
+        info = _fit(cfg, art, plan, jobs)
     else:
-        info = _fit(cfg, art, labels, refit, jobs)
+        # nothing to fit, so neither the graph nor numpy is loaded;
+        # model_bytes is the last run's echo
+        _require(art.features, "aggregate")
+        last = _read_json(art.manifest).get("stages", {}).get("train", {})
+        info = {"folds": plan.total // len(TRAITS), "trained": 0, "stack_sizes": [],
+                "input_key": plan.key, "model_bytes": last.get("model_bytes"),
+                "budget_bytes": memory_budget()}
     log.info("train: %d models fitted in stacks %s, %d already present "
              "(model_bytes %s, budget_bytes %d)", info["trained"], info["stack_sizes"],
-             info["folds"] * len(TRAITS) - info["trained"], info["model_bytes"],
-             info["budget_bytes"])
+             plan.total - info["trained"], info["model_bytes"], info["budget_bytes"])
     return info
 
 
-def _fit(cfg: PipelineConfig, art: Artifacts, label_rows: list, refit: bool, jobs: int) -> dict:
-    """Record the splits with the train key, then fit the models that are
-    missing, after deleting every model when `refit`.  A training process
-    that dies (`WorkerDied`) leaves a manifest entry of the plan."""
+def _fit(cfg: PipelineConfig, art: Artifacts, plan: Plan, jobs: int) -> dict:
+    """Fit the models of `plan.units`; when that is all of them, delete
+    every old model first and record the splits with the train key.  A
+    training process that dies (`WorkerDied`) leaves a manifest entry of the
+    plan."""
     _bind()
-    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art, label_rows)
+    label_rows = _essay_labels(cfg, art)
+    agg, tensors, X, labels, essay_vecs = _load_graph_inputs(cfg, art, label_rows)
     folds = _make_folds(len(agg.essay_nodes), cfg)
     fold_lists = [f.tolist() for f in folds]
-    art.models_dir.mkdir(parents=True, exist_ok=True)
 
     splits = {
         "protocol": cfg.protocol,
@@ -681,48 +666,44 @@ def _fit(cfg: PipelineConfig, art: Artifacts, label_rows: list, refit: bool, job
         "folds": fold_lists,
         "input_key": _train_key(cfg, art, label_rows, fold_lists),
     }
-    # on `refit`, models of other inputs, settings or folds go before the
-    # new key is recorded, so an interrupted refit leaves none of them
-    stale = [*art.models_dir.glob("fold*_*.npz"),
-             *art.models_dir.glob("history_fold*_*.csv")] if refit else []
-    if stale:
-        log.info("train: refitting every model, %d files of the old ones deleted", len(stale))
-    for p in stale:
-        p.unlink()
-    write_atomically(art.splits, (json.dumps(splits, indent=2) + "\n").encode("utf-8"))
+    # when every model is refitted, those of other inputs, settings or folds
+    # go before the new key is recorded, so an interrupted refit leaves none;
+    # otherwise the key matched, so splits.json holds these splits already
+    if len(plan.units) == plan.total:
+        stale = [*art.models_dir.glob("fold*_*.npz"), *art.models_dir.glob("history_fold*_*.csv")]
+        if stale:
+            log.info("train: refitting every model, %d files of the old ones deleted", len(stale))
+        for p in stale:
+            p.unlink()
+        write_atomically(art.splits, (json.dumps(splits, indent=2) + "\n").encode("utf-8"))
 
     # every training seeds its own generator with [seed, fold, trait], and
     # a stack computes each model as if alone, so the outputs depend neither
     # on how the trainings are stacked nor on how the pool schedules them
-    todo = [(i, j) for i in range(len(folds)) for j, trait in enumerate(TRAITS)
-            if not art.model_path(i, trait).exists()]
-    if todo:
-        # reports of the models about to be replaced would otherwise keep
-        # `evaluate` from scoring the new ones
-        for p in (art.metrics, art.long, art.correlations):
-            p.unlink(missing_ok=True)
+    # reports of the models about to be replaced would otherwise keep
+    # `evaluate` from scoring the new ones
+    for p in (art.metrics, art.long, art.correlations):
+        p.unlink(missing_ok=True)
     # stacks as large as memory allows: each of `jobs` processes holds one;
     # the feature matrix has one column per entity
     one_model = model_bytes(tensors.n_nodes, len(tensors.src), len(agg.entity_nodes), cfg.train,
                             0 if essay_vecs is None else essay_vecs.shape[1])
     budget = memory_budget()
-    stacks = plan_stacks(todo, [len(labels) - len(folds[i]) for i, _ in todo], jobs,
+    stacks = plan_stacks(plan.units, [len(labels) - len(folds[i]) for i, _ in plan.units], jobs,
                          stack_cap(one_model, jobs, budget))
-    plan = {"folds": len(folds), "stack_sizes": [len(s) for s in stacks],
+    info = {"folds": len(folds), "stack_sizes": [len(s) for s in stacks],
             "input_key": splits["input_key"], "model_bytes": one_model, "budget_bytes": budget}
-    if todo:
-        X = _load_features(features)
-        try:
-            _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs,
-                           one_model, budget)
-        except WorkerDied as exc:
-            # the manifest is otherwise written only when a stage succeeds;
-            # this entry says which checkpoints the plan left on disk
-            update_manifest(cfg, "train", {
-                **plan, "checkpoints": sorted(p.name for p in art.models_dir.glob("fold*_*.npz")),
-                "error": str(exc)})
-            raise
-    return {**plan, "trained": len(todo)}
+    try:
+        _run_trainings((cfg, tensors, X, labels, essay_vecs, folds), stacks, jobs,
+                       one_model, budget)
+    except WorkerDied as exc:
+        # the manifest is otherwise written only when a stage succeeds;
+        # this entry says which checkpoints the plan left on disk
+        update_manifest(cfg, "train", {
+            **info, "checkpoints": sorted(p.name for p in art.models_dir.glob("fold*_*.npz")),
+            "error": str(exc)})
+        raise
+    return {**info, "trained": len(plan.units)}
 
 
 def _write_correlations(matrix: np.ndarray, path: Path) -> None:
@@ -733,25 +714,21 @@ def _write_correlations(matrix: np.ndarray, path: Path) -> None:
     write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
-    art = Artifacts(cfg.output_dir)
+def stage_evaluate(cfg: PipelineConfig, art: Artifacts, plan: Plan) -> dict:
     _require(art.splits, "train")
-    splits = _recorded_splits(art)
+    splits = _read_json(art.splits)
     label_rows = _essay_labels(cfg, art)
-    # the train key comes before the cache check: a skipped stage still
+    # the train key is checked before a skip: a skipped stage still
     # refreshes the manifest's config echo, which must not contradict the
     # models the existing reports came from
     if _train_key(cfg, art, label_rows, splits.get("folds")) != splits.get("input_key"):
         raise ConfigError(
             "the models were trained on other inputs or settings (enriched="
             f"{splits.get('enriched')}, seed {splits.get('seed')}); rerun train or match its flags")
-    outputs = (art.metrics, art.long, art.correlations)
-    if not force and all(p.exists() for p in outputs):
-        log.info("evaluate: reports present, skipping")
+    if not plan.units:
         return {"skipped": True}
     _bind()
-    agg, tensors, features, labels, essay_vecs = _load_graph_inputs(cfg, art, label_rows)
-    X = _load_features(features)
+    agg, tensors, X, labels, essay_vecs = _load_graph_inputs(cfg, art, label_rows)
 
     fold_rows: dict[str, list[dict[str, float | None]]] = {t: [] for t in TRAITS}
     for i, test_idx in enumerate(splits["folds"]):
@@ -769,7 +746,6 @@ def stage_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
 
     per_trait = {trait: aggregate_fold_rows(fold_rows[trait]) for trait in TRAITS}
 
-    art.reports_dir.mkdir(parents=True, exist_ok=True)
     write_metric_report(per_trait, art.metrics)
     write_long_report(fold_rows, art.long)
     _write_correlations(trait_correlations(labels), art.correlations)
@@ -829,21 +805,20 @@ def _library_version(name: str, recorded: dict) -> str | None:
     return module.__version__ if module is not None else recorded.get(name)
 
 
-def _read_manifest(art: Artifacts) -> dict:
-    if not art.manifest.exists():
-        return {}
-    return json.loads(art.manifest.read_text(encoding="utf-8"))
-
-
 def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
     art = Artifacts(cfg.output_dir)
-    data = _read_manifest(art)
+    data = _read_json(art.manifest)
     data["config"] = _config_echo(cfg)
+    # an input the config names but that is gone keeps its last digest,
+    # as a library this command did not load keeps its last version
+    recorded = data.get("inputs", {})
     inputs = {}
     for name in _INPUT_FILES:
         p = getattr(cfg, name)
         if p is not None and Path(p).is_file():
             inputs[name] = _digest(p)
+        elif p is not None and name in recorded:
+            inputs[name] = recorded[name]
     data["inputs"] = inputs
     data["versions"] = {
         "kgatnet": __version__,
@@ -856,36 +831,94 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
     entry = dict(info)
     entry["completed"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     data.setdefault("stages", {})[stage] = entry
-    art.root.mkdir(parents=True, exist_ok=True)
     write_atomically(art.manifest,
                       (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-_STAGE_FUNCS = {
-    "preprocess": stage_preprocess,
-    "build": stage_build,
-    "aggregate": stage_aggregate,
-    "embed": stage_embed,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
+@dataclass(frozen=True)
+class Stage:
+    """A row of `STAGE_TABLE`.  A unit is done when every file `units` lists
+    for it exists."""
+    run: Callable[..., dict]  # (cfg, art, plan): the work on plan.units; returns the entry
+    reads: tuple[str, ...]  # the config's input files and upstream `Artifacts` it reads
+    units: Callable[[PipelineConfig, Artifacts], list]  # [(unit, its files)], in run order
+    in_run_all: Callable[[PipelineConfig], bool] = lambda cfg: True
+    key_file: str | None = None  # the `Artifacts` file whose ``input_key`` the outputs came from
+    key: Callable | None = None  # (cfg, art, what key_file holds): the key of the current inputs
+    parallel: bool = False  # whether `run` takes --jobs; only training runs in worker processes
+
+
+STAGE_TABLE = {
+    "preprocess": Stage(
+        stage_preprocess, ("corpus", "stopwords", "lemmas", "gazetteer"),
+        lambda cfg, art: [(d, (art.concept_path(d.id),)) for d in load_corpus(cfg.corpus)]),
+    "build": Stage(
+        stage_build, ("corpus", "dump", "concept_path"),
+        lambda cfg, art: [(d, (art.graph_path(d.id),)) for d in load_corpus(cfg.corpus)]),
+    "aggregate": Stage(stage_aggregate, ("corpus", "graph_path"),
+                       lambda cfg, art: [(None, (art.aggregated, art.features))]),
+    # only enriched runs read the embeddings
+    "embed": Stage(stage_embed, ("aggregated",), lambda cfg, art: [(None, (art.embeddings,))],
+                   in_run_all=lambda cfg: cfg.enriched),
+    # the key is over the recorded folds, so an edited splits.json no longer
+    # matches the key recorded with it
+    "train": Stage(stage_train, ("corpus", "aggregated", "features", "embeddings"),
+                   _model_units, key_file="splits", parallel=True,
+                   key=lambda cfg, art, recorded: _train_key(
+                       cfg, art, _essay_labels(cfg, art), recorded.get("folds"))),
+    "evaluate": Stage(stage_evaluate, ("corpus", "splits", "model_path", "aggregated",
+                                       "features", "embeddings"),
+                      lambda cfg, art: [(None, (art.metrics, art.long, art.correlations))]),
 }
+STAGES = tuple(STAGE_TABLE)
+
+# `run_stage` looks each callable up when it calls it, so that a wrapper
+# set here from outside is the one that runs
+_STAGE_FUNCS = {name: stage.run for name, stage in STAGE_TABLE.items()}
+
+
+def plan_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> Plan:
+    """The one rule of every stage: run all its units under `force` or when
+    its recorded key no longer matches, otherwise those with an output
+    missing.  It uses the standard library alone and hashes only what a key
+    covers, so that a command whose stages all skip stays cheap."""
+    spec = STAGE_TABLE[stage]
+    art = Artifacts(cfg.output_dir)
+    units = spec.units(cfg, art)
+    everything = [unit for unit, _ in units]
+    recorded = _read_json(getattr(art, spec.key_file)) if spec.key_file else {}
+    key = spec.key(cfg, art, recorded) if spec.key else None
+    if force:
+        return Plan(everything, len(units), "forced", key)
+    if key != recorded.get("input_key"):
+        return Plan(everything, len(units), "key changed", key)
+    todo = [unit for unit, files in units if not all(p.exists() for p in files)]
+    reason = f"outputs missing ({len(todo)} of {len(units)})" if todo else "outputs present"
+    return Plan(todo, len(units), reason, key)
 
 
 def run_stage(stage: str, cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> None:
-    """Run one named stage (or 'run-all'), then refresh the manifest."""
+    """Run one named stage, or under 'run-all' each stage the table runs for
+    `cfg`, on the units `plan_stage` picks, and record its manifest entry."""
     if stage == "run-all":
-        for name in STAGES:
-            # only enriched runs read the embeddings
-            if name != "embed" or cfg.enriched:
+        for name, spec in STAGE_TABLE.items():
+            if spec.in_run_all(cfg):
                 run_stage(name, cfg, force=force, jobs=jobs)
         return
-    if stage not in _STAGE_FUNCS:
+    spec = STAGE_TABLE.get(stage)
+    if spec is None:
         raise ConfigError(f"unknown stage {stage!r}")
-    _check_config_paths(cfg)
-    # only training runs in worker processes
-    func = _STAGE_FUNCS[stage]
+    for name in (n for n in spec.reads if n in _INPUT_FILES):
+        path = getattr(cfg, name)
+        if path is not None and not path.is_file():
+            raise ConfigError(f"{name} file not found: {path}")
     start = time.perf_counter()
-    info = func(cfg, force=force, jobs=jobs) if stage == "train" else func(cfg, force=force)
-    info = {**info, "seconds": round(time.perf_counter() - start, 6),
-            "peak_rss_mb": _peak_rss_mb()}
-    update_manifest(cfg, stage, info)
+    plan = plan_stage(stage, cfg, force)
+    # a skipped stage still runs its callable, which checks what it must
+    info = _STAGE_FUNCS[stage](cfg, Artifacts(cfg.output_dir), plan,
+                               **({"jobs": jobs} if spec.parallel else {}))
+    log.info("%s: %s, %d of %d units run", stage, plan.reason, len(plan.units), plan.total)
+    skipped = {} if plan.units else {"skipped": True}
+    update_manifest(cfg, stage, {**info, **skipped, "reason": plan.reason,
+                                 "seconds": round(time.perf_counter() - start, 6),
+                                 "peak_rss_mb": _peak_rss_mb()})

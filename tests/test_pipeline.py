@@ -22,6 +22,7 @@ from kgatnet import pipeline
 from kgatnet.gat import TrainConfig, model_bytes
 from kgatnet.pipeline import (
     CONFIG_DEFAULTS,
+    STAGE_TABLE,
     Artifacts,
     _make_folds,
     load_config,
@@ -1142,3 +1143,137 @@ def test_cli_seed_override_changes_fold_assignment(workdir):
 def test_cli_rejects_unknown_stage(workdir, capsys):
     with pytest.raises(SystemExit):
         main(["compress", "--config", str(workdir / "run.cfg")])
+
+
+# --- the stage table ----------------------------------------------------------
+
+def _table_outputs(cfg) -> dict[str, list[Path]]:
+    """Each stage's output files by the table: every file of its units, and
+    the file that records its key."""
+    art = Artifacts(cfg.output_dir)
+    return {name: [p for _, files in stage.units(cfg, art) for p in files]
+            + ([getattr(art, stage.key_file)] if stage.key_file else [])
+            for name, stage in STAGE_TABLE.items()}
+
+
+def _named_paths(art, doc_ids, n_folds) -> dict[str, set[Path]]:
+    """The files each `Artifacts` attribute or method names."""
+    named = {name: {value} for name, value in vars(art).items()
+             if name != "root" and not name.endswith("_dir")}
+    named["concept_path"] = {art.concept_path(d) for d in doc_ids}
+    named["graph_path"] = {art.graph_path(d) for d in doc_ids}
+    pairs = [(i, trait) for i in range(n_folds) for trait in "OCEAN"]
+    named["model_path"] = {art.model_path(*pair) for pair in pairs}
+    named["history_path"] = {art.history_path(*pair) for pair in pairs}
+    return named
+
+
+def test_every_artifact_is_the_output_of_exactly_one_stage(workdir):
+    text = (workdir / "run.cfg").read_text().replace("protocol = split80", "protocol = cv")
+    cfg = parse_config(text + "cv_folds = 3\n", workdir)
+    art = Artifacts(cfg.output_dir)
+    methods = {n for n, v in vars(Artifacts).items() if callable(v) and not n.startswith("_")}
+    assert methods == {"concept_path", "graph_path", "model_path", "history_path"}
+    named = _named_paths(art, [d.id for d in load_corpus(cfg.corpus)], 3)
+    outputs = _table_outputs(cfg)
+    owners = {}
+    for name, paths in outputs.items():
+        assert len(paths) == len(set(paths)), name
+        for path in paths:
+            owners.setdefault(path, []).append(name)
+    everything = set().union(*named.values())
+    assert set(owners) == everything - {art.manifest}
+    assert all(len(stages) == 1 for stages in owners.values())
+    # each stage reads config input files and outputs of stages before it
+    for k, (name, stage) in enumerate(STAGE_TABLE.items()):
+        earlier = {p for before in list(STAGE_TABLE)[:k] for p in outputs[before]}
+        for read in set(stage.reads) - set(pipeline._INPUT_FILES):
+            assert named[read] <= earlier, (name, read)
+
+
+def _unit_of(stage: str, art) -> list[Path]:
+    """The files of one output unit of `stage`."""
+    return {"preprocess": [art.concept_path("doc05")], "build": [art.graph_path("doc05")],
+            "aggregate": [art.aggregated, art.features], "embed": [art.embeddings],
+            "train": [art.history_path(0, "C"), art.model_path(0, "C")],
+            "evaluate": [art.metrics, art.long, art.correlations]}[stage]
+
+
+@pytest.mark.parametrize("stage", list(STAGE_TABLE))
+def test_a_deleted_unit_is_rebuilt_alone_with_the_same_bytes(workdir, stage):
+    cfg = load_config(workdir / "run.cfg", {"enriched": "true"})
+    run_stage("run-all", cfg)
+    art = Artifacts(cfg.output_dir)
+    before = _artifact_stamps(art.root)
+    unit = _unit_of(stage, art)
+    for path in unit:
+        path.unlink()
+    run_stage("run-all", cfg)
+    after = _artifact_stamps(art.root)
+    assert set(after) == set(before)
+    entries = json.loads(art.manifest.read_text())["stages"]
+    total = len(STAGE_TABLE[stage].units(cfg, art))
+    assert entries[stage]["reason"] == f"outputs missing (1 of {total})"
+    # a train that fits a model deletes the reports, so evaluate rescores
+    reports = {art.metrics, art.long, art.correlations}
+    rewritten = set(unit) | (reports if stage == "train" else set())
+    for path, (mtime, data) in before.items():
+        assert after[path][1] == data, path
+        assert (after[path][0] != mtime) == (path in rewritten), path
+    assert {name for name, entry in entries.items() if not entry.get("skipped")} == (
+        {stage, "evaluate"} if stage == "train" else {stage})
+
+
+def test_each_manifest_entry_records_why_its_stage_ran_or_skipped(workdir):
+    cfg = load_config(workdir / "run.cfg")
+    art = Artifacts(cfg.output_dir)
+
+    def entries():
+        return json.loads(art.manifest.read_text())["stages"]
+
+    run_stage("run-all", cfg)
+    assert {name: e["reason"] for name, e in entries().items()} == {
+        "preprocess": "outputs missing (30 of 30)", "build": "outputs missing (30 of 30)",
+        "aggregate": "outputs missing (1 of 1)", "train": "key changed",
+        "evaluate": "outputs missing (1 of 1)"}
+    assert not any("skipped" in e for e in entries().values())
+    run_stage("run-all", cfg)
+    assert all(e["reason"] == "outputs present" and e["skipped"] is True
+               for e in entries().values())
+    run_stage("aggregate", cfg, force=True)
+    assert entries()["aggregate"]["reason"] == "forced"
+    assert "skipped" not in entries()["aggregate"]
+    _flip_trait_o(workdir / "corpus.csv")
+    run_stage("train", cfg)
+    assert entries()["train"]["reason"] == "key changed"
+    assert entries()["train"]["trained"] == 5
+
+
+@pytest.mark.parametrize("text", ["{garbage", "[]"])
+def test_an_unreadable_manifest_is_replaced_and_the_artifacts_kept(workdir, text, caplog):
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path]) == 0
+    art = Artifacts(workdir / "out")
+    before = _artifact_stamps(art.root)
+    art.manifest.write_text(text, encoding="utf-8")
+    assert main(["evaluate", "--config", cfg_path]) == 0
+    assert main(["run-all", "--config", cfg_path]) == 0
+    assert "manifest.json holds no JSON object" in caplog.text
+    assert _artifact_stamps(art.root) == before
+    assert set(json.loads(art.manifest.read_text())["stages"]) == {
+        "preprocess", "build", "aggregate", "train", "evaluate"}
+
+
+def test_stages_after_build_need_no_dump(workdir, caplog):
+    cfg_path = str(workdir / "run.cfg")
+    for stage in ("preprocess", "build"):
+        assert main([stage, "--config", cfg_path]) == 0
+    manifest = Artifacts(workdir / "out").manifest
+    digest = json.loads(manifest.read_text())["inputs"]["dump"]
+    (workdir / "dump.nt").rename(workdir / "moved.nt")
+    for stage in ("aggregate", "embed", "train", "evaluate"):
+        assert main([stage, "--config", cfg_path, "--force"]) == 0, stage
+    # the manifest keeps the last digest of the input that is gone
+    assert json.loads(manifest.read_text())["inputs"]["dump"] == digest
+    assert main(["build", "--config", cfg_path, "--force"]) == 2
+    assert "dump file not found" in caplog.text and "dump.nt" in caplog.text
