@@ -7,7 +7,9 @@ contiguous segments; self-loops guarantee every segment is non-empty.
 The same order makes the edges the rows of a CSR attention matrix, so the
 aggregation is one SpMM, and the backward's scatter into source nodes is
 one SpMM with that matrix's transpose, scipy's CSC view of the same
-arrays, which adds each source's terms in destination order.
+arrays, which adds each source's terms in destination order.  The view is
+made once, on the first backward, and cached beside the matrix, so
+refilling the matrix's data refills both.
 
 The classifier reads only the essays' rows, and the essays are the last
 nodes, so their incoming edges are a suffix of the dst-sorted edges.  The
@@ -20,6 +22,15 @@ every layer over every edge, that `tests/oracles.py` keeps.  Inference
 (`forward`, `predict`) keeps no backward cache: each layer's goes as soon
 as the next layer has its input, and only the essay rows of each output
 are kept.
+
+A layer's backward cache holds its input and output, the projection Wh,
+the attention weights alpha and a one-byte kink mask of the scores,
+`pre > 0`, in place of the float scores: LeakyReLU writes over the scores,
+the segment softmax turns that buffer into alpha in place, and the
+backward builds the softmax gradient in one buffer and multiplies it by
+LeakyReLU's derivative, read from the mask.  ELU's derivative is read
+from its output, so neither a layer's head average nor the projection's
+pre-activation is kept.
 
 Each attention layer keeps its L heads as two stacked parameters,
 `att{k}.W` of shape (L, F, D) and `att{k}.a` of shape (L, 2F), and runs
@@ -56,7 +67,9 @@ its parameters, the two Adam moments and the best snapshots are (M, P)
 arrays, `model.params` are views into the parameter rows, Adam is
 elementwise arithmetic over whole rows, and a model leaves by row
 selection.  A step is `_forward`, then `loss_and_gradients` on its
-result, then `adam_step`.  An epoch's validation forward is also the
+result, then weight decay, added to the loss and to the flat gradient
+rows one decayed parameter's columns at a time (`_weight_decay`), then
+`adam_step`.  An epoch's validation forward is also the
 next epoch's first step's, as the parameters have not moved in between;
 only a departure, which changes the rows, makes that step run its own.
 The process's heap keeps what a step frees for the next one
@@ -101,17 +114,19 @@ CHECKPOINT_VERSION = 2
 
 # --- activations --------------------------------------------------------
 
-def leaky_relu(x, slope=LEAKY_SLOPE):
-    return np.where(x > 0, x, slope * x)
-
-
 def elu(x):
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    # expm1(x) >= x for x <= 0, so the larger of x and expm1(min(x, 0)) is
+    # x where x > 0 and expm1(x) elsewhere
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=out)
 
 
-def _elu_grad(pre, out):
-    # elu'(x) = 1 for x > 0, elu(x) + 1 otherwise
-    return np.where(pre > 0, 1.0, out + 1.0)
+def _elu_grad(out):
+    """elu'(x) from out = elu(x): 1 for x > 0, out + 1 otherwise, that is
+    out + 1 capped at 1, as out = x > 0 there and out <= 0 elsewhere."""
+    g = out + 1.0
+    return np.minimum(g, 1.0, out=g)
 
 
 def softmax_rows(logits):
@@ -139,8 +154,9 @@ class GraphTensors:
     of edge e, node first_row + dst[e], and seg_starts has one entry per
     essay; src and n_nodes keep the whole graph's numbering.
 
-    The block-diagonal attention matrix that `attention` fills is cached
-    for one block count at a time; the view keeps its own."""
+    The block-diagonal attention matrix that `attention` fills, and its
+    transposed view once a backward asks for it, are cached for one block
+    count at a time; the essay view keeps its own."""
 
     n_nodes: int
     src: np.ndarray
@@ -170,27 +186,33 @@ class GraphTensors:
         return GraphTensors(self.n_nodes, self.src[cut:], self.dst[cut:] - skip,
                             self.seg_starts[skip:] - cut, self.n_essays, self.first_row + skip)
 
-    def attention(self, alpha):
+    def attention(self, alpha, transposed=False):
         """The attention matrices of `alpha` (B, E), one per block, as one
         block-diagonal (B*R, B*N) CSR matrix over the R destination rows:
         row b*R + i lists row i's incoming edges in dst-major order, in the
-        columns b*N + src, so its data is `alpha` as it is.  Its transpose,
-        `.T`, is a CSC view of the same arrays.  The matrix is built once
-        per B, dropping the one of any other B, and its data refilled on
-        each call."""
+        columns b*N + src, so its data is `alpha` as it is.  The matrix is
+        built once per B, dropping the one of any other B, and its data
+        refilled on each call.  With `transposed`, its transpose instead:
+        a CSC view of the same arrays, made on the first such call (only a
+        backward asks for it) and kept beside the matrix, so that the
+        refill refills both."""
         B, E = alpha.shape
-        m = self._stacked.get(B)
-        if m is None:
+        pair = self._stacked.get(B)
+        if pair is None:
             # imported here so that commands that train nothing never load it
             import scipy.sparse as sp
             n, offsets = self.n_nodes, np.arange(B)[:, None]
             self._stacked.clear()
-            m = self._stacked[B] = sp.csr_matrix(
+            pair = self._stacked[B] = [sp.csr_matrix(
                 (np.empty(B * E), (self.src + n * offsets).ravel(),
                  np.append(self.seg_starts + E * offsets, B * E)),
-                shape=(B * len(self.seg_starts), B * n))
-        m.data[:] = alpha.ravel()
-        return m
+                shape=(B * len(self.seg_starts), B * n)), None]
+        pair[0].data[:] = alpha.ravel()
+        if not transposed:
+            return pair[0]
+        if pair[1] is None:
+            pair[1] = pair[0].T
+        return pair[1]
 
 
 def tensors_from_aggregated(agg) -> GraphTensors:
@@ -226,16 +248,20 @@ def attention_layer_forward(H, tensors, W, a):
     attention sums averaged, then ELU, on each of the R destination rows of
     `tensors` (..., R, F).  Leading axes are models.
 
-    The cache keeps the batched (..., L, N, F) projection Wh and the
-    (..., L, E) scores pre and weights alpha."""
+    The cache keeps H, the output, the batched (..., L, N, F) projection
+    Wh, the (..., L, E) weights alpha and the (..., L, E) boolean kink
+    mask `pre > 0` of the scores: the one float (..., L, E) array in it is
+    alpha, as the scores' buffer became alpha in place."""
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
     fh = W.shape[-2]
     Wh = np.matmul(H[..., None, :, :], W.swapaxes(-1, -2))       # (..., L, N, F)
     # against an (..., F, 1) column, matmul runs the per-head `Wh @ a` GEMV,
     # at full height whichever rows the destinations are
-    pre = (np.take(np.matmul(Wh, a[..., :fh, None])[..., tensors.first_row:, 0], dst, axis=-1)
-           + np.take(np.matmul(Wh, a[..., fh:, None])[..., 0], src, axis=-1))  # (..., L, E)
-    alpha = segment_softmax(leaky_relu(pre), dst, seg)
+    pre = np.matmul(Wh, a[..., :fh, None])[..., tensors.first_row:, 0].take(dst, axis=-1)
+    pre += np.matmul(Wh, a[..., fh:, None])[..., 0].take(src, axis=-1)   # (..., L, E)
+    mask = pre > 0
+    # LeakyReLU in place: max(x, slope * x) is x where x > 0, else slope * x
+    alpha = segment_softmax(np.maximum(pre, LEAKY_SLOPE * pre, out=pre), dst, seg)
     # sums[..., l, i] = sum over edges (i <- j) of alpha[..., l, e] * Wh[..., l, j]:
     # every model's and head's attention matrix in one block-diagonal CSR
     # matrix, whose rows add their edges in order, as a scatter over dst would
@@ -243,39 +269,45 @@ def attention_layer_forward(H, tensors, W, a):
     sums = (A @ Wh.reshape(-1, fh)).reshape(*Wh.shape[:-2], len(seg), fh)
     avg = _tree_sum(np.moveaxis(sums, -3, 0)) / W.shape[-3]
     out = elu(avg)
-    return out, (H, avg, out, Wh, pre, alpha)
+    return out, (H, out, Wh, mask, alpha)
 
 
 def attention_layer_backward(dOut, cache, tensors, W, a):
     """Returns the gradients wrt the layer input, W (..., L, F, D) and
     a (..., L, 2F), for `dOut` on the destination rows."""
-    H, avg, out, Wh, pre, alpha = cache
+    H, out, Wh, mask, alpha = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
     n, rows, (L, fh) = H.shape[-2], len(seg), W.shape[-3:-1]
     models = math.prod(W.shape[:-3])
-    dHeadSum = (dOut * _elu_grad(avg, out)) / L                     # (..., R, F)
+    dHeadSum = (dOut * _elu_grad(out)) / L                          # (..., R, F)
     dalpha = np.empty_like(alpha)
     for dHS_m, Wh_m, dalpha_m in zip(dHeadSum.reshape(models, rows, fh),
                                      Wh.reshape(models, L, n, fh),
                                      dalpha.reshape(models, L, -1)):
-        m = np.take(dHS_m, dst, axis=0)                             # (E, F)
+        m = dHS_m.take(dst, axis=0)                                 # (E, F)
         for l in range(L):
-            dalpha_m[l] = np.einsum("ef,ef->e", m, np.take(Wh_m[l], src, axis=0))
+            dalpha_m[l] = np.einsum("ef,ef->e", m, Wh_m[l].take(src, axis=0))
     del m   # the last gather, which would otherwise outlive the product below
     # dWh[..., l, j] = sum over edges (i <- j) of alpha[..., l, e] * dHeadSum[..., i]:
     # the transpose of the forward's block-diagonal matrix, refilled with this
     # layer's alpha, as a later layer over the same edges overwrote it, times
     # dHeadSum once per head; each source adds its edges in destination
     # order, as a scatter over src would
-    A = tensors.attention(alpha.reshape(-1, len(src)))
-    dWh = (A.T @ np.repeat(dHeadSum.reshape(models, 1, rows, fh), L, axis=1).reshape(-1, fh)
+    A_T = tensors.attention(alpha.reshape(-1, len(src)), transposed=True)
+    dWh = (A_T @ np.repeat(dHeadSum.reshape(models, 1, rows, fh), L, axis=1).reshape(-1, fh)
            ).reshape(Wh.shape)
-    # softmax backward within each destination segment
-    t = alpha * dalpha
-    de = alpha * (dalpha - np.take(np.add.reduceat(t, seg, axis=-1), dst, axis=-1))
-    dpre = de * np.where(pre > 0, 1.0, LEAKY_SLOPE)
-    ds = np.bincount((src + n * np.arange(models * L)[:, None]).ravel(),
-                     weights=dpre.ravel(), minlength=models * L * n).reshape(*pre.shape[:-1], n)
+    # softmax backward within each destination segment, built in dalpha:
+    # dpre = alpha * (dalpha - segment sums of alpha * dalpha), times
+    # LeakyReLU's derivative, 1 where the kink mask holds and the slope
+    # elsewhere
+    dalpha -= np.add.reduceat(alpha * dalpha, seg, axis=-1).take(dst, axis=-1)
+    dalpha *= alpha
+    dalpha *= np.maximum(mask, LEAKY_SLOPE)
+    dpre = dalpha
+    # the transpose's row indices are the forward matrix's column indices:
+    # each entry's (model, head) block offset plus its source node
+    ds = np.bincount(A_T.indices, weights=dpre.ravel(),
+                     minlength=models * L * n).reshape(*mask.shape[:-1], n)
     # the per-destination term, at full height like ds, so that the products
     # below run over the same rows whichever rows the destinations are
     dd = np.zeros_like(ds)
@@ -377,9 +409,12 @@ def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) 
       gradients; the layer's output gradient, the next layer's input
       gradient, dHeadSum and dalpha; and the largest of its three stages:
       dalpha's two (E, F) gathers; the product that scatters dHeadSum,
-      repeated once per head, into dWh; and dWh with the softmax backward
-      and the per-head loop.  The last layer, which runs over the essays'
-      edges only, is counted as if it ran over every edge.
+      repeated once per head, into dWh; and dWh with the softmax backward,
+      which is built in dalpha beside one (L, E) temporary at a time, and
+      the per-head loop.  A layer's cache holds its output, Wh, one float
+      (L, E) array, alpha, and one of a byte an entry, the kink mask.  The
+      last layer, which runs over the essays' edges only, is counted as if
+      it ran over every edge.
     - `adam_step`, with three more copies: the flat gradient and Adam's
       two temporaries.
 
@@ -389,28 +424,28 @@ def model_bytes(n_nodes, n_edges, n_features, config: TrainConfig, embed_dim=0) 
     N, E = n_nodes, n_edges
     L, F, D = config.heads_per_layer, config.hidden_units, config.dense_units
     K = config.attention_layers
-    # the projection's pre-activation and output, each layer's cache (avg
-    # and out, as its H is the previous out, Wh, pre and alpha), and the
-    # classifier's input and its gradient, counted on every node
-    forward = 2 * N * D + K * (2 * N * F + L * N * F + 2 * L * E) + 2 * N * (K * F + embed_dim)
+    # the projection's output, each layer's cache (out, as its H is the
+    # previous out, Wh and alpha), and the classifier's input and its
+    # gradient, counted on every node
+    forward = N * D + K * (N * F + L * N * F + L * E) + 2 * N * (K * F + embed_dim)
     # a layer's backward: dOut, the next layer's dH, dHeadSum and dalpha
     backward = 3 * N * F + L * E
     # its largest stage: the two gathers; the repeated dHeadSum and dWh; or
-    # dWh, the softmax backward's four (L, E) arrays, ds, dd, dH and one
+    # dWh, the softmax backward's (L, E) temporary, ds, dd, dH and one
     # head's products, three (N, F) or one (N, D)
     stage = max(2 * E * F, 2 * L * N * F,
-                L * N * F + 4 * L * E + 2 * L * N + N * D + N * max(3 * F, D))
+                L * N * F + L * E + 2 * L * N + N * D + N * max(3 * F, D))
     n_params = (D * (n_features + 1) + L * F * D + (K - 1) * L * F * F + K * L * 2 * F
                 + 2 * (K * F + embed_dim + 1))
-    # then the attention matrices of the graph and of its essay view, the
-    # view's counted at the graph's size: float64 values, int32 column
-    # indices and int32 row pointers
-    return (8 * max(forward + backward + stage + 5 * n_params, 7 * n_params)
+    # the kink masks, a byte an entry, then the attention matrices of the
+    # graph and of its essay view, the view's counted at the graph's size:
+    # float64 values, int32 column indices and int32 row pointers
+    return (max(8 * (forward + backward + stage + 5 * n_params) + K * L * E, 8 * 7 * n_params)
             + 2 * L * (E * (8 + 4) + N * 4))
 
 
 def _project(model, tensors, X):
-    """The input projection's pre-activation and output (..., N, D)."""
+    """The input projection's output (..., N, D)."""
     if X.shape != (tensors.n_nodes, model.n_features):
         raise ShapeMismatch(
             f"features {X.shape} vs graph ({tensors.n_nodes}, {model.n_features})"
@@ -419,9 +454,8 @@ def _project(model, tensors, X):
     lead, n = model.stack_shape, tensors.n_nodes
     # every model's proj.W side by side, so the shared X is multiplied once
     side = np.asarray(X @ p["proj.W"].reshape(-1, model.n_features).T)
-    pre0 = (np.moveaxis(side.reshape(n, *lead, model.dense_units), 0, -2)
-            + p["proj.b"][..., None, :])
-    return pre0, elu(pre0)
+    return elu(np.moveaxis(side.reshape(n, *lead, model.dense_units), 0, -2)
+               + p["proj.b"][..., None, :])
 
 
 def _layer_graph(model, tensors, k):
@@ -463,9 +497,8 @@ def _classify(model, n_essays, parts, embeddings):
 
 def _forward(model, tensors, X, embeddings):
     """The forward a training step differentiates: the logits, the
-    classifier input, every layer's cache, and the projection's
-    pre-activation and output."""
-    pre0, H = _project(model, tensors, X)
+    classifier input, every layer's cache, and the projection's output."""
+    H = _project(model, tensors, X)
     caches, parts = [], []
     Hk = H
     for k in range(model.n_layers):
@@ -473,14 +506,14 @@ def _forward(model, tensors, X, embeddings):
         caches.append(cache)
         parts.append(_essay_rows(Hk, tensors.n_essays))
     logits, concat = _classify(model, tensors.n_essays, parts, embeddings)
-    return logits, concat, caches, pre0, H
+    return logits, concat, caches, H
 
 
 def forward(model, tensors, X, embeddings=None):
     """Per-essay class probabilities, rows summing to 1.  No backward cache
     is kept: each layer's goes as soon as the next layer has its input,
     and of each output only the essay rows are kept."""
-    Hk = _project(model, tensors, X)[1]
+    Hk = _project(model, tensors, X)
     parts = []
     for k in range(model.n_layers):
         Hk = _layer(model, tensors, k, Hk)[0]
@@ -508,8 +541,8 @@ def loss_and_gradients(model, tensors, X_T, fwd, batch_positions, targets):
     returned for this model, and `X_T`, the transposed features it ran on.
     For a stack of models, `batch_positions` and `targets` carry the
     stack's leading axes, one batch per model, and the loss is one per
-    model.  Weight decay is left to the caller: `l2_penalty` for the loss
-    and `l2_gradient` for its gradient.  A non-finite loss raises
+    model.  Weight decay is left to the caller; `train_stack` adds it over
+    its flat rows with `_weight_decay`.  A non-finite loss raises
     `NonFiniteLoss`, whose `model` is the flat index of the first model
     whose loss diverged."""
     batch = np.asarray(batch_positions, dtype=np.int64)
@@ -520,7 +553,7 @@ def loss_and_gradients(model, tensors, X_T, fwd, batch_positions, targets):
     if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise ValueError("batch positions must be unique")
 
-    logits, concat, caches, pre0, H0 = fwd
+    logits, concat, caches, H0 = fwd
     B = batch.shape[-1]
     logp = log_softmax_rows(_rows(logits, batch))
     loss = -_picked(logp, y).mean(axis=-1)
@@ -558,7 +591,7 @@ def loss_and_gradients(model, tensors, X_T, fwd, batch_positions, targets):
         dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = attention_layer_backward(
             dOut, caches[k], _layer_graph(model, tensors, k), p[f"att{k}.W"], p[f"att{k}.a"])
 
-    dpre0 = dH_next * _elu_grad(pre0, H0)
+    dpre0 = dH_next * _elu_grad(H0)
     # the models' dpre0 side by side, as in the forward projection
     lead = model.stack_shape
     side = np.asarray(X_T @ np.moveaxis(dpre0, -2, 0).reshape(tensors.n_nodes, -1))
@@ -573,22 +606,30 @@ def _decays(name):
     return not name.endswith(".b")
 
 
-def l2_penalty(loss, params, weight_decay):
-    """`loss` plus `weight_decay` times the squared norm of every non-bias
-    parameter, added one parameter at a time in `params` order.  For a
-    stack, `loss` has the stack's shape and each model gets its own norm."""
-    lead = np.shape(loss)
-    for name, value in params.items():
+def _decayed_columns(shapes):
+    """The columns of a flat row (see `_split`) that hold each parameter
+    weight decay applies to, as slices in `shapes` order."""
+    columns, start = [], 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
         if _decays(name):
-            loss = loss + weight_decay * np.sum((value * value).reshape(*lead, -1), axis=-1)
+            columns.append(slice(start, start + size))
+        start += size
+    return columns
+
+
+def _weight_decay(loss, g, flat, columns, weight_decay):
+    """`loss` plus `weight_decay` times each model's squared norm of its
+    decayed parameters, with the norm's gradient, `2 * weight_decay *
+    value`, added to the flat gradient `g` in place.  `flat` and `g` are
+    (M, P) rows and `columns` the decayed parameters' slices of them, which
+    are taken one at a time, in order, so the terms are added as they would
+    be over the parameters themselves."""
+    for cols in columns:
+        value = flat[:, cols]
+        loss = loss + weight_decay * np.sum(value * value, axis=-1)
+        g[:, cols] += 2.0 * weight_decay * value
     return loss
-
-
-def l2_gradient(grads, params, weight_decay):
-    """`grads` plus the gradient of `l2_penalty`, `2 * weight_decay * value`,
-    for every non-bias parameter."""
-    return {name: g + 2.0 * weight_decay * params[name] if _decays(name) else g
-            for name, g in grads.items()}
 
 
 def predict(model, tensors, X, positions=None, embeddings=None):
@@ -725,6 +766,7 @@ def train_stack(tensors, X, ys, config: TrainConfig,
     best = np.stack([_flatten(p, shapes) for p in best])
     flat, m, v = best.copy(), np.zeros(best.shape), np.zeros(best.shape)
     model = GatModel(_split(flat, shapes))
+    decayed = _decayed_columns(shapes)
     X_T = X.T
 
     best_acc, best_loss, since = [-np.inf] * M, [np.inf] * M, [0] * M
@@ -747,12 +789,11 @@ def train_stack(tensors, X, ys, config: TrainConfig,
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(str(exc), model=active[exc.model]) from None
             fwd = None
-            if config.weight_decay:
-                loss = l2_penalty(loss, model.params, config.weight_decay)
-                grads = l2_gradient(grads, model.params, config.weight_decay)
             t += 1
             # flat, so that neither Adam nor the next backward holds the dict
             grads = _flatten(grads, shapes, (len(active),))
+            if config.weight_decay:
+                loss = _weight_decay(loss, grads, flat, decayed, config.weight_decay)
             adam_step(flat, grads, m, v, t, config.learning_rate)
             del grads
             batch_losses.append(loss)

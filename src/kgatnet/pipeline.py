@@ -342,6 +342,14 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _json_object(value, name) -> dict:
+    """`value` when it is a JSON object, else {} with a warning naming it."""
+    if not isinstance(value, dict):
+        log.warning("%s holds no JSON object, so it is ignored", name)
+        return {}
+    return value
+
+
 def _read_json(path: Path) -> dict:
     """The JSON object in `path`, or {} when there is none: a file that is
     unreadable or holds something else is ignored with a warning."""
@@ -351,10 +359,13 @@ def _read_json(path: Path) -> dict:
         return {}
     except (OSError, ValueError):
         data = None
-    if not isinstance(data, dict):
-        log.warning("%s holds no JSON object, so it is ignored", path)
-        return {}
-    return data
+    return _json_object(data, path)
+
+
+def _manifest_part(data: dict, key: str, path: Path) -> dict:
+    """The object under `key` of the manifest `data` read from `path`:
+    {} when it is missing, or, with a warning, when it is no object."""
+    return _json_object(data.get(key, {}), f"{path}: {key}")
 
 
 def read_concept_file(path: Path | str) -> frozenset[str]:
@@ -637,7 +648,8 @@ def stage_train(cfg: PipelineConfig, art: Artifacts, plan: Plan, jobs: int = 1) 
         # nothing to fit, so neither the graph nor numpy is loaded;
         # model_bytes is the last run's echo
         _require(art.features, "aggregate")
-        last = _read_json(art.manifest).get("stages", {}).get("train", {})
+        stages = _manifest_part(_read_json(art.manifest), "stages", art.manifest)
+        last = _json_object(stages.get("train", {}), f"{art.manifest}: stages.train")
         info = {"folds": plan.total // len(TRAITS), "trained": 0, "stack_sizes": [],
                 "input_key": plan.key, "model_bytes": last.get("model_bytes"),
                 "budget_bytes": memory_budget()}
@@ -811,7 +823,7 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
     data["config"] = _config_echo(cfg)
     # an input the config names but that is gone keeps its last digest,
     # as a library this command did not load keeps its last version
-    recorded = data.get("inputs", {})
+    recorded = _manifest_part(data, "inputs", art.manifest)
     inputs = {}
     for name in _INPUT_FILES:
         p = getattr(cfg, name)
@@ -820,17 +832,18 @@ def update_manifest(cfg: PipelineConfig, stage: str, info: dict) -> None:
         elif p is not None and name in recorded:
             inputs[name] = recorded[name]
     data["inputs"] = inputs
+    versions = _manifest_part(data, "versions", art.manifest)
     data["versions"] = {
         "kgatnet": __version__,
         "python": platform.python_version(),
-        **{lib: _library_version(lib, data.get("versions", {})) for lib in ("numpy", "scipy")},
+        **{lib: _library_version(lib, versions) for lib in ("numpy", "scipy")},
         # BLAS threads can change the last bits of long reductions
         **{var: os.environ.get(var)
            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     entry = dict(info)
     entry["completed"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    data.setdefault("stages", {})[stage] = entry
+    data["stages"] = {**_manifest_part(data, "stages", art.manifest), stage: entry}
     write_atomically(art.manifest,
                       (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 

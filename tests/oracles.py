@@ -17,7 +17,12 @@ The document graph is built the long way: every concept's description
 unioned into one graph, then filtered down to the concepts.  N-Triples
 lines are scanned term by term, literals and blank nodes included, and
 only the statements of three IRIs kept.  The
-weight-decayed loss adds the L2 term's gradient per parameter in place.
+weight-decayed loss adds the L2 term's gradient per parameter in place;
+`l2_penalty` and `l2_gradient` are the same terms over a parameter dict,
+which `train_stack` adds over its flat rows.  `leaky_relu`, `where_elu`
+and `where_elu_grad` are the activations as `np.where` selects, which the
+per-head layer uses and the production layer's max and min forms must
+match.
 The one-model training loop shares no optimizer code with `train_stack`:
 it decays and steps one parameter at a time, over dict moments, and takes
 the full step, whose every layer runs over every edge, where the
@@ -37,7 +42,6 @@ from kgatnet.gat import (
     TrainConfig,
     _classify,
     _decays,
-    _elu_grad,
     _forward,
     _picked,
     _project,
@@ -47,8 +51,6 @@ from kgatnet.gat import (
     attention_layer_forward,
     elu,
     evaluate_split,
-    l2_penalty,
-    leaky_relu,
     log_softmax_rows,
     loss_and_gradients,
     new_model,
@@ -63,6 +65,21 @@ def neighbors_from_pairs(n_nodes, pairs):
         nbrs[i].add(j)
         nbrs[j].add(i)
     return {i: sorted(js) for i, js in nbrs.items()}
+
+
+def leaky_relu(x, slope=LEAKY_SLOPE):
+    return np.where(x > 0, x, slope * x)
+
+
+def where_elu(x):
+    """ELU as a select, the reference for `gat.elu`."""
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def where_elu_grad(out):
+    """elu'(x) from out = elu(x) as a select, the reference for
+    `gat._elu_grad`: out > 0 exactly where x > 0."""
+    return np.where(out > 0, 1.0, out + 1.0)
 
 
 def naive_elu(x):
@@ -135,8 +152,10 @@ def min_leaky_margin(model, tensors, X):
     H = elu(np.asarray(X @ p["proj.W"].T) + p["proj.b"])
     margin = np.inf
     for k in range(model.n_layers):
-        H, (*_, pre, _) = attention_layer_forward(H, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
-        margin = min(margin, float(np.min(np.abs(pre))))
+        H, (*_, head_caches) = per_head_layer_forward(H, tensors, p[f"att{k}.W"],
+                                                      p[f"att{k}.a"])
+        for _, pre, _ in head_caches:
+            margin = min(margin, float(np.min(np.abs(pre))))
     return margin
 
 
@@ -155,11 +174,10 @@ PRODUCTION_LAYER = (attention_layer_forward, attention_layer_backward)
 def full_forward(model, tensors, X, embeddings=None, layer=PRODUCTION_LAYER):
     """`_forward` with every layer over every edge of `tensors`, the last
     one included: its logits, classifier input, per-layer caches and the
-    projection's pre-activation and output.  `layer` is the pair of layer
-    functions it runs."""
+    projection's output.  `layer` is the pair of layer functions it runs."""
     layer_forward = layer[0]
     p = model.params
-    pre0, H = _project(model, tensors, X)
+    H = _project(model, tensors, X)
     caches, outs, Hk = [], [], H
     for k in range(model.n_layers):
         Hk, cache = layer_forward(Hk, tensors, p[f"att{k}.W"], p[f"att{k}.a"])
@@ -168,7 +186,7 @@ def full_forward(model, tensors, X, embeddings=None, layer=PRODUCTION_LAYER):
     first = tensors.n_nodes - tensors.n_essays
     logits, concat = _classify(model, tensors.n_essays, [o[..., first:, :] for o in outs],
                                embeddings)
-    return logits, concat, caches, pre0, H
+    return logits, concat, caches, H
 
 
 def full_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None,
@@ -179,7 +197,7 @@ def full_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None,
     runs over the essays' edges alone must match it bit for bit, with the
     production layer or with `PER_HEAD_LAYER`."""
     layer_backward = layer[1]
-    logits, concat, caches, pre0, H0 = full_forward(model, tensors, X, embeddings, layer)
+    logits, concat, caches, H0 = full_forward(model, tensors, X, embeddings, layer)
     batch = np.asarray(batch, dtype=np.int64)
     y = np.asarray(targets, dtype=np.int64)
     B = batch.shape[-1]
@@ -205,7 +223,7 @@ def full_loss_and_gradients(model, tensors, X, batch, targets, embeddings=None,
             dOut += dH_next
         dH_next, grads[f"att{k}.W"], grads[f"att{k}.a"] = layer_backward(
             dOut, caches[k], tensors, p[f"att{k}.W"], p[f"att{k}.a"])
-    dpre0 = dH_next * _elu_grad(pre0, H0)
+    dpre0 = dH_next * where_elu_grad(H0)
     lead = model.stack_shape
     side = np.asarray(X.T @ np.moveaxis(dpre0, -2, 0).reshape(n, -1))
     grads["proj.W"] = np.moveaxis(side.reshape(-1, *lead, model.dense_units), 0, -1)
@@ -306,14 +324,14 @@ def per_head_layer_forward(H, tensors, Ws, As):
         head_sums.append(sums)
         head_caches.append((Wh, pre, alpha))
     avg = _tree_sum(head_sums) / len(Ws)
-    out = elu(avg)
+    out = where_elu(avg)
     return out, (H, avg, out, head_caches)
 
 
 def per_head_layer_backward(dOut, cache, tensors, Ws, As):
     H, avg, out, head_caches = cache
     src, dst, seg = tensors.src, tensors.dst, tensors.seg_starts
-    dHeadSum = (dOut * _elu_grad(avg, out)) / len(Ws)
+    dHeadSum = (dOut * where_elu_grad(out)) / len(Ws)
     dH = np.zeros_like(H)
     dWs, das = [], []
     for (W, a, (Wh, pre, alpha)) in zip(Ws, As, head_caches):
@@ -392,6 +410,24 @@ def drawn_in_order(n_features, config, embed_dim=0):
     params["clf.W"] = uniform(2, clf_in, clf_in, 2)
     params["clf.b"] = np.zeros(2)
     return params
+
+
+def l2_penalty(loss, params, weight_decay):
+    """`loss` plus `weight_decay` times the squared norm of every non-bias
+    parameter, added one parameter at a time in `params` order.  For a
+    stack, `loss` has the stack's shape and each model gets its own norm."""
+    lead = np.shape(loss)
+    for name, value in params.items():
+        if _decays(name):
+            loss = loss + weight_decay * np.sum((value * value).reshape(*lead, -1), axis=-1)
+    return loss
+
+
+def l2_gradient(grads, params, weight_decay):
+    """`grads` plus the gradient of `l2_penalty`, `2 * weight_decay * value`,
+    for every non-bias parameter."""
+    return {name: g + 2.0 * weight_decay * params[name] if _decays(name) else g
+            for name, g in grads.items()}
 
 
 def weight_decayed_loss_and_gradients(model, tensors, X, batch, targets, weight_decay,

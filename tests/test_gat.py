@@ -30,8 +30,6 @@ from kgatnet.gat import (
     elu,
     evaluate_split,
     forward,
-    l2_gradient,
-    l2_penalty,
     load_model,
     new_model,
     predict,
@@ -51,6 +49,8 @@ from oracles import (
     fd_gradient_max_error,
     forward_loss_and_gradients,
     full_loss_and_gradients,
+    l2_gradient,
+    l2_penalty,
     loop_edge_list,
     min_leaky_margin,
     multi_head_layer,
@@ -65,6 +65,8 @@ from oracles import (
     raw_attention_score,
     train_trait,
     weight_decayed_loss_and_gradients,
+    where_elu,
+    where_elu_grad,
 )
 
 
@@ -282,12 +284,20 @@ def assert_layer_matches_per_head_reference(tensors, H, W, a, dOut):
     for m in np.ndindex(W.shape[:-3]):
         ref_out, ref_cache = per_head_layer_forward(H[m], tensors, W[m], a[m])
         assert np.array_equal(out[m], ref_out)
-        for got, want in zip(cache[:3], ref_cache[:3]):
-            assert np.array_equal(got[m], want)
-        # the batched (Wh, pre, alpha) against the reference's per-head triples
-        assert len(ref_cache[3]) == W.shape[-3]
-        for got, want in zip(cache[3:], zip(*ref_cache[3])):
-            assert np.array_equal(got[m], np.stack(want))
+        # the input and the output; the reference's head average, which the
+        # layer does not keep, is checked through the output and the backward
+        ref_H, _, ref_out, ref_heads = ref_cache
+        assert np.array_equal(cache[0][m], ref_H)
+        assert np.array_equal(cache[1][m], ref_out)
+        # the batched (Wh, kink mask, alpha) against the reference's per-head
+        # (Wh, pre, alpha): the mask is where the scores are positive
+        assert len(ref_heads) == W.shape[-3]
+        ref_Wh, ref_pre, ref_alpha = (np.stack(want) for want in zip(*ref_heads))
+        Wh, mask, alpha = cache[2:]
+        assert mask.dtype == np.bool_
+        assert np.array_equal(Wh[m], ref_Wh)
+        assert np.array_equal(mask[m], ref_pre > 0)
+        assert np.array_equal(alpha[m], ref_alpha)
         ref_dH, ref_dWs, ref_das = per_head_layer_backward(dOut[m], ref_cache, tensors,
                                                            W[m], a[m])
         assert np.array_equal(dH[m], ref_dH)
@@ -343,11 +353,23 @@ def test_reused_tensors_keep_one_block_count():
     n, heads = 20, 2
     tensors = GraphTensors.from_edges(n, random_pairs(rng, n, 40), 0)
     for models in (3, 2, 3):
+        pairs = []
         for _ in range(2):
             assert_layer_matches_per_head_reference(
                 tensors, *random_layer(rng, n, (models,), heads))
-            # one matrix, of this block count, serves the forward and the backward
+            # one matrix and its transposed view, of this block count, serve
+            # the forward and the backward
             assert list(tensors._stacked) == [models * heads]
+            pairs.append(tuple(tensors._stacked[models * heads]))
+        # built once per block count, the view over the matrix's own arrays
+        (A, A_T), again = pairs
+        assert again[0] is A and again[1] is A_T
+        assert np.shares_memory(A_T.data, A.data) and np.shares_memory(A_T.indices, A.indices)
+    # a forward alone, as in inference, makes no transposed view
+    fresh = GraphTensors.from_edges(n, random_pairs(rng, n, 40), 0)
+    H, W, a, _ = random_layer(rng, n, (), heads)
+    attention_layer_forward(H, fresh, W, a)
+    assert fresh._stacked[heads][1] is None
 
 
 def test_essay_view_is_the_suffix_of_edges_into_the_essays():
@@ -603,6 +625,21 @@ def test_segment_softmax_overwrites_its_scores():
     assert peak <= scores.nbytes + 2 * scores.shape[0] * n * 8 + (4 << 10)
 
 
+def test_activations_match_their_select_forms():
+    # the max-based ELU and the min-based ELU derivative have the bits of
+    # the np.where forms, signed zeros, subnormals and the extremes too
+    rng = np.random.default_rng(48)
+    tiny = np.finfo(float).tiny
+    x = np.concatenate([rng.normal(size=4000) * 4, rng.normal(size=1000) * 1e-9,
+                        [0.0, -0.0, tiny, -tiny, tiny / 4, -tiny / 4, 1e-300, -1e-300,
+                         -1e-17, 1e-17, -40.0, -800.0, 800.0, np.inf, -np.inf]])
+    out = elu(x)
+    assert np.array_equal(out, where_elu(x))
+    assert np.array_equal(np.signbit(out), np.signbit(where_elu(x)))
+    assert np.array_equal(gat._elu_grad(out), where_elu_grad(out))
+    assert np.isnan(elu(np.array([np.nan]))).all()
+
+
 def test_isolated_essay_prediction_finite():
     # essay with no concept links: self-loop only
     tensors = GraphTensors.from_edges(2, [], 1)
@@ -652,21 +689,34 @@ def test_weight_decay_adds_exact_l2_term():
             assert np.allclose(extra, 2 * wd * model.params[name], rtol=1e-12, atol=0)
 
 
-def test_l2_gradient_matches_per_parameter_term():
-    # train_stack adds the penalty with l2_penalty and its gradient with
-    # l2_gradient; both must give the bits of the per-parameter reference
+def test_flat_weight_decay_matches_per_parameter_terms():
+    # train_stack adds weight decay over its flat (M, P) rows, one decayed
+    # parameter's columns at a time; the loss and the gradient must have the
+    # bits of l2_penalty and l2_gradient over the parameter dict, which are
+    # those of the per-parameter reference, for one model and for a stack
     tensors, X, _ = tiny_instance()
-    model = new_model(X.shape[1], small_config())
     wd = 0.02
-    plain_loss, plain_grads = forward_loss_and_gradients(model, tensors, X, [0, 1], [0, 1])
-    reg_loss, reg_grads = weight_decayed_loss_and_gradients(
-        model, tensors, X, [0, 1], [0, 1], wd)
-    assert l2_penalty(plain_loss, model.params, wd) == reg_loss
-    decayed = l2_gradient(plain_grads, model.params, wd)
-    assert decayed.keys() == reg_grads.keys()
-    for name in reg_grads:
-        assert np.array_equal(decayed[name], reg_grads[name])
-    assert decayed["proj.b"] is plain_grads["proj.b"]  # biases pass through
+    for models in (1, 3):
+        stack = stacked([new_model(X.shape[1], small_config(seed=s)) for s in range(models)])
+        batch, targets = [[0, 1]] * models, [[0, 1]] * models
+        plain_loss, plain_grads = forward_loss_and_gradients(stack, tensors, X, batch, targets)
+        reg_loss, reg_grads = weight_decayed_loss_and_gradients(stack, tensors, X, batch,
+                                                                targets, wd)
+        assert np.array_equal(l2_penalty(plain_loss, stack.params, wd), reg_loss)
+        decayed = l2_gradient(plain_grads, stack.params, wd)
+        assert decayed.keys() == reg_grads.keys()
+        for name in reg_grads:
+            assert np.array_equal(decayed[name], reg_grads[name])
+        assert decayed["proj.b"] is plain_grads["proj.b"]  # biases pass through
+
+        shapes = {k: a.shape[1:] for k, a in stack.params.items()}
+        flat = _flatten(stack.params, shapes, (models,))
+        g = _flatten(plain_grads, shapes, (models,))
+        columns = gat._decayed_columns(shapes)
+        assert len(columns) == sum(not name.endswith(".b") for name in shapes)
+        loss = gat._weight_decay(plain_loss, g, flat, columns, wd)
+        assert np.array_equal(loss, reg_loss)
+        assert np.array_equal(g, _flatten(reg_grads, shapes, (models,)))
 
 
 def test_loss_nonfinite_raises():
@@ -1071,7 +1121,7 @@ def test_model_bytes_bounds_the_peak_of_an_activation_bound_step():
     assert len(tensors.src) == 5_400
     # the estimate counts the last layer, over the essays' edges, and the
     # classifier's input at the graph's size, so it exceeds the peak by
-    # about a tenth (9.25 against 8.49 MB); an (E, F) gather kept past the
+    # under a tenth (8.34 against 7.78 MB); an (E, F) gather kept past the
     # gathers raises the peak above it
     assert peak <= estimate <= 1.15 * peak
 

@@ -1264,6 +1264,30 @@ def test_an_unreadable_manifest_is_replaced_and_the_artifacts_kept(workdir, text
         "preprocess", "build", "aggregate", "train", "evaluate"}
 
 
+@pytest.mark.parametrize("text, part", [
+    ('{"stages": []}', "stages"),
+    ('{"versions": []}', "versions"),
+    ('{"inputs": []}', "inputs"),
+    ('{"stages": {"train": []}}', "stages.train"),
+])
+def test_a_manifest_part_that_is_no_object_is_replaced(workdir, text, part, caplog):
+    # a readable manifest whose stage log, versions, input digests or train
+    # entry is not an object counts that part as empty, with a warning
+    cfg_path = str(workdir / "run.cfg")
+    assert main(["run-all", "--config", cfg_path]) == 0
+    art = Artifacts(workdir / "out")
+    before = _artifact_stamps(art.root)
+    art.manifest.write_text(text, encoding="utf-8")
+    assert main(["evaluate", "--config", cfg_path]) == 0
+    assert main(["run-all", "--config", cfg_path]) == 0
+    assert f"manifest.json: {part} holds no JSON object" in caplog.text
+    assert _artifact_stamps(art.root) == before
+    manifest = json.loads(art.manifest.read_text())
+    assert set(manifest["stages"]) == {"preprocess", "build", "aggregate", "train", "evaluate"}
+    assert all(isinstance(manifest[key], dict) for key in ("stages", "versions", "inputs"))
+    assert all(isinstance(entry, dict) for entry in manifest["stages"].values())
+
+
 def test_stages_after_build_need_no_dump(workdir, caplog):
     cfg_path = str(workdir / "run.cfg")
     for stage in ("preprocess", "build"):
