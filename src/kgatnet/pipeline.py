@@ -1,8 +1,9 @@
 """Config-driven orchestration of the end-to-end classification pipeline.
 
-The six stages (preprocess, build, aggregate, embed, train, evaluate) each
-read only upstream artifacts and write only their own outputs under the
-configured output directory, so any stage can be rerun in isolation.
+`load_config` reads a config file through `config.parse_config`, which owns
+its keys.  The six stages (preprocess, build, aggregate, embed, train,
+evaluate) each read only upstream artifacts and write only their own outputs
+under the configured output directory, so any stage can be rerun in isolation.
 `STAGE_TABLE` declares what each reads and writes, and `plan_stage` decides
 for all of them which output units run, and why, which manifest.json
 records with the resolved config, input digests, versions, and the stage's
@@ -40,7 +41,7 @@ from pathlib import Path
 
 from . import __version__
 from .atomic import write_atomically
-from .config import TRAITS, EmbedConfig, TrainConfig
+from .config import _INPUT_FILES, TRAITS, PipelineConfig, parse_config
 from .errors import (ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss,
                      UnknownNode, WorkerDied)
 from .kg_builder import (
@@ -122,143 +123,7 @@ _DOC_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _CORPUS_HEADER = ["doc_id", "text", *TRAITS]
 
 
-# --- configuration ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    corpus: Path
-    dump: Path | None
-    endpoint: str | None
-    output_dir: Path
-    cache_dir: Path
-    stopwords: Path | None
-    lemmas: Path | None
-    gazetteer: Path | None
-    seed: int
-    protocol: str
-    cv_folds: int
-    test_fraction: float
-    predicate_prefixes: tuple[str, ...]
-    train: TrainConfig
-    embed: EmbedConfig
-
-    def __post_init__(self):
-        if (self.dump is None) == (self.endpoint is None):
-            raise ConfigError("exactly one of 'dump' and 'endpoint' is required")
-        if self.protocol not in ("cv", "split80"):
-            raise ConfigError(f"protocol must be 'cv' or 'split80', got {self.protocol!r}")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
-
-    @property
-    def enriched(self) -> bool:
-        return self.train.enriched
-
-
-# pipeline-level key -> default (None: unset); a value is parsed as the
-# type of its key's default, and a path key's resolves against the config
-# file's directory
-_KEY_DEFAULTS: dict[str, object] = {
-    "corpus": None,  # required
-    "dump": None,
-    "endpoint": None,
-    "output_dir": "out",
-    "cache_dir": None,  # defaults to <output_dir>/cache
-    "stopwords": None,  # bundled list
-    "lemmas": None,  # bundled table
-    "gazetteer": None,  # no multi-word entities
-    "seed": TrainConfig.seed,  # EmbedConfig.seed is the same
-    "protocol": "cv",
-    "cv_folds": 10,
-    "test_fraction": 0.2,
-    "predicate_prefixes": "",
-}
-
-# each TrainConfig field but `seed` is set by the key of its name, and each
-# EmbedConfig field but `seed` by the key mapped to it here; the keys'
-# defaults are the fields', and the one `seed` key seeds all three configs
-_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
-_EMBED_KEYS = {
-    "embed_dim": "dim",
-    "walk_depth": "max_depth",
-    "walks_per_node": "walks_per_node",
-    "window": "window",
-    "negatives": "negatives",
-    "embed_epochs": "epochs",
-    "embed_learning_rate": "learning_rate",
-    "embed_min_learning_rate": "min_learning_rate",
-}
-
-# every key parse_config accepts, with its default
-CONFIG_DEFAULTS: dict[str, object] = {
-    **_KEY_DEFAULTS,
-    **{key: getattr(TrainConfig, key) for key in _TRAIN_KEYS},
-    **{key: getattr(EmbedConfig, name) for key, name in _EMBED_KEYS.items()},
-}
-
-# the input files a config names
-_INPUT_FILES = ("corpus", "dump", "stopwords", "lemmas", "gazetteer")
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_EXPECTED = {bool: "true/false", int: "an integer", float: "a number"}
-
-
-def _convert(key: str, raw: str, default: object) -> object:
-    """`raw` as a value of the default's type; text keys keep the string."""
-    kind = type(default)
-    try:
-        if kind is bool:
-            return _BOOL_WORDS[raw.lower()]
-        if kind in (int, float):
-            return kind(raw)
-    except (KeyError, ValueError):
-        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
-    return raw
-
-
-def parse_config(text: str, base_dir: Path | str = ".",
-                 overrides: dict[str, str] | None = None) -> PipelineConfig:
-    """Parse a flat ``key = value`` config (# comments, blank lines allowed).
-    `overrides` maps keys to raw values that replace the text's."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, value = key.strip(), value.strip()
-        if key not in CONFIG_DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
-    for key, value in (overrides or {}).items():
-        if key not in CONFIG_DEFAULTS:
-            raise ConfigError(f"unknown key {key!r}")
-        raw[key] = value
-    if "corpus" not in raw:
-        raise ConfigError("missing required key 'corpus'")
-
-    values = {key: _convert(key, raw[key], default) if key in raw else default
-              for key, default in CONFIG_DEFAULTS.items()}
-    for key in (*_INPUT_FILES, "output_dir", "cache_dir"):
-        if values[key] is not None:
-            # an absolute path replaces the base
-            values[key] = Path(base_dir) / values[key]
-    if values["cache_dir"] is None:
-        values["cache_dir"] = values["output_dir"] / "cache"
-    values["predicate_prefixes"] = tuple(
-        p.strip() for p in values["predicate_prefixes"].split(",") if p.strip())
-
-    seed = values["seed"]
-    train = TrainConfig(seed=seed, **{key: values[key] for key in _TRAIN_KEYS})
-    embed = EmbedConfig(seed=seed, **{name: values[key] for key, name in _EMBED_KEYS.items()})
-    return PipelineConfig(**{key: values[key] for key in _KEY_DEFAULTS}, train=train, embed=embed)
-
+# --- config and corpus files ------------------------------------------------
 
 def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> PipelineConfig:
     p = Path(path)
@@ -266,8 +131,6 @@ def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> Pi
         raise ConfigError(f"config file not found: {p}")
     return parse_config(p.read_text(encoding="utf-8"), p.parent, overrides)
 
-
-# --- corpus ----------------------------------------------------------------
 
 def load_corpus(path: Path | str) -> list[Document]:
     """Read ``doc_id,text,O,C,E,A,N`` rows; ids must be unique file-safe names.

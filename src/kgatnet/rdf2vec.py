@@ -214,15 +214,15 @@ def train_embeddings(agg: AggregatedGraph, config: EmbedConfig,
     given, receives the run's counters: the number of walks, the centers and
     pairs trained summed over the epochs, and the last epoch's mean pair
     loss."""
-    walks = generate_walks(agg, config.max_depth, config.walks_per_node, config.seed)
+    walks = generate_walks(agg, config.walk_depth, config.walks_per_node, config.seed)
     matrix, losses, pairs = train_skip_gram(
-        walks, dim=config.dim, window=config.window, negatives=config.negatives,
-        epochs=config.epochs, lr=config.learning_rate,
-        min_lr=config.min_learning_rate, seed=config.seed,
+        walks, dim=config.embed_dim, window=config.window, negatives=config.negatives,
+        epochs=config.embed_epochs, lr=config.embed_learning_rate,
+        min_lr=config.embed_min_learning_rate, seed=config.seed,
     )
     if stats is not None:
         stats["walks"] = len(walks)
-        stats["centers"] = config.epochs * sum(map(len, walks))
+        stats["centers"] = config.embed_epochs * sum(map(len, walks))
         stats["pairs"] = pairs
         stats["loss"] = losses[-1]
     return matrix

@@ -248,8 +248,8 @@ def test_criterion_7_two_clique_embedding_structure():
     t0 = time.monotonic()
     agg = two_clique_graph()
     matrix = train_embeddings(agg, EmbedConfig(
-        dim=16, max_depth=4, walks_per_node=20, window=3, negatives=5,
-        epochs=10, seed=42,
+        embed_dim=16, walk_depth=4, walks_per_node=20, window=3, negatives=5,
+        embed_epochs=10, seed=42,
     ))
     rows = rows_for(matrix, agg.entity_nodes)
     V = rows / np.linalg.norm(rows, axis=1, keepdims=True)

@@ -19,9 +19,9 @@ from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput, 
 from kgatnet.aggregator import read_aggregated
 from kgatnet.kg_builder import CachingSource, NTriplesSource, SparqlEndpointSource, read_graph
 from kgatnet import pipeline
+from kgatnet.config import CONFIG_DEFAULTS, EmbedConfig, PipelineConfig, parse_config
 from kgatnet.gat import TrainConfig, model_bytes
 from kgatnet.pipeline import (
-    CONFIG_DEFAULTS,
     STAGE_TABLE,
     Artifacts,
     _make_folds,
@@ -29,7 +29,6 @@ from kgatnet.pipeline import (
     load_corpus,
     make_source,
     memory_budget,
-    parse_config,
     plan_stacks,
     run_stage,
     stack_cap,
@@ -57,8 +56,8 @@ def test_parse_config_defaults():
     assert cfg.train.hidden_units == 128
     assert cfg.train.weight_decay == 0.0
     assert not cfg.train.enriched
-    assert cfg.embed.dim == 500
-    assert cfg.embed.max_depth == 5
+    assert cfg.embed.embed_dim == 500
+    assert cfg.embed.walk_depth == 5
     assert cfg.embed.walks_per_node == 5
 
 
@@ -89,6 +88,7 @@ def test_parse_config_comments_and_blank_lines():
     ("dump = d.nt\n", "corpus"),
     ("corpus = c.csv\n", "dump"),
     ("corpus = c.csv\ndump = d.nt\nendpoint = http://x\n", "exactly one"),
+    ("corpus = c.csv\nendpoint =\n", "endpoint must be an http"),
     ("corpus = c.csv\ndump = d.nt\nseed = abc\n", "integer"),
     ("corpus = c.csv\ndump = d.nt\nlearning_rate = fast\n", "number"),
     ("corpus = c.csv\ndump = d.nt\nenriched = maybe\n", "true/false"),
@@ -96,10 +96,32 @@ def test_parse_config_comments_and_blank_lines():
     ("corpus = c.csv\ndump = d.nt\ncv_folds = 1\n", "cv_folds"),
     ("corpus = c.csv\ndump = d.nt\ntest_fraction = 1.5\n", "test_fraction"),
     ("corpus = c.csv\ndump = d.nt\nentity_features = onehot\n", "entity_features"),
+    ("corpus = c.csv\ndump = d.nt\nseed = -1\n", "seed must be >= 0"),
+    ("corpus = c.csv\ndump = d.nt\nembed_epochs = 0\n", "embed_epochs"),
+    ("corpus = c.csv\ndump = d.nt\nwalk_depth = 0\n", "walk_depth"),
+    ("corpus = c.csv\ndump = d.nt\nembed_dim = 0\n", "embed_dim"),
+    ("corpus = c.csv\ndump = d.nt\nembed_min_learning_rate = 1\n", "embed_min_learning_rate"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key", [k for k, v in CONFIG_DEFAULTS.items() if type(v) is float])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_config_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
+        parse_config(MINIMAL + f"{key} = {value}\n")
+
+
+def test_every_key_is_the_name_of_a_field():
+    # a key sets every field of its name, so each field's default is its key's
+    names = {f.name for r in (PipelineConfig, TrainConfig, EmbedConfig)
+             for f in dataclasses.fields(r)}
+    assert set(CONFIG_DEFAULTS) == names - {"train", "embed"}
+    for record in (TrainConfig, EmbedConfig):
+        for f in dataclasses.fields(record):
+            assert CONFIG_DEFAULTS[f.name] == f.default, f.name
 
 
 def test_with_overrides_seed_propagates():
@@ -988,6 +1010,12 @@ def test_cli_exit_two_on_bad_config(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("corpus = c.csv\ndump = d.nt\nwhatever = 1\n")
     assert main(["preprocess", "--config", str(bad)]) == 2
+
+
+def test_cli_exit_two_on_negative_seed(workdir, caplog):
+    assert main(["preprocess", "--config", str(workdir / "run.cfg"), "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in caplog.text
+    assert not (workdir / "out").exists()
 
 
 def test_cli_exit_two_on_missing_config(tmp_path):

@@ -205,13 +205,14 @@ def test_skip_gram_divergence_raises():
 
 def test_embedding_stats_describe_the_run():
     agg = two_cliques()
-    cfg = EmbedConfig(dim=4, max_depth=3, walks_per_node=4, window=2,
-                      negatives=2, epochs=2, seed=5)
+    cfg = EmbedConfig(embed_dim=4, walk_depth=3, walks_per_node=4, window=2,
+                      negatives=2, embed_epochs=2, seed=5)
     stats = {}
     matrix = train_embeddings(agg, cfg, stats)
-    walks = generate_walks(agg, cfg.max_depth, cfg.walks_per_node, cfg.seed)
+    walks = generate_walks(agg, cfg.walk_depth, cfg.walks_per_node, cfg.seed)
     _, losses, _ = train_skip_gram(walks, dim=4, window=2, negatives=2, epochs=2,
-                                lr=cfg.learning_rate, min_lr=cfg.min_learning_rate, seed=5)
+                                   lr=cfg.embed_learning_rate,
+                                   min_lr=cfg.embed_min_learning_rate, seed=5)
     assert np.array_equal(matrix.vectors, train_embeddings(agg, cfg).vectors)
     assert stats == {
         "walks": len(walks),
@@ -230,8 +231,8 @@ def test_two_cliques_intra_beats_inter_cosine():
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     pairs += [(i, j) for i in range(5, 10) for j in range(i + 1, 10)]
     agg = graph_from_pairs(10, pairs)
-    cfg = EmbedConfig(dim=16, max_depth=5, walks_per_node=20, window=5,
-                      negatives=5, epochs=5, seed=1)
+    cfg = EmbedConfig(embed_dim=16, walk_depth=5, walks_per_node=20, window=5,
+                      negatives=5, embed_epochs=5, seed=1)
     matrix = train_embeddings(agg, cfg)
     first = list(rows_for(matrix, [f"E{i}" for i in range(5)]))
     second = list(rows_for(matrix, [f"E{i}" for i in range(5, 10)]))
@@ -323,8 +324,8 @@ def test_read_embeddings_rejects_an_empty_file(tmp_path):
 
 def test_embed_config_validation():
     with pytest.raises(ConfigError):
-        EmbedConfig(dim=0)
+        EmbedConfig(embed_dim=0)
     with pytest.raises(ConfigError):
-        EmbedConfig(min_learning_rate=0.5, learning_rate=0.1)
+        EmbedConfig(embed_min_learning_rate=0.5, embed_learning_rate=0.1)
     cfg = EmbedConfig()
-    assert (cfg.dim, cfg.max_depth, cfg.walks_per_node) == (500, 5, 5)
+    assert (cfg.embed_dim, cfg.walk_depth, cfg.walks_per_node) == (500, 5, 5)
