@@ -27,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kgatnet.atomic import write_atomically
-from kgatnet.cli import main as cli_main
+from kgatnet.cli import _positive_int, main as cli_main
 
 REFERENCE = {"plain": 0.7026, "enriched": 0.7241}
 TOLERANCE = 0.03
@@ -144,7 +144,7 @@ def main() -> None:
     ap.add_argument("--workdir", default="runs/essays",
                     help="output root (default: runs/essays)")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--jobs", type=int, default=4)
+    ap.add_argument("--jobs", type=_positive_int, default=4)
     ap.add_argument("--mode", choices=["plain", "enriched", "both"],
                     default="both")
     args = ap.parse_args()

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .atomic import write_atomically
 from .errors import DuplicateDocumentId
 from .kg_builder import KnowledgeGraph, read_sections, sections_to_text
 from .preprocess import Document
@@ -123,10 +122,6 @@ def aggregated_from_text(text: str) -> AggregatedGraph:
     return AggregatedGraph(tuple(entities), tuple(essays),
                            frozenset(tuple(line.split("\t")) for line in ee),
                            frozenset(tuple(line.split("\t")) for line in ese))
-
-
-def write_aggregated(agg: AggregatedGraph, path: Path | str) -> None:
-    write_atomically(path, aggregated_to_text(agg).encode("utf-8"))
 
 
 def read_aggregated(path: Path | str) -> AggregatedGraph:

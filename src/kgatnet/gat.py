@@ -704,11 +704,15 @@ def _keep_freed_memory():
     above a threshold afresh and returns the free top of its heap to the
     system once that exceeds twice the threshold, which it raises only to
     the largest mapped block freed so far.  A step frees most of its arrays
-    when it ends, so by default the next step page-faults them back in:
-    about 200k minor faults in the fixture-cv train stage and 1.3M in the
-    shipped fixture's.  The threshold is fixed at glibc's own ceiling, 32 MiB, and
-    the heap keeps up to 16 MiB free, enough for a fixture step of 50
-    models; keeping 64 MiB raised the peak at paper width by 8 MB."""
+    when it ends, so in a stack whose arrays pass the default thresholds
+    the next step page-faults them back in: the shipped fixture's
+    `train --force --jobs 1`, one stack of 50, made 1.17-1.20M minor faults
+    and took 21.4-23.4 s CPU without this call, against 9.9k faults and
+    20.1-22.5 s with it (two runs each, 2-vCPU host).  A stack of 15
+    (fixture-cv) made about 6.5k either way.  The threshold is fixed at
+    glibc's own ceiling, 32 MiB, and the heap keeps up to 16 MiB free,
+    enough for a fixture step of 50 models; keeping 64 MiB raised the peak
+    at paper width by 8 MB."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):

@@ -66,10 +66,10 @@ _LAZY = {
     "numpy": ("np",),
     ".aggregator": (
         "aggregate_graphs",
+        "aggregated_to_text",
         "attach_essay_nodes",
         "build_feature_matrix",
         "read_aggregated",
-        "write_aggregated",
     ),
     ".evaluation": (
         "aggregate_fold_rows",
@@ -301,13 +301,19 @@ def stage_aggregate(cfg: PipelineConfig, art: Artifacts, plan: Plan) -> dict:
         raise ConfigError(f"doc ids collide with entity names: {sorted(clash)[:5]}")
     agg = attach_essay_nodes(entities_only, list(zip(corpus, node_sets)))
 
-    write_aggregated(agg, art.aggregated)
+    # encoded before scipy.sparse loads: after it, the text's allocations
+    # raised essays-cold's peak RSS by about 0.2 MB
+    text = aggregated_to_text(agg).encode("utf-8")
     X = build_feature_matrix(agg)
     # imported here so that a skipped aggregate never loads it
     import scipy.sparse as sp
     buf = io.BytesIO()
     sp.save_npz(buf, X)
+    # graph.txt goes last, so a run interrupted before it leaves that
+    # output missing and the next run redoes both
+    art.aggregated.unlink(missing_ok=True)
     write_atomically(art.features, buf.getvalue())
+    write_atomically(art.aggregated, text)
     log.info("aggregate: %d entities, %d essays, %d features",
              len(agg.entity_nodes), len(agg.essay_nodes), X.shape[1])
     return {"entities": len(agg.entity_nodes), "essays": len(agg.essay_nodes)}
@@ -318,8 +324,7 @@ def stage_embed(cfg: PipelineConfig, art: Artifacts, plan: Plan) -> dict:
         return {"skipped": True}
     _bind()
     agg = read_aggregated(_require(art.aggregated, "aggregate"))
-    stats: dict = {}
-    matrix = train_embeddings(agg, cfg.embed, stats)
+    matrix, stats = train_embeddings(agg, cfg.embed)
     write_embeddings(matrix, art.embeddings)
     info = {"nodes": len(matrix.node_ids), "dim": matrix.dim, **stats}
     log.info("embed: %(nodes)d vectors of dim %(dim)d from %(walks)d walks, "

@@ -11,6 +11,7 @@ the matrix bit for bit.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +21,7 @@ import numpy as np
 from .aggregator import AggregatedGraph
 from .atomic import write_atomically
 from .config import EmbedConfig
-from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, UnknownNode
+from .errors import EmptyCorpus, NonFiniteLoss, UnknownNode
 
 
 def generate_walks(agg: AggregatedGraph, max_depth: int, walks_per_node: int,
@@ -31,10 +32,9 @@ def generate_walks(agg: AggregatedGraph, max_depth: int, walks_per_node: int,
     why low-degree roots yield fewer than walks_per_node walks.
 
     Each (root, attempt) pair gets its own seeded generator, so corpora are
-    reproducible and roots could be processed in parallel.
+    reproducible and roots could be processed in parallel.  `EmbedConfig`
+    holds both counts to at least 1.
     """
-    if max_depth < 1 or walks_per_node < 1:
-        raise ConfigError("max_depth and walks_per_node must be >= 1")
     names = list(agg.entity_nodes) + list(agg.essay_nodes)
     nbrs: list[list[int]] = [[] for _ in names]
     for i, j in agg.index_edges():
@@ -132,9 +132,9 @@ def _chunk_targets(block, vocab, window, negatives, cum_noise, rng):
     return tokens, targets, labels, bounds, distinct, distinct_bounds, inverse
 
 
-def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
-                    negatives=5, epochs=5, lr=0.025, min_lr=1e-4,
-                    seed=0) -> tuple[EmbeddingMatrix, list[float], int]:
+def train_skip_gram(walks: Sequence[Sequence[str]], dim: int, window: int, negatives: int,
+                    epochs: int, lr: float, min_lr: float,
+                    seed: int) -> tuple[EmbeddingMatrix, list[float], int]:
     """Skip-gram with negative sampling over walks-as-sentences.
 
     Unigram^0.75 noise distribution, fixed (non-shrinking) context window,
@@ -148,16 +148,10 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
     """
     if not walks:
         raise EmptyCorpus("no walks to train on")
-    vocab: dict[str, int] = {}
-    counts: list[int] = []
-    for walk in walks:
-        for node in walk:
-            idx = vocab.setdefault(node, len(vocab))
-            if idx == len(counts):
-                counts.append(0)
-            counts[idx] += 1
+    counts = Counter(itertools.chain.from_iterable(walks))  # in first-seen order
+    vocab = {node: idx for idx, node in enumerate(counts)}
     n = len(vocab)
-    noise = np.asarray(counts, dtype=np.float64) ** 0.75
+    noise = np.fromiter(counts.values(), dtype=np.float64, count=n) ** 0.75
     cum_noise = np.cumsum(noise / noise.sum())
     cum_noise[-1] = 1.0  # a uniform draw just below 1 must not fall off the end
 
@@ -165,7 +159,7 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
     w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n, dim))
     w_out = np.zeros((n, dim))
 
-    total_centers = epochs * sum(map(len, walks))
+    total_centers = epochs * counts.total()
     processed = total_pairs = 0
     epoch_losses = []
     for _ in range(epochs):
@@ -204,28 +198,22 @@ def train_skip_gram(walks: Sequence[Sequence[str]], dim=500, window=5,
         epoch_losses.append(float(epoch_loss))
         total_pairs += n_pairs
 
-    order = tuple(vocab)  # insertion order == first-seen order
-    return EmbeddingMatrix(order, w_in), epoch_losses, total_pairs
+    return EmbeddingMatrix(tuple(vocab), w_in), epoch_losses, total_pairs
 
 
-def train_embeddings(agg: AggregatedGraph, config: EmbedConfig,
-                     stats: dict | None = None) -> EmbeddingMatrix:
-    """Walks over `agg` and their skip-gram vectors.  A `stats` dict, when
-    given, receives the run's counters: the number of walks, the centers and
-    pairs trained summed over the epochs, and the last epoch's mean pair
-    loss."""
+def train_embeddings(agg: AggregatedGraph,
+                     config: EmbedConfig) -> tuple[EmbeddingMatrix, dict]:
+    """Walks over `agg`, their skip-gram vectors, and the run's counters: the
+    number of walks, the centers and pairs trained summed over the epochs,
+    and the last epoch's mean pair loss."""
     walks = generate_walks(agg, config.walk_depth, config.walks_per_node, config.seed)
     matrix, losses, pairs = train_skip_gram(
         walks, dim=config.embed_dim, window=config.window, negatives=config.negatives,
         epochs=config.embed_epochs, lr=config.embed_learning_rate,
         min_lr=config.embed_min_learning_rate, seed=config.seed,
     )
-    if stats is not None:
-        stats["walks"] = len(walks)
-        stats["centers"] = config.embed_epochs * sum(map(len, walks))
-        stats["pairs"] = pairs
-        stats["loss"] = losses[-1]
-    return matrix
+    return matrix, {"walks": len(walks), "centers": config.embed_epochs * sum(map(len, walks)),
+                    "pairs": pairs, "loss": losses[-1]}
 
 
 # --- persistence (word2vec text format) ----------------------------------

@@ -247,7 +247,7 @@ def test_criterion_6_walk_validity_and_uniformity():
 def test_criterion_7_two_clique_embedding_structure():
     t0 = time.monotonic()
     agg = two_clique_graph()
-    matrix = train_embeddings(agg, EmbedConfig(
+    matrix, _ = train_embeddings(agg, EmbedConfig(
         embed_dim=16, walk_depth=4, walks_per_node=20, window=3, negatives=5,
         embed_epochs=10, seed=42,
     ))

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kgatnet.cli import main
 from kgatnet.errors import ConfigError, DuplicateDocumentId, MissingStageInput, NonFiniteLoss
-from kgatnet.aggregator import read_aggregated
-from kgatnet.kg_builder import CachingSource, NTriplesSource, SparqlEndpointSource, read_graph
+from kgatnet.aggregator import build_feature_matrix, read_aggregated
+from kgatnet.kg_builder import (CachingSource, KnowledgeGraph, NTriplesSource,
+                                SparqlEndpointSource, graph_to_text, read_graph)
 from kgatnet import pipeline
 from kgatnet.config import CONFIG_DEFAULTS, EmbedConfig, PipelineConfig, parse_config
 from kgatnet.gat import TrainConfig, model_bytes
@@ -99,6 +101,7 @@ def test_parse_config_comments_and_blank_lines():
     ("corpus = c.csv\ndump = d.nt\nseed = -1\n", "seed must be >= 0"),
     ("corpus = c.csv\ndump = d.nt\nembed_epochs = 0\n", "embed_epochs"),
     ("corpus = c.csv\ndump = d.nt\nwalk_depth = 0\n", "walk_depth"),
+    ("corpus = c.csv\ndump = d.nt\nwalks_per_node = 0\n", "walks_per_node"),
     ("corpus = c.csv\ndump = d.nt\nembed_dim = 0\n", "embed_dim"),
     ("corpus = c.csv\ndump = d.nt\nembed_min_learning_rate = 1\n", "embed_min_learning_rate"),
 ])
@@ -631,6 +634,39 @@ def test_interrupted_graph_write_leaves_no_file(workdir, monkeypatch):
     monkeypatch.undo()
     run_stage("build", cfg)
     assert read_graph(victim).nodes
+
+
+def test_interrupted_aggregate_reruns_until_its_features_match_the_graph(workdir, monkeypatch):
+    cfg = load_config(workdir / "run.cfg")
+    for stage in ("preprocess", "build", "aggregate"):
+        run_stage(stage, cfg)
+    art = Artifacts(cfg.output_dir)
+    # one essay loses a node, so a forced aggregate writes other outputs
+    path = art.graph_path("doc05")
+    graph = read_graph(path)
+    lost = min(graph.nodes)
+    path.write_text(graph_to_text(KnowledgeGraph(
+        graph.nodes - {lost}, frozenset(e for e in graph.edges if lost not in e))),
+        encoding="utf-8")
+    real_replace = os.replace
+    written = []
+
+    def fail_second_write(src, dst):
+        if Path(dst).parent == art.aggregate_dir:
+            written.append(Path(dst).name)
+            if len(written) == 2:
+                raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second_write)
+    with pytest.raises(OSError, match="no space"):
+        run_stage("aggregate", cfg, force=True)
+    monkeypatch.undo()
+    assert pipeline.plan_stage("aggregate", cfg).units
+    run_stage("aggregate", cfg)
+    X = sp.load_npz(art.features)
+    expected = build_feature_matrix(read_aggregated(art.aggregated))
+    assert X.shape == expected.shape and (X != expected).nnz == 0
 
 
 def test_interrupted_report_write_leaves_no_file(workdir, monkeypatch):

@@ -76,14 +76,6 @@ def test_walks_deterministic_and_seed_sensitive():
     assert a != c
 
 
-def test_walks_config_validation():
-    agg = graph_from_pairs(2, [(0, 1)])
-    with pytest.raises(ConfigError):
-        generate_walks(agg, 0, 5, seed=0)
-    with pytest.raises(ConfigError):
-        generate_walks(agg, 5, 0, seed=0)
-
-
 @settings(max_examples=30)
 @given(
     st.lists(
@@ -111,13 +103,14 @@ def test_walk_validity_properties(pairs, depth, per_node, seed):
 
 def test_skip_gram_empty_corpus():
     with pytest.raises(EmptyCorpus):
-        train_skip_gram([], dim=4)
+        train_skip_gram([], dim=4, window=2, negatives=2, epochs=1, lr=0.025,
+                        min_lr=1e-4, seed=0)
 
 
 def test_skip_gram_smoke_degenerate():
     walks = [["A", "B"]] * 20
     matrix, losses, _ = train_skip_gram(walks, dim=1, window=2, negatives=2,
-                                        epochs=5, lr=0.1, seed=3)
+                                        epochs=5, lr=0.1, min_lr=1e-4, seed=3)
     assert np.all(np.isfinite(matrix.vectors))
     assert losses[-1] < losses[0]
     assert rows_for(matrix, ["A"])[0].shape == (1,)
@@ -125,11 +118,12 @@ def test_skip_gram_smoke_degenerate():
 
 def test_skip_gram_deterministic():
     walks = [["A", "B", "C"], ["C", "B", "A"], ["B", "A", "C"]]
-    m1, *_ = train_skip_gram(walks, dim=8, epochs=3, seed=5)
-    m2, *_ = train_skip_gram(walks, dim=8, epochs=3, seed=5)
+    kw = dict(dim=8, window=5, negatives=5, epochs=3, lr=0.025, min_lr=1e-4)
+    m1, *_ = train_skip_gram(walks, **kw, seed=5)
+    m2, *_ = train_skip_gram(walks, **kw, seed=5)
     assert m1.node_ids == m2.node_ids
     assert np.array_equal(m1.vectors, m2.vectors)
-    m3, *_ = train_skip_gram(walks, dim=8, epochs=3, seed=6)
+    m3, *_ = train_skip_gram(walks, **kw, seed=6)
     assert not np.array_equal(m3.vectors, m1.vectors)
 
 
@@ -165,7 +159,7 @@ def test_skip_gram_matches_per_center_reference(case):
 def test_skip_gram_vectors_do_not_depend_on_chunk_size(monkeypatch, chunk):
     walks = generate_walks(two_cliques(), max_depth=4, walks_per_node=30, seed=3)
     assert len(walks) > rdf2vec._CHUNK_WALKS
-    kw = dict(dim=8, window=3, negatives=4, epochs=2, seed=2)
+    kw = dict(dim=8, window=3, negatives=4, epochs=2, lr=0.025, min_lr=1e-4, seed=2)
     base, base_losses, _ = train_skip_gram(walks, **kw)
     monkeypatch.setattr(rdf2vec, "_CHUNK_WALKS", chunk)
     other, losses, _ = train_skip_gram(walks, **kw)
@@ -185,7 +179,7 @@ def test_each_epoch_draws_pairs_times_negatives_uniforms(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", spy)
     train_skip_gram(walks, dim=dim, window=window, negatives=negatives,
-                    epochs=epochs, seed=seed)
+                    epochs=epochs, lr=0.025, min_lr=1e-4, seed=seed)
     (used,) = made
     by_hand = real([seed])
     by_hand.uniform(-0.5 / dim, 0.5 / dim, size=(5, dim))  # the w_in draw
@@ -207,13 +201,13 @@ def test_embedding_stats_describe_the_run():
     agg = two_cliques()
     cfg = EmbedConfig(embed_dim=4, walk_depth=3, walks_per_node=4, window=2,
                       negatives=2, embed_epochs=2, seed=5)
-    stats = {}
-    matrix = train_embeddings(agg, cfg, stats)
+    matrix, stats = train_embeddings(agg, cfg)
     walks = generate_walks(agg, cfg.walk_depth, cfg.walks_per_node, cfg.seed)
-    _, losses, _ = train_skip_gram(walks, dim=4, window=2, negatives=2, epochs=2,
-                                   lr=cfg.embed_learning_rate,
-                                   min_lr=cfg.embed_min_learning_rate, seed=5)
-    assert np.array_equal(matrix.vectors, train_embeddings(agg, cfg).vectors)
+    alone, losses, _ = train_skip_gram(walks, dim=4, window=2, negatives=2, epochs=2,
+                                       lr=cfg.embed_learning_rate,
+                                       min_lr=cfg.embed_min_learning_rate, seed=5)
+    assert matrix.node_ids == alone.node_ids
+    assert np.array_equal(matrix.vectors, alone.vectors)
     assert stats == {
         "walks": len(walks),
         "centers": 2 * sum(map(len, walks)),
@@ -233,7 +227,7 @@ def test_two_cliques_intra_beats_inter_cosine():
     agg = graph_from_pairs(10, pairs)
     cfg = EmbedConfig(embed_dim=16, walk_depth=5, walks_per_node=20, window=5,
                       negatives=5, embed_epochs=5, seed=1)
-    matrix = train_embeddings(agg, cfg)
+    matrix, _ = train_embeddings(agg, cfg)
     first = list(rows_for(matrix, [f"E{i}" for i in range(5)]))
     second = list(rows_for(matrix, [f"E{i}" for i in range(5, 10)]))
     intra, inter = [], []
@@ -274,7 +268,8 @@ def full_parse(path):
 
 def test_read_embeddings_rows_are_bit_equal_to_a_full_parse(tmp_path):
     walks = generate_walks(two_cliques(), max_depth=3, walks_per_node=4, seed=8)
-    matrix, *_ = train_skip_gram(walks, dim=5, epochs=2, seed=4)
+    matrix, *_ = train_skip_gram(walks, dim=5, window=5, negatives=5, epochs=2, lr=0.025,
+                                 min_lr=1e-4, seed=4)
     path = tmp_path / "vectors.txt"
     write_embeddings(matrix, path)
     every = full_parse(path)
@@ -286,7 +281,8 @@ def test_read_embeddings_rows_are_bit_equal_to_a_full_parse(tmp_path):
 
 def test_embedding_file_round_trip(tmp_path):
     walks = [["A", "B", "C"], ["B", "C", "A"]]
-    matrix, *_ = train_skip_gram(walks, dim=4, epochs=2, seed=9)
+    matrix, *_ = train_skip_gram(walks, dim=4, window=5, negatives=5, epochs=2, lr=0.025,
+                                 min_lr=1e-4, seed=9)
     path = tmp_path / "vectors.txt"
     write_embeddings(matrix, path)
     assert path.read_text().splitlines()[0] == "3 4"

@@ -4,6 +4,7 @@ manifest block it adds; the full-size run itself is not executed here."""
 import csv
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +151,17 @@ def test_interrupted_annotation_leaves_the_manifest_whole(tmp_path, monkeypatch)
     monkeypatch.undo()
     assert json.loads(manifest.read_text(encoding="utf-8")) == json.loads(old)
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_jobs_below_one_stops_before_anything_is_written(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "essays.csv"
+    write_rows(src, essays_layout(read_rows(FIXTURE_CORPUS)))
+    work = tmp_path / "work"
+    monkeypatch.setattr(sys, "argv", [
+        "reproduce.py", "--essays", str(src), "--dump", str(FIXTURE_CORPUS.parent / "dump.nt"),
+        "--workdir", str(work), "--jobs", "0"])
+    with pytest.raises(SystemExit) as exc:
+        reproduce.main()
+    assert exc.value.code == 2
+    assert "usage: reproduce.py" in capsys.readouterr().err
+    assert not work.exists()
